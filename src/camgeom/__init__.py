@@ -28,14 +28,12 @@ from .augment import (
 )
 from .boxes import OrientedBox3, aabb_iou, box_corners, iou3d
 from .camera import (
-    CameraPose,
     Intrinsics,
     Pixel,
     Point3,
     Ray,
     back_project,
     project,
-    project_world,
     projected_height,
     projected_width,
 )
@@ -66,12 +64,10 @@ __all__ = [
     "__version__",
     # camera
     "Intrinsics",
-    "CameraPose",
     "Point3",
     "Pixel",
     "Ray",
     "project",
-    "project_world",
     "back_project",
     "projected_height",
     "projected_width",

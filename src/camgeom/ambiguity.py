@@ -26,10 +26,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .boxes import OrientedBox3
-from .camera import CameraPose, Intrinsics, projected_height, projected_width
+from .camera import Intrinsics, projected_height, projected_width
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import NonPositiveFactor
-from .evaluation import Detection, match_and_score
+from .errors import BelowMinimum, NonPositiveFactor
+from .evaluation import Detection, _score, match_and_score
 from .transforms import scale
 
 __all__ = [
@@ -142,7 +142,6 @@ class SceneObject:
 @dataclass(frozen=True)
 class SyntheticScene:
     camera: Intrinsics
-    pose: CameraPose
     objects: tuple[SceneObject, ...]
     camera_index: int
     scene_id: int
@@ -171,9 +170,11 @@ def generate_scenes(
     sits at the true depth along that ray with a square footprint.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1 scenes, got {n}")
+        raise BelowMinimum(f"need n >= 1 scenes, got {n}")
+    if seed < 0:
+        raise BelowMinimum(f"seed must be >= 0, got {seed}")
     if not camera_pool:
-        raise ValueError("camera_pool must be non-empty")
+        raise BelowMinimum("camera_pool must be non-empty")
     priors = {label: _as_prior(p) for label, p in (size_priors or DEFAULT_SIZE_PRIORS).items()}
     labels = sorted(priors)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
@@ -211,7 +212,7 @@ def generate_scenes(
                     box=box,
                 )
             )
-        scenes.append(SyntheticScene(k, CameraPose.identity(), tuple(objects), camera_index, scene_id))
+        scenes.append(SyntheticScene(k, tuple(objects), camera_index, scene_id))
     return scenes
 
 
@@ -299,9 +300,6 @@ def run_bias_experiment(
             matched += report.micro.matched
             n_pred += report.micro.n_pred
             n_truth += report.micro.n_truth
-        precision = 100.0 * matched / n_pred if n_pred else 0.0
-        recall = 100.0 * matched / n_truth if n_truth else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         rows.append(
             BiasRow(
                 s=float(s),
@@ -309,7 +307,7 @@ def run_bias_experiment(
                 ratio_mean=statistics.fmean(ratios),
                 ratio_std=statistics.pstdev(ratios),
                 depth_error_mean=statistics.fmean(errors),
-                f1=f1,
+                f1=_score(matched, n_pred, n_truth).f1,
             )
         )
     return rows
@@ -341,8 +339,6 @@ def run_mixed_pool_experiment(
     if not scenes:
         raise ValueError("scenes must be non-empty")
     clusters = sorted({scene.camera_index for scene in scenes})
-    if len(clusters) < 1:
-        raise ValueError("need at least one camera cluster")
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
     rows = []
     for estimator in estimators:

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import CropOutOfBounds, ExtentMismatch
+from .errors import CamGeomError, CropOutOfBounds, ExtentMismatch
 from .evaluation import Detection
 from .transforms import PixelTransform, apply_transform
 
@@ -94,16 +94,16 @@ class AugmentationPolicy:
     def __post_init__(self):
         lo, hi = (float(v) for v in self.scale_range)
         if not (0 < lo <= hi) or not math.isfinite(hi):
-            raise ValueError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
+            raise CamGeomError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
         object.__setattr__(self, "scale_range", (lo, hi))
         frac = float(self.shift_fraction)
         if not (0.0 <= frac <= 0.5):
-            raise ValueError(f"shift_fraction must be in [0, 0.5], got {frac}")
+            raise CamGeomError(f"shift_fraction must be in [0, 0.5], got {frac}")
         object.__setattr__(self, "shift_fraction", frac)
         if self.mode not in ("pad", "crop"):
-            raise ValueError(f"mode must be 'pad' or 'crop', got {self.mode!r}")
+            raise CamGeomError(f"mode must be 'pad' or 'crop', got {self.mode!r}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise CamGeomError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,7 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
     otherwise) and edge samples clamp instead of padding.
     """
     if mode not in ("pad", "crop"):
-        raise ValueError(f"mode must be 'pad' or 'crop', got {mode!r}")
+        raise CamGeomError(f"mode must be 'pad' or 'crop', got {mode!r}")
     if mode == "crop":
         # window [du, du + out_w] x [dv, dv + out_h] in post-scale coordinates
         if (
@@ -225,9 +225,7 @@ def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Gen
     du = float(rng.uniform(-max_du, max_du)) if max_du > 0 else 0.0
     dv = float(rng.uniform(-max_dv, max_dv)) if max_dv > 0 else 0.0
     if policy.mode == "pad":
-        out_w = max(1, round(scaled_w))
-        out_h = max(1, round(scaled_h))
-        return PixelTransform(s, s, du, dv, out_w, out_h)
+        return replace(PixelTransform.scaling(s, k.width, k.height), du=du, dv=dv)
     out_w = max(1, math.floor(scaled_w - 2.0 * max_du))
     out_h = max(1, math.floor(scaled_h - 2.0 * max_dv))
     return PixelTransform(s, s, (scaled_w - out_w) / 2.0 + du, (scaled_h - out_h) / 2.0 + dv, out_w, out_h)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBox
+from .errors import CamGeomError, DegenerateBox
 
 __all__ = [
     "OrientedBox3",
@@ -97,7 +97,7 @@ def rotation_matrix(yaw: float, pitch: float, roll: float, order: str = "zyx") -
         "x": np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]),
     }
     if sorted(order) != ["x", "y", "z"]:
-        raise ValueError(f"rotation order must be a permutation of 'xyz', got {order!r}")
+        raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
     out = np.eye(3)
     for axis in order:
         out = out @ single[axis]

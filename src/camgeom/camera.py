@@ -1,4 +1,4 @@
-"""Pinhole camera model: intrinsics, poses, projection and back-projection.
+"""Pinhole camera model: intrinsics, projection and back-projection.
 
 Conventions used throughout the toolkit:
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -23,18 +23,17 @@ from .errors import IntrinsicsError, NonPositiveDepth, NonPositiveSize
 
 __all__ = [
     "Intrinsics",
-    "CameraPose",
     "Point3",
     "Pixel",
     "Ray",
     "project",
-    "project_world",
     "back_project",
     "projected_height",
     "projected_width",
     "project_array",
     "ray_components",
     "ray_directions",
+    "unproject_array",
 ]
 
 _INTRINSICS_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
@@ -79,14 +78,7 @@ class Intrinsics:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         # json round-trips finite doubles bit-exactly (repr-based float encoding)
@@ -119,48 +111,6 @@ class Intrinsics:
         except json.JSONDecodeError as exc:
             raise IntrinsicsError(f"{where}: invalid JSON ({exc})") from None
         return cls.from_mapping(obj, where=where)
-
-
-@dataclass(frozen=True, eq=False)
-class CameraPose:
-    """World-to-camera rigid transform: P_c = rotation @ P_w + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        trans = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if rot.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(trans)):
-            raise ValueError("pose contains non-finite values")
-        if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant must be +1 within 1e-9")
-        rot = rot.copy()
-        trans = trans.copy()
-        rot.setflags(write=False)
-        trans.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", trans)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CameraPose):
-            return NotImplemented
-        return np.array_equal(self.rotation, other.rotation) and np.array_equal(
-            self.translation, other.translation
-        )
-
-    @classmethod
-    def identity(cls) -> "CameraPose":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, point: "Point3") -> "Point3":
-        """Transform a world-frame point into the camera frame."""
-        p = self.rotation @ point.as_array() + self.translation
-        return Point3(p[0], p[1], p[2])
 
 
 @dataclass(frozen=True)
@@ -211,37 +161,32 @@ def project(point: Point3, k: Intrinsics) -> Pixel:
     """
     if point.z <= 0:
         raise NonPositiveDepth(f"cannot project point with Z = {point.z} <= 0")
-    return Pixel(k.fx * point.x / point.z + k.cx, k.fy * point.y / point.z + k.cy)
-
-
-def project_world(point: Point3, pose: CameraPose, k: Intrinsics) -> Pixel:
-    """Project a world-frame point through pose then intrinsics."""
-    return project(pose.apply(point), k)
+    u, v = project_array(point.as_array(), k)
+    return Pixel(float(u), float(v))
 
 
 def back_project(pixel: Pixel, k: Intrinsics) -> Ray:
     """Unit ray through a pixel: direction proportional to ((u-cx)/fx, (v-cy)/fy, 1)."""
-    rx = (pixel.u - k.cx) / k.fx
-    ry = (pixel.v - k.cy) / k.fy
-    norm = math.sqrt(rx * rx + ry * ry + 1.0)
-    return Ray(rx / norm, ry / norm, 1.0 / norm)
+    dx, dy, dz = ray_directions(pixel.u, pixel.v, k)
+    return Ray(float(dx), float(dy), float(dz))
+
+
+def _projected_extent(size: float, name: str, depth: float, focal: float) -> float:
+    if size <= 0 or not math.isfinite(size):
+        raise NonPositiveSize(f"{name} must be > 0, got {size}")
+    if depth <= 0 or not math.isfinite(depth):
+        raise NonPositiveDepth(f"depth must be > 0, got {depth}")
+    return focal * size / depth
 
 
 def projected_height(height: float, depth: float, k: Intrinsics) -> float:
     """Image height in pixels of a fronto-parallel extent: fy * H / Z."""
-    if height <= 0 or not math.isfinite(height):
-        raise NonPositiveSize(f"height must be > 0, got {height}")
-    if depth <= 0 or not math.isfinite(depth):
-        raise NonPositiveDepth(f"depth must be > 0, got {depth}")
-    return k.fy * height / depth
+    return _projected_extent(height, "height", depth, k.fy)
+
 
 def projected_width(width: float, depth: float, k: Intrinsics) -> float:
     """Image width in pixels of a fronto-parallel extent: fx * W / Z."""
-    if width <= 0 or not math.isfinite(width):
-        raise NonPositiveSize(f"width must be > 0, got {width}")
-    if depth <= 0 or not math.isfinite(depth):
-        raise NonPositiveDepth(f"depth must be > 0, got {depth}")
-    return k.fx * width / depth
+    return _projected_extent(width, "width", depth, k.fx)
 
 
 def project_array(points: np.ndarray, k: Intrinsics) -> np.ndarray:
@@ -267,3 +212,14 @@ def ray_directions(u: np.ndarray, v: np.ndarray, k: Intrinsics) -> np.ndarray:
     rx, ry = ray_components(u, v, k)
     d = np.stack([rx, ry, np.ones_like(rx)], axis=-1)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+def unproject_array(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """Camera-frame points ray x depth, ((u-cx)/fx*Z, (v-cy)/fy*Z, Z), shape (..., 3).
+
+    The inverse of :func:`project_array`; ``u``, ``v`` and ``z`` broadcast
+    together.  Depth is not checked, so NaN marks an invalid point.
+    """
+    rx, ry = ray_components(u, v, k)
+    z = np.asarray(z, dtype=np.float64)
+    return np.stack(np.broadcast_arrays(rx * z, ry * z, z), axis=-1)

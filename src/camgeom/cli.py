@@ -3,7 +3,9 @@
 Settings resolve as defaults <- config file <- flags.  The config file is
 taken from --config or the CAMGEOM_CONFIG environment variable; every
 command echoes the fully resolved configuration into its output directory
-as ``config.resolved.json`` so runs are self-describing.  Exit codes:
+as ``config.resolved.json`` so runs are self-describing.  A flag that
+overrides a setting declares the setting's config path as its argparse
+``dest`` (``--shift`` -> ``augment.shift_fraction``).  Exit codes:
 0 success, 1 fatal I/O error, 2 validation failure.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .ambiguity import (
+    DEFAULT_SIZE_PRIORS,
     MECHANISM_CAVEAT,
     SizePrior,
     generate_scenes,
@@ -92,24 +95,17 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _drop_none(obj: dict) -> dict:
-    out = {}
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            value = _drop_none(value)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _resolve_config(args: argparse.Namespace, overrides: dict) -> dict:
-    config = _deep_merge(DEFAULTS, _load_config_file(getattr(args, "config", None)))
-    config = _deep_merge(config, _drop_none(overrides))
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        config["workers"] = args.workers
-    return config
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults <- config file <- every given flag whose dest is a config path."""
+    flags: dict = {}
+    for dest, value in vars(args).items():
+        path = dest.split(".")
+        if value is not None and path[0] in DEFAULTS:
+            node = flags
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+    return _deep_merge(_deep_merge(DEFAULTS, _load_config_file(args.config)), flags)
 
 
 def _echo_config(out_dir: Path, config: dict) -> None:
@@ -122,6 +118,13 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
     parser.add_argument("--seed", type=int, help="base RNG seed")
     if workers:
         parser.add_argument("--workers", type=int, help="worker count (outputs do not depend on it)")
+
+
+def _factor_list(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _camera_from_pool_entry(entry, where: str) -> Intrinsics:
@@ -159,18 +162,18 @@ def _load_manifest(path: Path) -> list[dict]:
     return entries
 
 
+def _check_id(sample_id, seen: set) -> None:
+    """Ids name the output files, so each must be one unique file name."""
+    if (not isinstance(sample_id, str) or sample_id in ("", ".", "..")
+            or any(c in sample_id for c in "/\\\0")):
+        raise CamGeomError(f"id {sample_id!r}: must be a file name, without / \\ or NUL, not . or ..")
+    if sample_id in seen:
+        raise CamGeomError(f"id {sample_id!r}: repeats an earlier manifest entry")
+    seen.add(sample_id)
+
+
 def cmd_augment(args: argparse.Namespace) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "augment": {
-                "scale_min": args.scale_min,
-                "scale_max": args.scale_max,
-                "shift_fraction": args.shift,
-                "mode": args.mode,
-            }
-        },
-    )
+    config = _resolve_config(args)
     out_dir = Path(args.out)
     manifest_path = Path(args.manifest)
     entries = _load_manifest(manifest_path)
@@ -187,8 +190,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     samples = []
     load_failures: list[tuple[int, str, str]] = []
     box_bytes: dict[str, bytes] = {}
+    seen: set[str] = set()
     for index, entry in enumerate(entries):
         try:
+            _check_id(entry["id"], seen)
             image = _load_raster(root / entry["image"])
             raw_k = entry["intrinsics"]
             if isinstance(raw_k, str):
@@ -249,19 +254,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 # embed / unproject
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "embed": {
-                "dim": args.dim,
-                "base_period": args.base_period,
-                "focal_reference": args.focal_reference,
-                "patch": args.patch,
-                "origin": args.origin,
-            },
-            "geo": {"dim": args.geo_dim, "base_period": args.geo_period},
-        },
-    )
+    config = _resolve_config(args)
     k = load_intrinsics(args.intrinsics)
     patch = float(config["embed"]["patch"])
     if args.rows is not None and args.cols is not None:
@@ -269,7 +262,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         grid = TokenGridSpec.cover(k, patch)
     out_path = Path(args.out)
-    _echo_config(out_path.parent if out_path.parent != Path("") else Path("."), config)
+    _echo_config(out_path.parent, config)
 
     grid_meta = {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch, "origin": config["embed"]["origin"]}
     if args.depth:
@@ -311,7 +304,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_unproject(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, {})
+    config = _resolve_config(args)
     depth, sidecar_k = read_depth(args.depth)
     if args.intrinsics:
         k = load_intrinsics(args.intrinsics)
@@ -321,7 +314,7 @@ def cmd_unproject(args: argparse.Namespace) -> int:
         raise CamGeomError(f"{args.depth}: no intrinsics sidecar; pass --intrinsics")
     points, valid = unproject(depth, k)
     out_path = Path(args.out)
-    _echo_config(out_path.parent if out_path.parent != Path("") else Path("."), config)
+    _echo_config(out_path.parent, config)
     write_cgem(out_path, points)
     write_sidecar(
         out_path,
@@ -343,10 +336,7 @@ def cmd_unproject(args: argparse.Namespace) -> int:
 # eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _resolve_config(
-        args,
-        {"eval": {"iou": args.iou, "axis_aligned": args.axis_aligned, "rotation_order": args.rotation_order}},
-    )
+    config = _resolve_config(args)
     preds = parse_detections(Path(args.preds).read_text())
     truths = parse_detections(Path(args.truths).read_text())
     classes = None
@@ -366,12 +356,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(out_dir / "per_class.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "precision", "recall", "f1", "matched", "n_pred", "n_truth"])
-        for label, score in sorted(report.per_class.items()):
+        for label, score in [*sorted(report.per_class.items()), ("__micro__", report.micro)]:
             writer.writerow([label, f"{score.precision:.4f}", f"{score.recall:.4f}", f"{score.f1:.4f}",
                              score.matched, score.n_pred, score.n_truth])
-        writer.writerow(["__micro__", f"{report.micro.precision:.4f}", f"{report.micro.recall:.4f}",
-                         f"{report.micro.f1:.4f}", report.micro.matched, report.micro.n_pred,
-                         report.micro.n_truth])
     print(
         f"P={report.micro.precision:.1f} R={report.micro.recall:.1f} F1={report.micro.f1:.1f} "
         f"@ IoU {report.threshold} ({report.micro.matched} matches)"
@@ -383,16 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ambiguity
 
 def cmd_ambiguity(args: argparse.Namespace) -> int:
-    overrides: dict = {"ambiguity": {}}
-    if args.n_scenes is not None:
-        overrides["ambiguity"]["n_scenes"] = args.n_scenes
-    if args.factors is not None:
-        overrides["ambiguity"]["resize_factors"] = [float(x) for x in args.factors.split(",") if x]
-    if args.estimator is not None:
-        overrides["ambiguity"]["estimator"] = args.estimator
-    if args.prior_spread is not None:
-        overrides["ambiguity"]["prior_spread"] = args.prior_spread
-    config = _resolve_config(args, overrides)
+    config = _resolve_config(args)
     amb = config["ambiguity"]
     if amb["estimator"] not in ("agnostic", "aware", "both"):
         raise CamGeomError(f"ambiguity.estimator must be agnostic|aware|both, got {amb['estimator']!r}")
@@ -400,13 +378,8 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
         _camera_from_pool_entry(entry, where=f"ambiguity.camera_pool[{i}]")
         for i, entry in enumerate(amb["camera_pool"])
     ]
-    if not pool:
-        raise CamGeomError("ambiguity.camera_pool must be non-empty")
     spread = float(amb["prior_spread"])
-    priors = {
-        label: SizePrior(prior[0] if isinstance(prior, (list, tuple)) else prior.mean, spread)
-        for label, prior in _default_priors().items()
-    }
+    priors = {label: SizePrior(mean, spread) for label, (mean, _) in DEFAULT_SIZE_PRIORS.items()}
     scenes = generate_scenes(
         int(amb["n_scenes"]),
         pool,
@@ -467,12 +440,6 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_priors():
-    from .ambiguity import DEFAULT_SIZE_PRIORS
-
-    return DEFAULT_SIZE_PRIORS
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,26 +450,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=True)
     p.add_argument("--manifest", required=True, help="JSONL manifest of samples")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scale-min", type=float, dest="scale_min")
-    p.add_argument("--scale-max", type=float, dest="scale_max")
-    p.add_argument("--shift", type=float, help="max principal-point shift fraction")
-    p.add_argument("--mode", choices=["pad", "crop"])
+    p.add_argument("--scale-min", type=float, dest="augment.scale_min")
+    p.add_argument("--scale-max", type=float, dest="augment.scale_max")
+    p.add_argument("--shift", type=float, dest="augment.shift_fraction", help="max principal-point shift fraction")
+    p.add_argument("--mode", choices=["pad", "crop"], dest="augment.mode")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("embed", help="export camera ray embedding (or E_geo with --depth)")
     _add_common(p)
     p.add_argument("--intrinsics", required=True, help="intrinsics JSON file")
     p.add_argument("--out", required=True, help="output CGEM path")
-    p.add_argument("--patch", type=float)
+    p.add_argument("--patch", type=float, dest="embed.patch")
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--base-period", type=float, dest="base_period")
-    p.add_argument("--focal-reference", type=float, dest="focal_reference")
-    p.add_argument("--origin", choices=["center", "corner"])
+    p.add_argument("--dim", type=int, dest="embed.dim")
+    p.add_argument("--base-period", type=float, dest="embed.base_period")
+    p.add_argument("--focal-reference", type=float, dest="embed.focal_reference")
+    p.add_argument("--origin", choices=["center", "corner"], dest="embed.origin")
     p.add_argument("--depth", help="depth CGEM; switches output to the geometric embedding")
-    p.add_argument("--geo-dim", type=int, dest="geo_dim")
-    p.add_argument("--geo-period", type=float, dest="geo_period")
+    p.add_argument("--geo-dim", type=int, dest="geo.dim")
+    p.add_argument("--geo-period", type=float, dest="geo.base_period")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("unproject", help="depth map -> camera-frame point cloud")
@@ -516,20 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--preds", required=True, help="predictions file (JSON or fenced transcript)")
     p.add_argument("--truths", required=True, help="ground-truth JSON file")
-    p.add_argument("--iou", type=float)
+    p.add_argument("--iou", type=float, dest="eval.iou")
     p.add_argument("--classes", help="file with one class name per line")
-    p.add_argument("--axis-aligned", action="store_true", default=None, dest="axis_aligned")
-    p.add_argument("--rotation-order", dest="rotation_order")
+    p.add_argument("--axis-aligned", action="store_true", default=None, dest="eval.axis_aligned")
+    p.add_argument("--rotation-order", dest="eval.rotation_order")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ambiguity", help="run the depth-bias and mixed-pool experiments")
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-scenes", type=int, dest="n_scenes")
-    p.add_argument("--factors", help="comma-separated resize factors")
-    p.add_argument("--estimator", choices=["agnostic", "aware", "both"])
-    p.add_argument("--prior-spread", type=float, dest="prior_spread")
+    p.add_argument("--n-scenes", type=int, dest="ambiguity.n_scenes")
+    p.add_argument("--factors", type=_factor_list, dest="ambiguity.resize_factors",
+                   help="comma-separated resize factors")
+    p.add_argument("--estimator", choices=["agnostic", "aware", "both"], dest="ambiguity.estimator")
+    p.add_argument("--prior-spread", type=float, dest="ambiguity.prior_spread")
     p.set_defaults(func=cmd_ambiguity)
 
     p = sub.add_parser("version", help="print the package version")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics
+from .camera import Intrinsics, unproject_array
 from .errors import BadDimension, ExtentMismatch, NonPositiveInput
 from .rays import EmbeddingGrid, TokenGridSpec, sinusoid_features, token_centers
 
@@ -96,23 +96,24 @@ class PointGrid:
         object.__setattr__(self, "valid", valid)
 
 
+def _check_extent(depth: DepthMap, k: Intrinsics) -> None:
+    if (depth.height, depth.width) != (k.height, k.width):
+        raise ExtentMismatch(
+            f"depth extent {depth.width}x{depth.height} != intrinsics extent {k.width}x{k.height}"
+        )
+
+
 def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel point cloud: pixel (u, v) at depth Z -> ((u-cx)/fx*Z, (v-cy)/fy*Z, Z).
 
     Returns (points, valid) with points shaped (H, W, 3); invalid pixels
     carry NaN.  Raises ExtentMismatch if the map does not match ``k``.
     """
-    if (depth.height, depth.width) != (k.height, k.width):
-        raise ExtentMismatch(
-            f"depth extent {depth.width}x{depth.height} != intrinsics extent {k.width}x{k.height}"
-        )
+    _check_extent(depth, k)
     u = np.arange(depth.width, dtype=np.float64) + 0.5
     v = np.arange(depth.height, dtype=np.float64) + 0.5
-    rx = (u[None, :] - k.cx) / k.fx
-    ry = (v[:, None] - k.cy) / k.fy
     z = np.where(depth.valid, depth.values, np.nan)
-    points = np.stack([rx * z, np.broadcast_to(ry, z.shape) * z, z], axis=-1)
-    return points, depth.valid.copy()
+    return unproject_array(u[None, :], v[:, None], z, k), depth.valid.copy()
 
 
 def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> PointGrid:
@@ -122,20 +123,14 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
     (nearest sample) and unprojects it along the token-center ray, so the
     point reprojects exactly onto the token center.
     """
-    if (depth.height, depth.width) != (k.height, k.width):
-        raise ExtentMismatch(
-            f"depth extent {depth.width}x{depth.height} != intrinsics extent {k.width}x{k.height}"
-        )
+    _check_extent(depth, k)
     u_c, v_c = token_centers(grid)
     cols = np.clip(np.floor(u_c).astype(int), 0, depth.width - 1)
     rows = np.clip(np.floor(v_c).astype(int), 0, depth.height - 1)
     z = depth.values[np.ix_(rows, cols)]
     valid = depth.valid[np.ix_(rows, cols)]
-    rx = (u_c[None, :] - k.cx) / k.fx
-    ry = (v_c[:, None] - k.cy) / k.fy
     z = np.where(valid, z, np.nan)
-    points = np.stack([rx * z, np.broadcast_to(ry, z.shape) * z, z], axis=-1)
-    return PointGrid(points, valid)
+    return PointGrid(unproject_array(u_c[None, :], v_c[:, None], z, k), valid)
 
 
 def embed_points(

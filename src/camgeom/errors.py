@@ -33,6 +33,14 @@ class IntrinsicsError(CamGeomError):
     """Invalid intrinsics value or unparsable intrinsics JSON."""
 
 
+class BelowMinimum(CamGeomError):
+    """A count or extent below its minimum (token grid, scene count, camera pool)."""
+
+
+class MalformedFile(CamGeomError):
+    """Data or file bytes that do not fit their on-disk format (CGEM, PPM, depth)."""
+
+
 class GridExceedsImage(CamGeomError):
     """Token grid extends more than one patch beyond the image."""
 

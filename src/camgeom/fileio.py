@@ -18,6 +18,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
+from .errors import MalformedFile
 
 __all__ = [
     "write_cgem",
@@ -43,7 +44,7 @@ def write_cgem(path: str | Path, data: np.ndarray) -> None:
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
-        raise ValueError(f"CGEM tensors are rows x cols x dim, got shape {data.shape}")
+        raise MalformedFile(f"CGEM tensors are rows x cols x dim, got shape {data.shape}")
     rows, cols, dim = data.shape
     payload = np.ascontiguousarray(data, dtype="<f4")
     with open(path, "wb") as fh:
@@ -55,14 +56,14 @@ def read_cgem(path: str | Path) -> np.ndarray:
     """Read a CGEM tensor as float32, shape (rows, cols, dim)."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated CGEM header")
+        raise MalformedFile(f"{path}: truncated CGEM header")
     magic, rows, cols, dim = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise MalformedFile(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     expected = rows * cols * dim * 4
     body = raw[_HEADER.size :]
     if len(body) != expected:
-        raise ValueError(f"{path}: payload is {len(body)} bytes, expected {expected}")
+        raise MalformedFile(f"{path}: payload is {len(body)} bytes, expected {expected}")
     return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).copy()
 
 
@@ -92,7 +93,7 @@ def read_depth(path: str | Path) -> tuple[DepthMap, Intrinsics | None]:
     """Read a depth CGEM; returns the map and the sidecar intrinsics if present."""
     data = read_cgem(path)
     if data.shape[2] != 1:
-        raise ValueError(f"{path}: depth tensors must have dim = 1, got {data.shape[2]}")
+        raise MalformedFile(f"{path}: depth tensors must have dim = 1, got {data.shape[2]}")
     depth = DepthMap.from_array(data[:, :, 0].astype(np.float64))
     k = None
     if sidecar_path(path).exists():
@@ -106,7 +107,7 @@ def write_ppm(path: str | Path, data: np.ndarray) -> None:
     """Binary PPM (P6) for 8-bit 3-channel images, shape (H, W, 3)."""
     data = np.asarray(data)
     if data.ndim != 3 or data.shape[2] != 3 or data.dtype != np.uint8:
-        raise ValueError(f"PPM needs uint8 H x W x 3 data, got {data.dtype} {data.shape}")
+        raise MalformedFile(f"PPM needs uint8 H x W x 3 data, got {data.dtype} {data.shape}")
     height, width = data.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
@@ -116,26 +117,29 @@ def write_ppm(path: str | Path, data: np.ndarray) -> None:
 def read_ppm(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
+        raise MalformedFile(f"{path}: not a binary PPM (P6) file")
     fields: list[bytes] = []
     pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    width, height, maxval = (int(f) for f in fields)
+    try:
+        while len(fields) < 3:
+            while pos < len(raw) and raw[pos : pos + 1].isspace():
+                pos += 1
+            if raw[pos : pos + 1] == b"#":  # comment line
+                pos = raw.index(b"\n", pos) + 1
+                continue
+            start = pos
+            while pos < len(raw) and not raw[pos : pos + 1].isspace():
+                pos += 1
+            fields.append(raw[start:pos])
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError:
+        raise MalformedFile(f"{path}: malformed PPM header") from None
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise MalformedFile(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
     body = raw[pos : pos + width * height * 3]
     if len(body) != width * height * 3:
-        raise ValueError(f"{path}: truncated pixel data")
+        raise MalformedFile(f"{path}: truncated pixel data")
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
 
 

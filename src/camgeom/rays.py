@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Intrinsics
-from .errors import BadDimension, GridExceedsImage
+from .camera import Intrinsics, ray_components
+from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage
 
 __all__ = [
     "TokenGridSpec",
@@ -51,16 +51,21 @@ class TokenGridSpec:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"token grid must have rows, cols >= 1, got {self.rows}x{self.cols}")
-        patch = float(self.patch)
-        if not math.isfinite(patch) or patch < 1:
-            raise ValueError(f"patch must be >= 1 pixel, got {self.patch}")
-        object.__setattr__(self, "patch", patch)
+            raise BelowMinimum(f"token grid must have rows, cols >= 1, got {self.rows}x{self.cols}")
+        object.__setattr__(self, "patch", _check_patch(self.patch))
 
     @classmethod
     def cover(cls, k: Intrinsics, patch: float) -> "TokenGridSpec":
         """Smallest grid covering the image extent (last patch may be partial)."""
+        patch = _check_patch(patch)
         return cls(math.ceil(k.height / patch), math.ceil(k.width / patch), patch)
+
+
+def _check_patch(patch: float) -> float:
+    value = float(patch)
+    if not math.isfinite(value) or value < 1:
+        raise BelowMinimum(f"patch must be >= 1 pixel, got {patch}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +125,7 @@ def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarr
     elif origin == "corner":
         offset = 0.0
     else:
-        raise ValueError(f"origin must be 'center' or 'corner', got {origin!r}")
+        raise CamGeomError(f"origin must be 'center' or 'corner', got {origin!r}")
     u = (np.arange(grid.cols, dtype=np.float64) + offset) * grid.patch
     v = (np.arange(grid.rows, dtype=np.float64) + offset) * grid.patch
     return u, v
@@ -134,8 +139,7 @@ def ray_grid(k: Intrinsics, grid: TokenGridSpec, origin: str = "center") -> RayG
             f"image extent {k.width}x{k.height} by more than one patch"
         )
     u, v = token_centers(grid, origin=origin)
-    rx = (u[None, :] - k.cx) / k.fx
-    ry = (v[:, None] - k.cy) / k.fy
+    rx, ry = ray_components(u[None, :], v[:, None], k)
     return RayGrid(np.broadcast_to(rx, (grid.rows, grid.cols)), np.broadcast_to(ry, (grid.rows, grid.cols)))
 
 
@@ -147,6 +151,8 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
     """
     if dim < 2 or dim % 2:
         raise BadDimension(f"per-scalar feature width must be even and >= 2, got {dim}")
+    if not 0 < period < math.inf:
+        raise CamGeomError(f"base period must be finite and > 0, got {period}")
     x = np.asarray(x, dtype=np.float64)
     m = np.arange(dim // 2, dtype=np.float64)
     angles = x[..., None] / period ** (2.0 * m / dim)
@@ -173,6 +179,8 @@ def embed(
     """
     if dim < 8 or dim % 8:
         raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
+    if not 0 < focal_reference < math.inf:
+        raise CamGeomError(f"focal reference must be finite and > 0, got {focal_reference}")
     per_scalar = dim // 4
     log_fx = math.log(k.fx / focal_reference)
     log_fy = math.log(k.fy / focal_reference)

@@ -14,7 +14,7 @@ affects the raster canvas, never the focal/principal-point arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -85,14 +85,7 @@ class PixelTransform:
                (np.asarray(v_out, dtype=np.float64) + self.dv) / self.sy
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "sx": self.sx,
-            "sy": self.sy,
-            "du": self.du,
-            "dv": self.dv,
-            "out_width": self.out_width,
-            "out_height": self.out_height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_mapping(cls, obj: Mapping[str, Any], where: str = "transform") -> "PixelTransform":
@@ -104,16 +97,7 @@ class PixelTransform:
 
 def scale(k: Intrinsics, s: float) -> Intrinsics:
     """Resize rule: (fx, fy, cx, cy) -> (s*fx, s*fy, s*cx, s*cy), extent rounded."""
-    if s <= 0 or not math.isfinite(s):
-        raise NonPositiveScale(f"scale factor must be > 0, got {s}")
-    return Intrinsics(
-        s * k.fx,
-        s * k.fy,
-        s * k.cx,
-        s * k.cy,
-        _round_extent(s * k.width),
-        _round_extent(s * k.height),
-    )
+    return apply_transform(k, PixelTransform.scaling(s, k.width, k.height))
 
 
 def apply_transform(k: Intrinsics, t: PixelTransform) -> Intrinsics:

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from camgeom import (
-    CameraPose,
     Intrinsics,
     Pixel,
     Point3,
     back_project,
     project,
-    project_world,
     projected_height,
     projected_width,
 )
@@ -110,45 +108,6 @@ class TestProject:
             p = project(Point3(x, y, z), k)
             q = project(Point3(lam * x, lam * y, lam * z), k)
             np.testing.assert_allclose([q.u, q.v], [p.u, p.v], rtol=1e-12)
-
-
-class TestProjectWorld:
-    def test_identity_pose_is_bit_identical_to_project(self):
-        k = Intrinsics(500, 600, 320, 240, 640, 480)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            point = Point3(*rng.uniform(-2, 2, size=2), rng.uniform(0.5, 10))
-            assert project_world(point, CameraPose.identity(), k) == project(point, k)
-
-    def test_translation_moves_point_onto_axis(self):
-        k = Intrinsics(500, 500, 320, 240, 640, 480)
-        pose = CameraPose(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        assert project_world(Point3(0, 0, 1), pose, k) == Pixel(320.0, 240.0)
-
-    def test_random_pose_matches_matrix_oracle(self):
-        k = Intrinsics(480.5, 522.25, 331.2, 229.8, 640, 480)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            # random rotation from QR of a gaussian matrix
-            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-            q *= np.sign(np.diag(r))
-            if np.linalg.det(q) < 0:
-                q[:, 0] = -q[:, 0]
-            t = rng.uniform(-2, 2, size=3)
-            point = rng.uniform(-4, 4, size=3)
-            z_cam = (q @ point + t)[2]
-            if z_cam <= 0.1:
-                continue
-            pose = CameraPose(q, t)
-            p = project_world(Point3(*point), pose, k)
-            expected = _matrix_oracle(point, q, t, k)
-            np.testing.assert_allclose([p.u, p.v], expected, rtol=1e-12)
-
-    def test_rejects_non_orthonormal_rotation(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            CameraPose(np.eye(3) * 1.001, np.zeros(3))
-        with pytest.raises(ValueError, match="determinant"):
-            CameraPose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
 class TestBackProject:

@@ -106,6 +106,35 @@ class TestAugmentCommand:
         assert (out / "img0.boxes.json").read_text() == GT
 
 
+class TestManifestIds:
+    """Ids name the output files: an id that is not one unique file name is a load failure."""
+
+    def _run(self, workspace, extra):
+        lines = (workspace / "manifest.jsonl").read_text().splitlines()
+        (workspace / "m.jsonl").write_text("\n".join(lines + [json.dumps(e) for e in extra]) + "\n")
+        out = workspace / "sub" / "out"
+        before = {p for p in workspace.rglob("*")}
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+        written = {p for p in workspace.rglob("*")} - before
+        assert all(p == out or p == out.parent or out in p.parents for p in written), sorted(written)
+        return out, json.loads((out / "report.json").read_text())
+
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped", "sub/dir", "a\\b", 7])
+    def test_id_that_is_not_a_file_name(self, workspace, bad_id):
+        out, report = self._run(workspace, [{"id": bad_id, "image": "img0.ppm", "intrinsics": "k.json"}])
+        assert report["n_ok"] == 3
+        assert [f[:2] for f in report["load_failures"]] == [[3, bad_id]]
+        assert len((out / "transforms.jsonl").read_text().splitlines()) == 3
+
+    def test_repeated_id(self, workspace):
+        out, report = self._run(workspace, [{"id": "img1", "image": "img2.ppm", "intrinsics": "k.json"}])
+        assert report["n_ok"] == 3
+        assert [f[:2] for f in report["load_failures"]] == [[3, "img1"]]
+        assert "repeats" in report["load_failures"][0][2]
+        records = [json.loads(line) for line in (out / "transforms.jsonl").read_text().splitlines()]
+        assert [(r["id"], r["index"]) for r in records] == [("img0", 0), ("img1", 1), ("img2", 2)]
+
+
 class TestEmbedCommand:
     def test_principal_point_token_zero_pattern(self, tmp_path):
         # 1x1 grid whose patch center is the principal point; f0 = fx
@@ -240,3 +269,134 @@ class TestAmbiguityCommand:
         code = main(["ambiguity", "--config", str(tmp_path / "conf.json"),
                      "--out", str(tmp_path / "amb")])
         assert code == 2
+
+
+# Every default the CLI resolves, written out so a change to any of them shows.
+PINNED_DEFAULTS = {
+    "seed": 0,
+    "workers": 1,
+    "embed": {"dim": 256, "base_period": 10000.0, "focal_reference": 1000.0, "patch": 14.0, "origin": "center"},
+    "geo": {"dim": 240, "base_period": 100.0},
+    "augment": {"scale_min": 0.7, "scale_max": 1.4, "shift_fraction": 0.15, "mode": "pad"},
+    "eval": {"iou": 0.25, "axis_aligned": False, "rotation_order": "zyx"},
+    "ambiguity": {
+        "n_scenes": 200,
+        "objects_per_scene": 5,
+        "resize_factors": [0.8, 1.0, 1.2],
+        "estimator": "both",
+        "prior_spread": 0.0,
+        "f_mode": "mean",
+        "camera_pool": [580.0, 1160.0],
+    },
+}
+
+# (command, argv after the command with every override flag set, config file,
+#  resolved values that differ from the defaults).  Each config file sets every
+# flag's key to a third value, so the flag must win, plus one key no flag of
+# that command sets, so the file must beat the default.
+RESOLUTION_CASES = {
+    "augment": (
+        ["--manifest", "{ws}/manifest.jsonl", "--out", "{ws}/run", "--seed", "11", "--workers", "2",
+         "--scale-min", "0.9", "--scale-max", "1.1", "--shift", "0.05", "--mode", "pad"],
+        {"seed": 3, "workers": 3, "eval": {"iou": 0.5},
+         "augment": {"scale_min": 0.8, "scale_max": 1.2, "shift_fraction": 0.1, "mode": "crop"}},
+        {"seed": 11, "workers": 2, "eval": {"iou": 0.5},
+         "augment": {"scale_min": 0.9, "scale_max": 1.1, "shift_fraction": 0.05, "mode": "pad"}},
+    ),
+    "embed": (
+        ["--intrinsics", "{ws}/k.json", "--out", "{ws}/run/e.cgem", "--seed", "4", "--patch", "16",
+         "--dim", "32", "--base-period", "500", "--focal-reference", "400", "--origin", "corner",
+         "--geo-dim", "12", "--geo-period", "50"],
+        {"seed": 3, "augment": {"mode": "crop"},
+         "embed": {"dim": 64, "base_period": 100.0, "focal_reference": 10.0, "patch": 8.0, "origin": "center"},
+         "geo": {"dim": 48, "base_period": 10.0}},
+        {"seed": 4, "augment": {"mode": "crop"},
+         "embed": {"dim": 32, "base_period": 500.0, "focal_reference": 400.0, "patch": 16.0, "origin": "corner"},
+         "geo": {"dim": 12, "base_period": 50.0}},
+    ),
+    "unproject": (
+        ["--depth", "{ws}/depth.cgem", "--out", "{ws}/run/p.cgem", "--seed", "4"],
+        {"seed": 3, "workers": 5, "geo": {"dim": 48}},
+        {"seed": 4, "workers": 5, "geo": {"dim": 48}},
+    ),
+    "eval": (
+        ["--preds", "{ws}/gt.json", "--truths", "{ws}/gt.json", "--out", "{ws}/run", "--seed", "4",
+         "--iou", "0.5", "--axis-aligned", "--rotation-order", "yxz"],
+        {"seed": 3, "ambiguity": {"f_mode": "median"},
+         "eval": {"iou": 0.1, "axis_aligned": False, "rotation_order": "xyz"}},
+        {"seed": 4, "ambiguity": {"f_mode": "median"},
+         "eval": {"iou": 0.5, "axis_aligned": True, "rotation_order": "yxz"}},
+    ),
+    "ambiguity": (
+        ["--out", "{ws}/run", "--seed", "4", "--n-scenes", "4", "--factors", "0.5,1.0",
+         "--estimator", "aware", "--prior-spread", "0.1"],
+        {"seed": 3, "ambiguity": {"n_scenes": 100, "resize_factors": [2.0], "estimator": "agnostic",
+                                  "prior_spread": 0.3, "f_mode": "median"}},
+        {"seed": 4, "ambiguity": {"n_scenes": 4, "resize_factors": [0.5, 1.0], "estimator": "aware",
+                                  "prior_spread": 0.1, "f_mode": "median"}},
+    ),
+}
+
+
+class TestConfigResolution:
+    @pytest.mark.parametrize("command", sorted(RESOLUTION_CASES))
+    def test_flag_beats_file_beats_default(self, workspace, command):
+        argv, file_config, changed = RESOLUTION_CASES[command]
+        (workspace / "gt.json").write_text(GT)
+        (workspace / "conf.json").write_text(json.dumps(file_config))
+        argv = [arg.format(ws=workspace) for arg in argv]
+        assert main([command, "--config", str(workspace / "conf.json")] + argv) == 0
+        expected = json.loads(json.dumps(PINNED_DEFAULTS))
+        for key, value in changed.items():
+            if isinstance(value, dict):
+                expected[key].update(value)
+            else:
+                expected[key] = value
+        text = (workspace / "run" / "config.resolved.json").read_text()
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _bad_magic(ws):
+    (ws / "bad.cgem").write_bytes(b"NOPE" + bytes(12))
+    return ["unproject", "--depth", str(ws / "bad.cgem"), "--intrinsics", str(ws / "k.json"),
+            "--out", str(ws / "p.cgem")]
+
+
+# argv reaching a validation error; True where the error is a CamGeomError
+VALIDATION_CASES = {
+    "cgem-bad-magic": (_bad_magic, True),
+    "embed-rows-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                 "--rows", "0", "--cols", "4"], True),
+    "embed-patch-0.5": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                    "--patch", "0.5"], True),
+    "embed-patch-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                  "--patch", "0"], True),
+    "ambiguity-n-scenes-0": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--n-scenes", "0"], True),
+    "ambiguity-factor-not-a-number": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
+                                                  "--factors", "0.8,x"], False),
+    "ambiguity-seed-negative": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--seed", "-1"], True),
+    "embed-focal-reference-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"),
+                                            "--out", str(ws / "e.cgem"), "--focal-reference", "0"], True),
+    "embed-base-period-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"),
+                                        "--out", str(ws / "e.cgem"), "--base-period", "0"], True),
+    "augment-shift-above-half": (lambda ws: ["augment", "--manifest", str(ws / "manifest.jsonl"),
+                                             "--out", str(ws / "o"), "--shift", "0.6"], True),
+    "eval-rotation-order": (lambda ws: ["eval", "--preds", str(ws / "gt.json"), "--truths", str(ws / "gt.json"),
+                                        "--out", str(ws / "o"), "--rotation-order", "abc"], True),
+}
+
+
+class TestValidationExits:
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_exit_2_without_traceback(self, workspace, capsys, case):
+        build, camgeom_error = VALIDATION_CASES[case]
+        (workspace / "gt.json").write_text(GT.replace("0, 0, 0]", "0.3, 0, 0]"))  # rotated: needs the order
+        try:
+            code = main(build(workspace))
+        except SystemExit as exc:  # argparse rejects the flag itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        if camgeom_error:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
