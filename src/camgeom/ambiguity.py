@@ -28,7 +28,7 @@ import numpy as np
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, NonPositiveFactor
+from .errors import BelowMinimum, CamGeomError, NonPositiveFactor
 from .evaluation import Detection, _score, match_and_score
 from .transforms import scale
 
@@ -121,6 +121,11 @@ class SizePrior:
 
     mean: float
     spread: float = 0.0
+
+    def __post_init__(self):
+        _check_positive("size prior mean", self.mean)
+        if not (math.isfinite(self.spread) and self.spread >= 0):
+            raise CamGeomError(f"size prior spread must be finite and >= 0, got {self.spread}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -241,16 +241,11 @@ def augment(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence([int(rng), index]))
     k = sample.intrinsics
-    if (sample.image.height, sample.image.width) != (k.height, k.width):
-        raise ExtentMismatch(
-            f"{sample.id}: image extent {sample.image.width}x{sample.image.height} "
-            f"!= intrinsics extent {k.width}x{k.height}"
-        )
-    if sample.depth is not None and (sample.depth.height, sample.depth.width) != (k.height, k.width):
-        raise ExtentMismatch(
-            f"{sample.id}: depth extent {sample.depth.width}x{sample.depth.height} "
-            f"!= intrinsics extent {k.width}x{k.height}"
-        )
+    for name, grid in (("image", sample.image), ("depth", sample.depth)):
+        if grid is not None and (grid.height, grid.width) != (k.height, k.width):
+            raise ExtentMismatch(
+                f"{sample.id}: {name} extent {grid.width}x{grid.height} != intrinsics extent {k.width}x{k.height}"
+            )
     t = draw_transform(sample.intrinsics, policy, rng)
     image = resample(sample.image, t, mode=policy.mode)
     intrinsics = apply_transform(sample.intrinsics, t)
@@ -282,19 +277,11 @@ class BatchReport:
     samples_per_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_ok": self.n_ok,
-            "n_failed": self.n_failed,
-            "failures": [list(f) for f in self.failures],
-            "transforms": list(self.transforms),
-            "elapsed_s": self.elapsed_s,
-            "samples_per_s": self.samples_per_s,
-        }
+        return asdict(self)
 
 
 def batch_augment(
-    samples: Sequence[Sample],
+    samples: Sequence[Sample | None],
     policy: AugmentationPolicy,
     workers: int = 1,
 ) -> tuple[list[AugmentedSample | None], BatchReport]:
@@ -303,38 +290,37 @@ def batch_augment(
     Each sample is seeded from (policy.seed, its index), so outputs are
     identical for any worker count and any submission order.  A failing
     sample yields None in the result list and a failure record; the batch
-    continues.
+    continues.  A None entry (an input the caller could not load) yields
+    None with no failure record, and every other sample keeps its index.
     """
     results: list[AugmentedSample | None] = [None] * len(samples)
     failures: list[tuple[int, str, str]] = []
 
     def run_one(index: int) -> None:
         sample = samples[index]
+        if sample is None:
+            return
         try:
-            rng = np.random.default_rng(np.random.SeedSequence([policy.seed, index]))
-            results[index] = augment(sample, policy, rng, index=index)
+            results[index] = augment(sample, policy, policy.seed, index=index)
         except Exception as exc:  # isolation contract: keep the batch alive
             failures.append((index, sample.id, f"{type(exc).__name__}: {exc}"))
 
     start = time.perf_counter()
-    if workers <= 1:
-        for index in range(len(samples)):
-            run_one(index)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(len(samples))))
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        list(pool.map(run_one, range(len(samples))))
     elapsed = time.perf_counter() - start
 
     failures.sort()
     transforms = tuple(r.transform.to_dict() if r is not None else None for r in results)
     n_ok = sum(r is not None for r in results)
+    n_samples = n_ok + len(failures)
     report = BatchReport(
-        n_samples=len(samples),
+        n_samples=n_samples,
         n_ok=n_ok,
-        n_failed=len(samples) - n_ok,
+        n_failed=len(failures),
         failures=tuple(failures),
         transforms=transforms,
         elapsed_s=elapsed,
-        samples_per_s=len(samples) / elapsed if elapsed > 0 else float("inf"),
+        samples_per_s=n_samples / elapsed if elapsed > 0 else float("inf"),
     )
     return results, report

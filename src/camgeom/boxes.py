@@ -35,10 +35,10 @@ __all__ = [
     "aabb_iou",
 ]
 
-# (axis, other-two-axes-in-cyclic-order) for face construction
-_FACE_AXES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-# (b, c) sign pattern walking CCW as seen from the +axis side
-_CCW = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+# corner sign pattern (---, --+, -+-, ... +++): corner i has signs of the bits of i
+_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
+# corners of the faces +x, -x, +y, -y, +z, -z, each wound CCW as seen from outside
+_FACES = [[7, 5, 4, 6], [2, 0, 1, 3], [7, 6, 2, 3], [1, 0, 4, 5], [7, 3, 1, 5], [4, 0, 2, 6]]
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,14 @@ class OrientedBox3:
         return rotation_matrix(self.yaw, self.pitch, self.roll, order=order)
 
 
+def _check_order(order: str) -> None:
+    if sorted(order) != ["x", "y", "z"]:
+        raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
+
+
 def rotation_matrix(yaw: float, pitch: float, roll: float, order: str = "zyx") -> np.ndarray:
     """Compose single-axis rotations in the named order (left to right)."""
+    _check_order(order)
     if yaw == 0.0 and pitch == 0.0 and roll == 0.0:
         return np.eye(3)
     cy, sy = math.cos(yaw), math.sin(yaw)
@@ -96,41 +102,25 @@ def rotation_matrix(yaw: float, pitch: float, roll: float, order: str = "zyx") -
         "y": np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]),
         "x": np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]),
     }
-    if sorted(order) != ["x", "y", "z"]:
-        raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
     out = np.eye(3)
     for axis in order:
         out = out @ single[axis]
     return out
 
 
+def _corners(box: OrientedBox3, rot: np.ndarray) -> np.ndarray:
+    half = np.asarray(box.size, dtype=np.float64) / 2.0
+    return _SIGNS * half @ rot.T + np.asarray(box.center, dtype=np.float64)
+
+
 def box_corners(box: OrientedBox3, order: str = "zyx") -> np.ndarray:
     """The 8 corners, shape (8, 3), sign pattern (---, --+, -+-, ... +++)."""
-    half = np.asarray(box.size, dtype=np.float64) / 2.0
-    signs = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        dtype=np.float64,
-    )
-    local = signs * half
-    return local @ box.rotation(order).T + np.asarray(box.center, dtype=np.float64)
+    return _corners(box, box.rotation(order))
 
 
 def box_face_polygons(box: OrientedBox3, order: str = "zyx") -> list[np.ndarray]:
     """Six quads, each (4, 3), wound CCW as seen from outside (outward normals)."""
-    half = np.asarray(box.size, dtype=np.float64) / 2.0
-    rot = box.rotation(order)
-    center = np.asarray(box.center, dtype=np.float64)
-    faces = []
-    for axis, b_ax, c_ax in _FACE_AXES:
-        for sign in (1.0, -1.0):
-            quad = np.zeros((4, 3))
-            quad[:, axis] = sign * half[axis]
-            pattern = _CCW if sign > 0 else _CCW[::-1]
-            for row, (sb, sc) in enumerate(pattern):
-                quad[row, b_ax] = sb * half[b_ax]
-                quad[row, c_ax] = sc * half[c_ax]
-            faces.append(quad @ rot.T + center)
-    return faces
+    return list(box_corners(box, order)[_FACES])
 
 
 def polytope_volume(faces: list[np.ndarray]) -> float:
@@ -194,18 +184,6 @@ def _clip_faces(
     return kept
 
 
-def _half_spaces(box: OrientedBox3, order: str) -> list[tuple[np.ndarray, float]]:
-    rot = box.rotation(order)
-    center = np.asarray(box.center, dtype=np.float64)
-    half = np.asarray(box.size, dtype=np.float64) / 2.0
-    planes = []
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            n = sign * rot[:, axis]
-            planes.append((n, float(n @ center + half[axis])))
-    return planes
-
-
 def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
     """Exact volume of the intersection of two oriented boxes."""
     if (a.yaw, a.pitch, a.roll) == (b.yaw, b.pitch, b.roll):
@@ -229,18 +207,23 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
     closed forms on inputs the fast path would otherwise intercept.
     """
     corners_a = box_corners(a, order)
-    corners_b = box_corners(b, order)
+    rot_b = b.rotation(order)
+    corners_b = _corners(b, rot_b)
     if np.any(corners_a.max(axis=0) <= corners_b.min(axis=0)) or np.any(
         corners_b.max(axis=0) <= corners_a.min(axis=0)
     ):
         return 0.0
     scale = max(1.0, float(np.max(np.abs(corners_a))), float(np.max(np.abs(corners_b))))
     eps = 1e-9 * scale
-    faces = box_face_polygons(a, order)
-    for normal, offset in _half_spaces(b, order):
-        faces = _clip_faces(faces, normal, offset, eps)
-        if not faces:
-            return 0.0
+    faces = list(corners_a[_FACES])
+    center_b = np.asarray(b.center, dtype=np.float64)
+    half_b = np.asarray(b.size, dtype=np.float64) / 2.0
+    for axis in range(3):
+        for sign in (1.0, -1.0):  # b's face planes, as half-spaces normal . x <= offset
+            normal = sign * rot_b[:, axis]
+            faces = _clip_faces(faces, normal, float(normal @ center_b + half_b[axis]), eps)
+            if not faces:
+                return 0.0
     return max(polytope_volume(faces), 0.0)
 
 

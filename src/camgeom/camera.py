@@ -96,7 +96,7 @@ class Intrinsics:
             value = obj[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise IntrinsicsError(f"{where}.{key}: must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= 1.7976931348623157e308:  # the largest float: false for NaN, inf, huge ints
                 raise IntrinsicsError(f"{where}.{key}: must be finite, got {value!r}")
             values[key] = value
         try:

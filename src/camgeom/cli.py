@@ -92,7 +92,27 @@ def _load_config_file(path: str | None) -> dict:
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise CamGeomError(f"{path}: config must be a JSON object")
+    _check_config(obj, DEFAULTS, f"{path}: ")
     return obj
+
+
+def _check_config(value, default, path: str) -> None:
+    """Reject a key the default lacks or a value of another type than the default's.
+
+    ``path`` is the file name and the dotted key path so far, which errors name. An int may
+    stand for a float; list entries are numbers, or intrinsics objects in the camera pool.
+    """
+    if isinstance(default, dict) and isinstance(value, dict):
+        for key, item in value.items():
+            if key not in default:
+                raise CamGeomError(f"{path}{key}: unknown config key")
+            _check_config(item, default[key], f"{path}{key}.")
+    elif isinstance(default, list) and isinstance(value, list):
+        for item in value:
+            if not (default is DEFAULTS["ambiguity"]["camera_pool"] and isinstance(item, dict)):
+                _check_config(item, default[0], path)
+    elif not (type(value) is type(default) or (type(default), type(value)) == (float, int)):
+        raise CamGeomError(f"{path[:-1]}: expected {type(default).__name__}, got {value!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -212,18 +232,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
             samples.append(None)
             load_failures.append((index, entry["id"], f"{type(exc).__name__}: {exc}"))
 
-    runnable = [s for s in samples if s is not None]
-    results, report = batch_augment(runnable, policy, workers=int(config["workers"]))
-
-    # re-align results with the original manifest order
-    merged: list = [None] * len(samples)
-    it = iter(results)
-    for index, sample in enumerate(samples):
-        if sample is not None:
-            merged[index] = next(it)
+    results, report = batch_augment(samples, policy, workers=int(config["workers"]))
 
     transforms_lines = []
-    for index, (entry, result) in enumerate(zip(entries, merged)):
+    for index, (entry, result) in enumerate(zip(entries, results)):
         if result is None:
             continue
         stem = entry["id"]

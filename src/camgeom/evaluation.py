@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .boxes import OrientedBox3, aabb_iou, iou3d
+from .boxes import OrientedBox3, _check_order, aabb_iou, iou3d
 from .errors import BadThreshold, DegenerateBox, NoParsableJson
 
 __all__ = [
@@ -95,15 +95,16 @@ def _decode_candidates(text: str) -> tuple[list, bool]:
         chunk = chunk.strip()
         if not chunk:
             continue
+        # ValueError includes over-long integers, RecursionError too-deep nesting
         try:
             value = json.loads(chunk)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             salvaged = _balanced_objects(chunk)
             for span in salvaged:
                 try:
                     entries.append(json.loads(span))
                     parsed_any = True
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     logger.warning("skipping unparsable object: %.80s", span)
             continue
         parsed_any = True
@@ -139,7 +140,7 @@ def parse_detections(text: str) -> list[Detection]:
             continue
         try:
             detections.append(Detection(label, OrientedBox3.from_list(values)))
-        except DegenerateBox as exc:
+        except (DegenerateBox, OverflowError) as exc:  # OverflowError: an integer beyond float range
             logger.warning("skipping degenerate box for %r: %s", label, exc)
     return detections
 
@@ -206,16 +207,15 @@ def match_and_score(
     """Greedy class-wise matching and P/R/F1 at the given IoU threshold."""
     if not (0.0 < threshold <= 1.0):
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
+    _check_order(rotation_order)  # also when no pair reaches rotation_matrix
     class_filter = None if classes is None else {normalize_label(c) for c in classes}
 
     def keep(d: Detection) -> bool:
         return class_filter is None or d.label in class_filter
 
     # match-pair indices refer to the caller's original lists
-    kept_preds = [(i, d) for i, d in enumerate(preds) if keep(d)]
-    kept_truths = [(j, d) for j, d in enumerate(truths) if keep(d)]
-    preds = {i: d for i, d in kept_preds}
-    truths = {j: d for j, d in kept_truths}
+    preds = {i: d for i, d in enumerate(preds) if keep(d)}
+    truths = {j: d for j, d in enumerate(truths) if keep(d)}
     labels = sorted({d.label for d in preds.values()} | {d.label for d in truths.values()})
 
     per_class: dict[str, ClassScore] = {}

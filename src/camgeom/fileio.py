@@ -64,7 +64,10 @@ def read_cgem(path: str | Path) -> np.ndarray:
     body = raw[_HEADER.size :]
     if len(body) != expected:
         raise MalformedFile(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).copy()
+    try:
+        return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).copy()
+    except ValueError:  # an empty tensor whose other two extents overflow numpy's size limit
+        raise MalformedFile(f"{path}: shape {rows}x{cols}x{dim} is too large") from None
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -134,6 +137,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise MalformedFile(f"{path}: malformed PPM header") from None
+    if width < 1 or height < 1:
+        raise MalformedFile(f"{path}: PPM extent must be at least 1x1, got {width}x{height}")
     if maxval != 255:
         raise MalformedFile(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval

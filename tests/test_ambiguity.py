@@ -7,13 +7,14 @@ import pytest
 
 from camgeom import (
     Intrinsics,
+    SizePrior,
     generate_scenes,
     make_witness,
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
 from camgeom.ambiguity import fit_canonical_focal
-from camgeom.errors import NonPositiveFactor
+from camgeom.errors import CamGeomError, NonPositiveFactor
 
 
 def _camera(f: float, width=640, height=480) -> Intrinsics:
@@ -94,6 +95,12 @@ class TestScenes:
         ratio = statistics.fmean(by_cluster[1]) / statistics.fmean(by_cluster[0])
         assert ratio == pytest.approx(1000 / 580, rel=0.1)
         assert statistics.fmean(heights[0]) == pytest.approx(statistics.fmean(heights[1]), rel=0.05)
+
+    @pytest.mark.parametrize("mean, spread, names", [(0.85, float("nan"), "spread"), (0.85, -0.1, "spread"),
+                                                     (0.0, 0.1, "mean"), (float("inf"), 0.1, "mean")])
+    def test_size_prior_rejects_bad_values(self, mean, spread, names):
+        with pytest.raises(CamGeomError, match=names):
+            SizePrior(mean, spread)
 
     def test_fit_canonical_focal(self):
         scenes = generate_scenes(10, [_camera(580), _camera(1160)], seed=4)

@@ -189,6 +189,19 @@ class TestBatch:
         assert all(r is not None for i, r in enumerate(results) if i != 2)
         assert report.failures[0][1] == "bad"
 
+    def test_none_entry_yields_none_and_keeps_indices(self):
+        samples = self._samples(5)
+        policy = AugmentationPolicy(seed=13)
+        full, _ = batch_augment(samples, policy, workers=2)
+        gapped, report = batch_augment([None, samples[1], samples[2], None, samples[4]], policy, workers=2)
+        assert gapped[0] is None and gapped[3] is None
+        assert report.failures == ()
+        assert (report.n_samples, report.n_ok, report.n_failed) == (3, 3, 0)
+        assert report.transforms[0] is None and report.transforms[3] is None
+        kept = [1, 2, 4]
+        assert self._fingerprint([gapped[i] for i in kept]) == self._fingerprint([full[i] for i in kept])
+        assert [gapped[i].provenance.index for i in kept] == kept
+
     def test_report_carries_transforms_in_order(self):
         samples = self._samples(5)
         results, report = batch_augment(samples, AugmentationPolicy(seed=77), workers=3)

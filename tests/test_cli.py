@@ -92,6 +92,29 @@ class TestAugmentCommand:
             })
         assert outs[0] == outs[1]
 
+    def test_load_failure_keeps_later_samples_at_their_index(self, workspace):
+        # each sample is seeded from its manifest index, so entry 0 failing to
+        # load must change nothing for the entries after it
+        write_ppm(workspace / "img3.ppm", np.random.default_rng(8).integers(0, 256, (48, 64, 3), dtype=np.uint8))
+        write_depth(workspace / "small.cgem", DepthMap.from_array(np.ones((5, 5))))
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(4)]
+        entries[2]["depth"] = "small.cgem"  # loads, then fails in augment on the extent mismatch
+        runs = {}
+        for name, image0 in (("clean", "img0.ppm"), ("gap", "missing.ppm")):
+            entries[0]["image"] = image0
+            (workspace / f"{name}.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+            runs[name] = workspace / name
+            assert main(["augment", "--manifest", str(workspace / f"{name}.jsonl"),
+                         "--out", str(runs[name]), "--seed", "5"]) == 0
+        clean, gap = (json.loads((runs[name] / "report.json").read_text()) for name in ("clean", "gap"))
+        assert [f[:2] for f in clean["failures"]] == [f[:2] for f in gap["failures"]] == [[2, "img2"]]
+        assert [f[:2] for f in gap["load_failures"]] == [[0, "img0"]]
+        assert gap["transforms"] == [None] + clean["transforms"][1:]
+        lines = {name: (out / "transforms.jsonl").read_text().splitlines() for name, out in runs.items()}
+        assert lines["gap"] == lines["clean"][1:]
+        for name in ("img1.ppm", "img1.intrinsics.json", "img3.ppm", "img3.intrinsics.json"):
+            assert (runs["gap"] / name).read_bytes() == (runs["clean"] / name).read_bytes()
+
     def test_depth_and_boxes_travel_through(self, workspace):
         (workspace / "boxes.json").write_text(GT)
         manifest = workspace / "full.jsonl"
@@ -356,10 +379,64 @@ class TestConfigResolution:
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+# Config files that ended in a traceback, or whose misspelt key was ignored:
+# (command, file contents, the dotted path the error names).
+CONFIG_CASES = {
+    "augment-not-an-object": ("augment", {"augment": 5}, "augment"),
+    "augment-misspelt-key": ("augment", {"augment": {"shift": 0.3}}, "augment.shift"),
+    "seed-not-a-number": ("augment", {"seed": "a"}, "seed"),
+    "embed-dim-not-a-number": ("embed", {"embed": {"dim": "x"}}, "embed.dim"),
+    "eval-iou-not-a-number": ("eval", {"eval": {"iou": "high"}}, "eval.iou"),
+    "eval-iou-bool": ("eval", {"eval": {"iou": True}}, "eval.iou"),
+    "ambiguity-n-scenes-not-a-number": ("ambiguity", {"ambiguity": {"n_scenes": "ten"}}, "ambiguity.n_scenes"),
+    "ambiguity-factor-not-a-number": ("ambiguity", {"ambiguity": {"resize_factors": ["a"]}},
+                                      "ambiguity.resize_factors"),
+}
+COMMAND_ARGS = {
+    "augment": ["--manifest", "{ws}/manifest.jsonl", "--out", "{ws}/run"],
+    "embed": ["--intrinsics", "{ws}/k.json", "--out", "{ws}/run/e.cgem"],
+    "eval": ["--preds", "{ws}/gt.json", "--truths", "{ws}/gt.json", "--out", "{ws}/run"],
+    "ambiguity": ["--out", "{ws}/run"],
+}
+
+
+class TestConfigValidation:
+    def _run(self, workspace, command, config):
+        (workspace / "gt.json").write_text(GT)
+        (workspace / "conf.json").write_text(json.dumps(config))
+        argv = [arg.format(ws=workspace) for arg in COMMAND_ARGS[command]]
+        return main([command, "--config", str(workspace / "conf.json")] + argv)
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_exit_2_naming_the_key(self, workspace, capsys, case):
+        command, config, path = CONFIG_CASES[case]
+        assert self._run(workspace, command, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"conf.json: {path}: " in err
+        assert not (workspace / "run").exists()
+
+    def test_int_for_float_and_intrinsics_in_the_pool(self, workspace):
+        pool = [600, {"fx": 700, "fy": 700, "cx": 320, "cy": 240, "width": 640, "height": 480}]
+        config = {"ambiguity": {"n_scenes": 4, "prior_spread": 0, "camera_pool": pool}}
+        assert self._run(workspace, "ambiguity", config) == 0
+
+
 def _bad_magic(ws):
     (ws / "bad.cgem").write_bytes(b"NOPE" + bytes(12))
     return ["unproject", "--depth", str(ws / "bad.cgem"), "--intrinsics", str(ws / "k.json"),
             "--out", str(ws / "p.cgem")]
+
+
+def _eval_flat_boxes(ws, *flags):
+    (ws / "flat.json").write_text(GT)  # zero angles: no pair reaches the rotation
+    return ["eval", "--preds", str(ws / "flat.json"), "--truths", str(ws / "flat.json"),
+            "--out", str(ws / "o"), *flags]
+
+
+def _deeply_nested_transcript(ws):
+    (ws / "deep.txt").write_text("[" * 100_000)
+    return ["eval", "--preds", str(ws / "deep.txt"), "--truths", str(ws / "gt.json"), "--out", str(ws / "o")]
 
 
 # argv reaching a validation error; True where the error is a CamGeomError
@@ -383,6 +460,14 @@ VALIDATION_CASES = {
                                              "--out", str(ws / "o"), "--shift", "0.6"], True),
     "eval-rotation-order": (lambda ws: ["eval", "--preds", str(ws / "gt.json"), "--truths", str(ws / "gt.json"),
                                         "--out", str(ws / "o"), "--rotation-order", "abc"], True),
+    "eval-rotation-order-flat-boxes": (lambda ws: _eval_flat_boxes(ws, "--rotation-order", "bogus"), True),
+    "eval-rotation-order-axis-aligned": (lambda ws: ["eval", "--preds", str(ws / "gt.json"),
+                                                     "--truths", str(ws / "gt.json"), "--out", str(ws / "o"),
+                                                     "--axis-aligned", "--rotation-order", "bogus"], True),
+    "eval-deeply-nested-transcript": (_deeply_nested_transcript, True),
+    "ambiguity-prior-spread-nan": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--prior-spread", "nan"], True),
+    "ambiguity-prior-spread-negative": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
+                                                    "--prior-spread", "-1"], True),
 }
 
 

@@ -1,16 +1,25 @@
-"""Property tests of the pinhole core: unprojection, the resize rule, ray preservation.
+"""Property tests: the pinhole core (unprojection, the resize rule, ray
+preservation), oriented-box IoU (symmetry, rigid invariance) and the input
+parsers (every input parses or raises CamGeomError, nothing else).
 
 Derandomized with no example database, so every run draws the same cases;
 ``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from camgeom.boxes import OrientedBox3, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
+from camgeom.errors import CamGeomError
+from camgeom.evaluation import parse_detections
+from camgeom.fileio import read_cgem, read_ppm
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
@@ -56,3 +65,168 @@ def test_scale_round_trip(k, s):
 def test_consistent_update_preserves_rays(k, sx, sy, du, dv, out_width, out_height):
     t = PixelTransform(sx, sy, du, dv, out_width, out_height)
     assert ray_preservation_check(k, t, samples=16) < 1e-9
+
+
+_ANGLE = _floats(-math.pi, math.pi)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two oriented boxes whose centers are close enough to overlap often."""
+    def box(center):
+        size = [draw(_floats(0.1, 3)) for _ in range(3)]
+        return OrientedBox3(center, size, draw(_ANGLE), draw(_ANGLE), draw(_ANGLE))
+
+    center = [draw(_floats(-3, 3)) for _ in range(3)]
+    offset = [draw(_floats(-1.5, 1.5)) for _ in range(3)]
+    return box(center), box([c + d for c, d in zip(center, offset)])
+
+
+def _moved(box, center, yaw_delta=0.0):
+    return OrientedBox3(center, box.size, box.yaw + yaw_delta, box.pitch, box.roll)
+
+
+@SETTINGS
+@given(box_pairs())
+def test_iou_is_symmetric(pair):
+    a, b = pair
+    assert abs(iou3d(a, b) - iou3d(b, a)) <= 1e-9
+
+
+@SETTINGS
+@given(box_pairs(), st.tuples(_floats(-10, 10), _floats(-10, 10), _floats(-10, 10)))
+def test_iou_invariant_under_common_translation(pair, shift):
+    a, b = pair
+    moved = [_moved(box, np.add(box.center, shift)) for box in pair]
+    assert abs(iou3d(*moved) - iou3d(a, b)) <= 1e-9
+
+
+@SETTINGS
+@given(box_pairs(), _ANGLE)
+def test_iou_invariant_under_common_yaw(pair, theta):
+    # Rz(theta) @ Rz(yaw) Ry(pitch) Rx(roll) is the box with yaw + theta
+    c, s = math.cos(theta), math.sin(theta)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    turned = [_moved(box, rz @ np.asarray(box.center), theta) for box in pair]
+    assert abs(iou3d(*turned) - iou3d(*pair)) <= 1e-9
+
+
+@SETTINGS
+@given(box_pairs(), st.tuples(_floats(-1e-10, 1e-10), _floats(-1e-10, 1e-10), _floats(-1e-10, 1e-10)))
+def test_coincident_boxes_with_nearly_equal_attitudes(pair, deltas):
+    a = pair[0]
+    b = OrientedBox3(a.center, a.size, a.yaw + deltas[0], a.pitch + deltas[1], a.roll + deltas[2])
+    assert iou3d(a, b) >= 1 - 1e-9
+
+
+# -- parser fuzzing ----------------------------------------------------------
+
+# numbers a JSON document can carry: huge integers and non-finite floats included
+_NUMBERS = st.one_of(st.integers(), st.integers(-10**400, 10**400), st.floats())
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12,
+)
+_DETECTION = st.builds(
+    lambda label, key, box: {"label": label, key: box},
+    st.one_of(st.text(max_size=8), _JSON),
+    st.sampled_from(["bbox_3d", "box_3d", "box"]),
+    st.one_of(st.lists(_NUMBERS, min_size=8, max_size=10), _JSON),
+)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, allow_nan=True)
+
+
+@st.composite
+def transcripts(draw):
+    text = draw(st.one_of(
+        st.text(),
+        st.lists(_DETECTION, max_size=4).map(_dumps),
+        _JSON.map(_dumps),
+    ))
+    cut = draw(st.integers(0, len(text)))
+    text = text[:cut] if draw(st.booleans()) else text
+    return draw(st.sampled_from(["{}", "```json\n{}\n```", "noise {} noise"])).format(text)
+
+
+@SETTINGS
+@given(transcripts())
+@example("[" * 100_000)
+@example('[{"label": "a", "bbox_3d": [' + "1" * 5000 + ", 0, 0, 1, 1, 1, 0, 0, 0]}]")
+def test_parse_detections_parses_or_raises_camgeom_error(text):
+    try:
+        parse_detections(text)
+    except CamGeomError:
+        pass
+
+
+_INTRINSICS_KEYS = ["fx", "fy", "cx", "cy", "width", "height"]
+
+
+@SETTINGS
+@given(st.one_of(
+    st.fixed_dictionaries({key: st.one_of(_NUMBERS, _JSON) for key in _INTRINSICS_KEYS}),
+    st.dictionaries(st.one_of(st.sampled_from(_INTRINSICS_KEYS), st.text(max_size=4)), _JSON),
+    _JSON,
+))
+def test_intrinsics_from_mapping_parses_or_raises_camgeom_error(obj):
+    try:
+        Intrinsics.from_mapping(obj)
+    except CamGeomError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+_DIMENSION = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def cgem_bytes(draw):
+    rows, cols, dim = draw(_DIMENSION), draw(_DIMENSION), draw(_DIMENSION)
+    magic = draw(st.sampled_from([b"CGEM", b"CGEN"]))
+    exact = rows * cols * dim * 4
+    body = draw(st.binary(min_size=exact, max_size=exact) if exact <= 256 else st.binary(max_size=64))
+    raw = struct.pack("<4sIII", magic, rows, cols, dim) + body
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@st.composite
+def ppm_bytes(draw):
+    fields = [str(draw(st.integers(-3, 6) | st.integers())).encode() for _ in range(3)]
+    if draw(st.booleans()):
+        fields[2] = b"255"
+    sep = draw(st.sampled_from([b" ", b"\n", b"\n# note\n", b"\t"]))
+    header = b"P6\n" + sep.join(fields) + b"\n"
+    raw = header + draw(st.binary(max_size=128))
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@SETTINGS
+@given(st.one_of(cgem_bytes(), st.binary()))
+@example(struct.pack("<4sIII", b"CGEM", 0, 2**32 - 1, 2**32 - 1))
+def test_read_cgem_parses_or_raises_camgeom_error(scratch_file, raw):
+    scratch_file.write_bytes(raw)
+    try:
+        read_cgem(scratch_file)
+    except CamGeomError:
+        pass
+
+
+@SETTINGS
+@given(st.one_of(ppm_bytes(), st.binary()))
+@example(b"P6\n-1 -1\n255\nabc")
+@example(b"P6\n0 5\n255\n")
+def test_read_ppm_parses_or_raises_camgeom_error(scratch_file, raw):
+    scratch_file.write_bytes(raw)
+    try:
+        image = read_ppm(scratch_file)
+    except CamGeomError:
+        return
+    assert image.ndim == 3 and image.shape[2] == 3 and min(image.shape) >= 1
