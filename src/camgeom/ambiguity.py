@@ -176,6 +176,8 @@ def generate_scenes(
     """
     if n < 1:
         raise BelowMinimum(f"need n >= 1 scenes, got {n}")
+    if objects_per_scene < 1:
+        raise BelowMinimum(f"need objects_per_scene >= 1, got {objects_per_scene}")
     if seed < 0:
         raise BelowMinimum(f"seed must be >= 0, got {seed}")
     if not camera_pool:
@@ -228,7 +230,7 @@ def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = "mean") ->
         return statistics.fmean(focals)
     if mode == "median":
         return statistics.median(focals)
-    raise ValueError(f"mode must be 'mean' or 'median', got {mode!r}")
+    raise CamGeomError(f"mode must be 'mean' or 'median', got {mode!r}")
 
 
 def _predict(

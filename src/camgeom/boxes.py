@@ -192,11 +192,16 @@ def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") ->
         delta = rot.T @ (np.asarray(b.center) - np.asarray(a.center))
         ha = np.asarray(a.size) / 2.0
         hb = np.asarray(b.size) / 2.0
-        overlap = np.minimum(ha, delta + hb) - np.maximum(-ha, delta - hb)
-        if np.any(overlap <= 0):
-            return 0.0
-        return float(np.prod(overlap))
+        return _aligned_overlap(-ha, ha, delta - hb, delta + hb)
     return clipped_intersection_volume(a, b, order)
+
+
+def _aligned_overlap(lo_a, hi_a, lo_b, hi_b) -> float:
+    """Volume shared by two axis-aligned boxes, each given by its low and high corner."""
+    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    if np.any(overlap <= 0):
+        return 0.0
+    return float(np.prod(overlap))
 
 
 def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
@@ -245,8 +250,5 @@ def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
     cb = np.asarray(b.center)
     ha = np.asarray(a.size) / 2.0
     hb = np.asarray(b.size) / 2.0
-    overlap = np.minimum(ca + ha, cb + hb) - np.maximum(ca - ha, cb - hb)
-    if np.any(overlap <= 0):
-        return 0.0
-    vi = float(np.prod(overlap))
+    vi = _aligned_overlap(ca - ha, ca + ha, cb - hb, cb + hb)
     return vi / (a.volume() + b.volume() - vi)

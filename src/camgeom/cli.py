@@ -12,7 +12,6 @@ overrides a setting declares the setting's config path as its argparse
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import os
@@ -43,6 +42,7 @@ from .fileio import (
     save_intrinsics,
     write_cgem,
     write_depth,
+    write_json,
     write_ppm,
     write_sidecar,
 )
@@ -74,63 +74,61 @@ DEFAULTS: dict = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get("CAMGEOM_CONFIG")
-    if not path:
-        return {}
-    obj = json.loads(Path(path).read_text())
-    if not isinstance(obj, dict):
-        raise CamGeomError(f"{path}: config must be a JSON object")
-    _check_config(obj, DEFAULTS, f"{path}: ")
-    return obj
-
-
-def _check_config(value, default, path: str) -> None:
-    """Reject a key the default lacks or a value of another type than the default's.
+def _merge(default, value, path: str):
+    """``value`` folded into ``default``, rejecting a key the default lacks or a value of another type.
 
     ``path`` is the file name and the dotted key path so far, which errors name. An int may
     stand for a float; list entries are numbers, or intrinsics objects in the camera pool.
+    Only the dicts on ``value``'s key paths are new; the rest is shared with ``default``.
     """
     if isinstance(default, dict) and isinstance(value, dict):
+        merged = dict(default)
         for key, item in value.items():
             if key not in default:
                 raise CamGeomError(f"{path}{key}: unknown config key")
-            _check_config(item, default[key], f"{path}{key}.")
-    elif isinstance(default, list) and isinstance(value, list):
+            merged[key] = _merge(default[key], item, f"{path}{key}.")
+        return merged
+    if isinstance(default, list) and isinstance(value, list):
         for item in value:
             if not (default is DEFAULTS["ambiguity"]["camera_pool"] and isinstance(item, dict)):
-                _check_config(item, default[0], path)
+                _merge(default[0], item, path)
     elif not (type(value) is type(default) or (type(default), type(value)) == (float, int)):
         raise CamGeomError(f"{path[:-1]}: expected {type(default).__name__}, got {value!r}")
+    return value
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- every given flag whose dest is a config path."""
-    flags: dict = {}
+    """Defaults <- config file <- every given flag whose dest is a config path.
+
+    Only the file is checked: argparse has typed the flags, which could fail a check against
+    the file's values (a float flag where the file gave an int), so they are set in place.
+    """
+    path = os.environ.get("CAMGEOM_CONFIG") if args.config is None else args.config
+    file_config = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(file_config, dict):
+        raise CamGeomError(f"{path}: config must be a JSON object")
+    config = _merge(DEFAULTS, file_config, f"{path}: ")
     for dest, value in vars(args).items():
-        path = dest.split(".")
-        if value is not None and path[0] in DEFAULTS:
-            node = flags
-            for key in path[:-1]:
-                node = node.setdefault(key, {})
-            node[path[-1]] = value
-    return _deep_merge(_deep_merge(DEFAULTS, _load_config_file(args.config)), flags)
+        keys = dest.split(".")
+        if value is not None and keys[0] in DEFAULTS:
+            node = config
+            for key in keys[:-1]:
+                node[key] = dict(node[key])  # a copy: DEFAULTS is never written
+                node = node[key]
+            node[keys[-1]] = value
+    return config
 
 
 def _echo_config(out_dir: Path, config: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "config.resolved.json", config)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
@@ -192,6 +190,14 @@ def _check_id(sample_id, seen: set) -> None:
     seen.add(sample_id)
 
 
+def _check_paths(entry: dict) -> None:
+    """image, and depth and boxes unless absent or null, name files relative to the manifest."""
+    for field in ("image", "depth", "boxes"):
+        value = entry.get(field)
+        if not isinstance(value, str) and (value is not None or field == "image"):
+            raise CamGeomError(f"{field} {value!r}: must be a path string")
+
+
 def cmd_augment(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     out_dir = Path(args.out)
@@ -214,6 +220,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     for index, entry in enumerate(entries):
         try:
             _check_id(entry["id"], seen)
+            _check_paths(entry)
             image = _load_raster(root / entry["image"])
             raw_k = entry["intrinsics"]
             if isinstance(raw_k, str):
@@ -235,15 +242,14 @@ def cmd_augment(args: argparse.Namespace) -> int:
     results, report = batch_augment(samples, policy, workers=int(config["workers"]))
 
     transforms_lines = []
-    for index, (entry, result) in enumerate(zip(entries, results)):
+    for result in results:
         if result is None:
             continue
-        stem = entry["id"]
-        image_path = out_dir / (stem + Path(entry["image"]).suffix)
-        if result.image.data.dtype == np.uint8:
-            write_ppm(image_path, np.ascontiguousarray(result.image.data))
+        stem, index = result.provenance.source_id, result.provenance.index
+        if result.image.data.dtype == np.uint8:  # _load_raster reads .ppm as uint8, .cgem as float32
+            write_ppm(out_dir / f"{stem}.ppm", result.image.data)
         else:
-            write_cgem(image_path, result.image.data)
+            write_cgem(out_dir / f"{stem}.cgem", result.image.data)
         save_intrinsics(out_dir / f"{stem}.intrinsics.json", result.intrinsics)
         if result.depth is not None:
             write_depth(out_dir / f"{stem}.depth.cgem", result.depth, result.intrinsics)
@@ -256,7 +262,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     full_report = report.to_dict()
     full_report["load_failures"] = [list(f) for f in load_failures]
-    (out_dir / "report.json").write_text(json.dumps(full_report, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "report.json", full_report)
     n_failed = report.n_failed + len(load_failures)
     print(f"augmented {report.n_ok}/{len(entries)} samples ({n_failed} failed) -> {out_dir}")
     return 0
@@ -267,30 +273,23 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    if (args.rows is None) != (args.cols is None):
+        raise CamGeomError("--rows and --cols must be given together")
     k = load_intrinsics(args.intrinsics)
     patch = float(config["embed"]["patch"])
-    if args.rows is not None and args.cols is not None:
+    if args.rows is not None:
         grid = TokenGridSpec(args.rows, args.cols, patch)
     else:
         grid = TokenGridSpec.cover(k, patch)
     out_path = Path(args.out)
     _echo_config(out_path.parent, config)
 
-    grid_meta = {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch, "origin": config["embed"]["origin"]}
     if args.depth:
         depth, sidecar_k = read_depth(args.depth)
-        k_depth = sidecar_k or k
-        points = token_point_grid(depth, k_depth, grid)
+        k = sidecar_k or k  # the depth's own camera, when its sidecar names one
+        points = token_point_grid(depth, k, grid)
         emb = embed_points(points, dim=int(config["geo"]["dim"]), base_period=float(config["geo"]["base_period"]))
-        meta = {
-            "kind": "geometric_prior_embedding",
-            "channel_layout": list(emb.layout),
-            "dims_per_channel": emb.dim // 3,
-            "base_period": emb.base_period,
-            "pooling": "token-center ray x nearest patch-center depth",
-            "intrinsics": k_depth.to_dict(),
-            "token_grid": grid_meta,
-        }
+        kind = {"kind": "geometric_prior_embedding", "pooling": "token-center ray x nearest patch-center depth"}
     else:
         rays = ray_grid(k, grid, origin=config["embed"]["origin"])
         emb = embed(
@@ -300,17 +299,16 @@ def cmd_embed(args: argparse.Namespace) -> int:
             base_period=float(config["embed"]["base_period"]),
             focal_reference=float(config["embed"]["focal_reference"]),
         )
-        meta = {
-            "kind": "camera_ray_embedding",
-            "channel_layout": list(emb.layout),
-            "dims_per_channel": emb.dim // 4,
-            "base_period": emb.base_period,
-            "focal_reference": emb.meta["focal_reference"],
-            "intrinsics": k.to_dict(),
-            "token_grid": grid_meta,
-        }
+        kind = {"kind": "camera_ray_embedding"}
     write_cgem(out_path, emb.data)
-    write_sidecar(out_path, meta)
+    write_sidecar(out_path, {
+        **kind,
+        **emb.meta,
+        "channel_layout": list(emb.layout),
+        "dims_per_channel": emb.dim // len(emb.layout),
+        "intrinsics": k.to_dict(),
+        "token_grid": {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch, "origin": config["embed"]["origin"]},
+    })
     print(f"wrote {emb.data.shape[0]}x{emb.data.shape[1]}x{emb.dim} embedding -> {out_path}")
     return 0
 
@@ -364,13 +362,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     _echo_config(out_dir, config)
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    with open(out_dir / "per_class.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "precision", "recall", "f1", "matched", "n_pred", "n_truth"])
-        for label, score in [*sorted(report.per_class.items()), ("__micro__", report.micro)]:
-            writer.writerow([label, f"{score.precision:.4f}", f"{score.recall:.4f}", f"{score.f1:.4f}",
-                             score.matched, score.n_pred, score.n_truth])
+    write_json(out_dir / "report.json", report.to_dict())
+    _write_csv(out_dir / "per_class.csv", ["label", "precision", "recall", "f1", "matched", "n_pred", "n_truth"],
+               ([label, f"{score.precision:.4f}", f"{score.recall:.4f}", f"{score.f1:.4f}",
+                 score.matched, score.n_pred, score.n_truth]
+                for label, score in [*sorted(report.per_class.items()), ("__micro__", report.micro)]))
     print(
         f"P={report.micro.precision:.1f} R={report.micro.recall:.1f} F1={report.micro.f1:.1f} "
         f"@ IoU {report.threshold} ({report.micro.matched} matches)"
@@ -413,12 +409,9 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
         bias_rows.extend(
             run_bias_experiment(bias_scenes, amb["resize_factors"], estimator=estimator, f_mode=amb["f_mode"])
         )
-    with open(out_dir / "bias.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "estimator", "ratio_mean", "ratio_std", "depth_error_mean", "f1"])
-        for row in bias_rows:
-            writer.writerow([row.s, row.estimator, f"{row.ratio_mean:.12g}", f"{row.ratio_std:.6g}",
-                             f"{row.depth_error_mean:.6g}", f"{row.f1:.4f}"])
+    _write_csv(out_dir / "bias.csv", ["s", "estimator", "ratio_mean", "ratio_std", "depth_error_mean", "f1"],
+               ([row.s, row.estimator, f"{row.ratio_mean:.12g}", f"{row.ratio_std:.6g}",
+                 f"{row.depth_error_mean:.6g}", f"{row.f1:.4f}"] for row in bias_rows))
 
     lines = [MECHANISM_CAVEAT, ""]
     lines.append(f"{len(scenes)} scenes x {amb['objects_per_scene']} objects, "
@@ -433,12 +426,10 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
 
     if len(pool) >= 2:
         f_assumed, cluster_rows = run_mixed_pool_experiment(scenes, estimators, f_mode=amb["f_mode"])
-        with open(out_dir / "clusters.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cluster_focal", "estimator", "ratio_mean", "ratio_std", "expected_ratio", "n_objects"])
-            for row in cluster_rows:
-                writer.writerow([row.cluster_focal, row.estimator, f"{row.ratio_mean:.12g}",
-                                 f"{row.ratio_std:.6g}", f"{row.expected_ratio:.12g}", row.n_objects])
+        _write_csv(out_dir / "clusters.csv",
+                   ["cluster_focal", "estimator", "ratio_mean", "ratio_std", "expected_ratio", "n_objects"],
+                   ([row.cluster_focal, row.estimator, f"{row.ratio_mean:.12g}", f"{row.ratio_std:.6g}",
+                     f"{row.expected_ratio:.12g}", row.n_objects] for row in cluster_rows))
         lines.append("")
         lines.append(f"mixed-pool conflict (canonical focal {f_assumed:g} px):")
         for row in cluster_rows:

@@ -24,6 +24,7 @@ __all__ = [
     "write_cgem",
     "read_cgem",
     "sidecar_path",
+    "write_json",
     "write_sidecar",
     "read_sidecar",
     "write_depth",
@@ -74,8 +75,13 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
+def write_json(path: str | Path, obj: Any) -> None:
+    """Indented, key-sorted JSON with a trailing newline: sidecars, reports and config echoes."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_sidecar(path: str | Path, meta: dict[str, Any]) -> None:
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path(path), meta)
 
 
 def read_sidecar(path: str | Path) -> dict[str, Any]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -86,13 +86,6 @@ class PixelTransform:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_mapping(cls, obj: Mapping[str, Any], where: str = "transform") -> "PixelTransform":
-        missing = [key for key in ("sx", "sy", "du", "dv", "out_width", "out_height") if key not in obj]
-        if missing:
-            raise ValueError(f"{where}.{missing[0]}: missing key")
-        return cls(obj["sx"], obj["sy"], obj["du"], obj["dv"], obj["out_width"], obj["out_height"])
 
 
 def scale(k: Intrinsics, s: float) -> Intrinsics:

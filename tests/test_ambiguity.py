@@ -14,7 +14,7 @@ from camgeom import (
     run_mixed_pool_experiment,
 )
 from camgeom.ambiguity import fit_canonical_focal
-from camgeom.errors import CamGeomError, NonPositiveFactor
+from camgeom.errors import BelowMinimum, CamGeomError, NonPositiveFactor
 
 
 def _camera(f: float, width=640, height=480) -> Intrinsics:
@@ -106,6 +106,16 @@ class TestScenes:
         scenes = generate_scenes(10, [_camera(580), _camera(1160)], seed=4)
         assert fit_canonical_focal(scenes) == 870.0
         assert fit_canonical_focal(scenes, mode="median") == 870.0
+
+    def test_fit_canonical_focal_rejects_an_unknown_mode(self):
+        scenes = generate_scenes(2, [_camera(580)], seed=4)
+        with pytest.raises(CamGeomError, match="mode"):
+            fit_canonical_focal(scenes, mode="x")
+
+    @pytest.mark.parametrize("objects_per_scene", [0, -2])
+    def test_at_least_one_object_per_scene(self, objects_per_scene):
+        with pytest.raises(BelowMinimum, match="objects_per_scene"):
+            generate_scenes(4, [_camera(580)], objects_per_scene=objects_per_scene)
 
 
 class TestBiasExperiment:

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from camgeom import cli
+from camgeom.ambiguity import MECHANISM_CAVEAT
 from camgeom.cli import main
-from camgeom.fileio import read_cgem, read_sidecar, write_depth, write_ppm
+from camgeom.fileio import read_cgem, read_sidecar, sidecar_path, write_cgem, write_depth, write_ppm
 from camgeom import DepthMap, Intrinsics
 from camgeom.fileio import save_intrinsics
 
@@ -130,7 +132,7 @@ class TestAugmentCommand:
 
 
 class TestManifestIds:
-    """Ids name the output files: an id that is not one unique file name is a load failure."""
+    """Ids name the output files and paths the input files: an entry that breaks either is a load failure."""
 
     def _run(self, workspace, extra):
         lines = (workspace / "manifest.jsonl").read_text().splitlines()
@@ -148,6 +150,15 @@ class TestManifestIds:
         assert report["n_ok"] == 3
         assert [f[:2] for f in report["load_failures"]] == [[3, bad_id]]
         assert len((out / "transforms.jsonl").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("field, value", [("image", 5), ("image", None), ("depth", ["d"]),
+                                              ("depth", 0), ("boxes", {"b": 1})])
+    def test_path_that_is_not_a_string(self, workspace, field, value):
+        entry = {"id": "bad", "image": "img0.ppm", "intrinsics": "k.json", field: value}
+        out, report = self._run(workspace, [entry, {"id": "after", "image": "img1.ppm", "intrinsics": "k.json"}])
+        assert report["n_ok"] == 4
+        assert report["load_failures"] == [[3, "bad", f"CamGeomError: {field} {value!r}: must be a path string"]]
+        assert (out / "after.ppm").exists()
 
     def test_repeated_id(self, workspace):
         out, report = self._run(workspace, [{"id": "img1", "image": "img2.ppm", "intrinsics": "k.json"}])
@@ -378,6 +389,20 @@ class TestConfigResolution:
         text = (workspace / "run" / "config.resolved.json").read_text()
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
+    def test_float_flag_over_a_file_int(self, workspace):
+        (workspace / "conf.json").write_text(json.dumps({"embed": {"patch": 16}}))
+        assert main(["embed", "--config", str(workspace / "conf.json"), "--intrinsics", str(workspace / "k.json"),
+                     "--out", str(workspace / "run" / "e.cgem"), "--patch", "14"]) == 0
+        patch = json.loads((workspace / "run" / "config.resolved.json").read_text())["embed"]["patch"]
+        assert patch == 14.0 and type(patch) is float
+
+    def test_factors_flag_over_an_empty_file_list(self, workspace):
+        (workspace / "conf.json").write_text(json.dumps({"ambiguity": {"resize_factors": []}}))
+        assert main(["ambiguity", "--config", str(workspace / "conf.json"), "--out", str(workspace / "run"),
+                     "--n-scenes", "4", "--factors", "1"]) == 0
+        echoed = json.loads((workspace / "run" / "config.resolved.json").read_text())
+        assert echoed["ambiguity"]["resize_factors"] == [1.0]
+
 
 # Config files that ended in a traceback, or whose misspelt key was ignored:
 # (command, file contents, the dotted path the error names).
@@ -416,6 +441,15 @@ class TestConfigValidation:
         assert f"conf.json: {path}: " in err
         assert not (workspace / "run").exists()
 
+    @pytest.mark.parametrize("values, named", [({"objects_per_scene": 0}, "objects_per_scene"),
+                                               ({"objects_per_scene": -2}, "objects_per_scene"),
+                                               ({"f_mode": "x"}, "mode")])
+    def test_bad_ambiguity_value_exit_2(self, workspace, capsys, values, named):
+        assert self._run(workspace, "ambiguity", {"ambiguity": {"n_scenes": 4, **values}}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+
     def test_int_for_float_and_intrinsics_in_the_pool(self, workspace):
         pool = [600, {"fx": 700, "fy": 700, "cx": 320, "cy": 240, "width": 640, "height": 480}]
         config = {"ambiguity": {"n_scenes": 4, "prior_spread": 0, "camera_pool": pool}}
@@ -444,6 +478,10 @@ VALIDATION_CASES = {
     "cgem-bad-magic": (_bad_magic, True),
     "embed-rows-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
                                  "--rows", "0", "--cols", "4"], True),
+    "embed-rows-without-cols": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                            "--rows", "2"], True),
+    "embed-cols-without-rows": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                            "--cols", "2"], True),
     "embed-patch-0.5": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
                                     "--patch", "0.5"], True),
     "embed-patch-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
@@ -485,3 +523,143 @@ class TestValidationExits:
         assert "Traceback" not in err
         if camgeom_error:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+K_DICT = {"fx": 500.0, "fy": 500.0, "cx": 32.0, "cy": 24.0, "width": 64, "height": 48}
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestPinnedOutputs:
+    """The exact bytes of the files the CLI assembles itself."""
+
+    def test_ray_embedding_sidecar(self, workspace):
+        out = workspace / "ray.cgem"
+        assert main(["embed", "--intrinsics", str(workspace / "k.json"), "--out", str(out),
+                     "--patch", "16", "--dim", "16"]) == 0
+        assert sidecar_path(out).read_text() == _json_text({
+            "kind": "camera_ray_embedding",
+            "channel_layout": ["rx", "ry", "log_fx", "log_fy"],
+            "dims_per_channel": 4,
+            "base_period": 10000.0,
+            "focal_reference": 1000.0,
+            "intrinsics": K_DICT,
+            "token_grid": {"rows": 3, "cols": 4, "patch": 16.0, "origin": "center"},
+        })
+
+    def test_geometric_embedding_sidecar_records_the_depth_camera(self, workspace):
+        save_intrinsics(workspace / "k2.json", Intrinsics(400.0, 400.0, 32.0, 24.0, 64, 48))
+        out = workspace / "geo.cgem"
+        assert main(["embed", "--intrinsics", str(workspace / "k2.json"), "--depth", str(workspace / "depth.cgem"),
+                     "--out", str(out), "--patch", "16", "--geo-dim", "24", "--origin", "corner"]) == 0
+        assert sidecar_path(out).read_text() == _json_text({
+            "kind": "geometric_prior_embedding",
+            "channel_layout": ["x", "y", "z"],
+            "dims_per_channel": 8,
+            "base_period": 100.0,
+            "pooling": "token-center ray x nearest patch-center depth",
+            "intrinsics": K_DICT,  # the depth sidecar's camera, not --intrinsics
+            "token_grid": {"rows": 3, "cols": 4, "patch": 16.0, "origin": "corner"},
+        })
+
+    def test_per_class_csv(self, tmp_path):
+        (tmp_path / "gt.json").write_text(GT)
+        out = tmp_path / "eval"
+        assert main(["eval", "--preds", str(tmp_path / "gt.json"), "--truths", str(tmp_path / "gt.json"),
+                     "--iou", "0.25", "--out", str(out)]) == 0
+        assert (out / "per_class.csv").read_bytes() == (
+            b"label,precision,recall,f1,matched,n_pred,n_truth\r\n"
+            b"chair,100.0000,100.0000,100.0000,1,1,1\r\n"
+            b"__micro__,100.0000,100.0000,100.0000,1,1,1\r\n"
+        )
+
+    def test_ambiguity_tables_and_summary(self, tmp_path, capsys):
+        out = tmp_path / "amb"
+        assert main(["ambiguity", "--out", str(out), "--n-scenes", "4"]) == 0
+        assert (out / "bias.csv").read_bytes() == (
+            b"s,estimator,ratio_mean,ratio_std,depth_error_mean,f1\r\n"
+            b"0.8,agnostic,1.25,6.66134e-17,0.25,20.0000\r\n"
+            b"1.0,agnostic,1,3.33067e-17,1.3466e-17,100.0000\r\n"
+            b"1.2,agnostic,0.833333333333,5.97873e-17,0.166667,40.0000\r\n"
+            b"0.8,aware,1,0,0,100.0000\r\n"
+            b"1.0,aware,1,3.33067e-17,1.3466e-17,100.0000\r\n"
+            b"1.2,aware,1,6.66134e-17,1.16993e-17,100.0000\r\n"
+        )
+        assert (out / "clusters.csv").read_bytes() == (
+            b"cluster_focal,estimator,ratio_mean,ratio_std,expected_ratio,n_objects\r\n"
+            b"580.0,agnostic,1.5,1.33227e-16,1.5,10\r\n"
+            b"1160.0,agnostic,0.75,5.97873e-17,0.75,10\r\n"
+            b"580.0,aware,1,3.33067e-17,1,10\r\n"
+            b"1160.0,aware,1,8.59975e-17,1,10\r\n"
+        )
+        summary = (out / "summary.txt").read_bytes().decode()
+        assert summary == MECHANISM_CAVEAT + (
+            "\n\n4 scenes x 5 objects, pool of 2 cameras, prior spread 0.0\n\n"
+            "resize bias (Z_pred/Z_true; single-source pool, f=580 px):\n"
+            "  s=0.8   agnostic  ratio=1.250000 (std 6.7e-17) depth_err=0.2500 F1=20.0\n"
+            "  s=1     agnostic  ratio=1.000000 (std 3.3e-17) depth_err=0.0000 F1=100.0\n"
+            "  s=1.2   agnostic  ratio=0.833333 (std 6e-17) depth_err=0.1667 F1=40.0\n"
+            "  s=0.8   aware     ratio=1.000000 (std 0) depth_err=0.0000 F1=100.0\n"
+            "  s=1     aware     ratio=1.000000 (std 3.3e-17) depth_err=0.0000 F1=100.0\n"
+            "  s=1.2   aware     ratio=1.000000 (std 6.7e-17) depth_err=0.0000 F1=100.0\n\n"
+            "mixed-pool conflict (canonical focal 870 px):\n"
+            "  cluster f=580    agnostic  ratio=1.500000 expected=1.500000\n"
+            "  cluster f=1160   agnostic  ratio=0.750000 expected=0.750000\n"
+            "  cluster f=580    aware     ratio=1.000000 expected=1.000000\n"
+            "  cluster f=1160   aware     ratio=1.000000 expected=1.000000\n"
+        )
+        assert capsys.readouterr().out == summary
+
+    def test_augment_mixed_formats_with_a_load_failure(self, workspace):
+        write_cgem(workspace / "float0.cgem", np.random.default_rng(3).uniform(0, 1, (48, 64, 3)))
+        (workspace / "boxes.json").write_text(GT)
+        entries = [
+            {"id": "img0", "image": "img0.ppm", "intrinsics": "k.json"},
+            {"id": "gone", "image": "missing.ppm", "intrinsics": "k.json"},
+            {"id": "float0", "image": "float0.cgem", "intrinsics": K_DICT,
+             "depth": "depth.cgem", "boxes": "boxes.json"},
+        ]
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out), "--seed", "5"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.resolved.json", "float0.boxes.json", "float0.cgem", "float0.depth.cgem",
+            "float0.depth.cgem.json", "float0.intrinsics.json", "img0.intrinsics.json", "img0.ppm",
+            "report.json", "transforms.jsonl",
+        ]
+        assert (out / "transforms.jsonl").read_text() == (
+            '{"id": "img0", "index": 0, "transform": {"du": 7.470409306951348, "dv": 0.27883983949017477, '
+            '"out_height": 61, "out_width": 81, "sx": 1.263502046621766, "sy": 1.263502046621766}}\n'
+            '{"id": "float0", "index": 2, "transform": {"du": -1.2006902840492533, "dv": 1.14049376214538, '
+            '"out_height": 42, "out_width": 55, "sx": 0.866404675099762, "sy": 0.866404675099762}}\n'
+        )
+        report = json.loads((out / "report.json").read_text())
+        assert [f[:2] for f in report["load_failures"]] == [[1, "gone"]]
+
+    def test_int_for_float_is_echoed_as_given(self, workspace):
+        (workspace / "conf.json").write_text(json.dumps({"embed": {"patch": 16, "base_period": 500}}))
+        out = workspace / "run" / "e.cgem"
+        assert main(["embed", "--config", str(workspace / "conf.json"), "--intrinsics", str(workspace / "k.json"),
+                     "--out", str(out)]) == 0
+        expected = json.loads(json.dumps(PINNED_DEFAULTS))
+        expected["embed"].update(patch=16, base_period=500)
+        text = (workspace / "run" / "config.resolved.json").read_text()
+        assert text == _json_text(expected)
+        assert '"base_period": 500,\n' in text and '"patch": 16\n' in text
+
+    def test_defaults_survive_every_command(self, workspace):
+        (workspace / "gt.json").write_text(GT)
+        ws = str(workspace)
+        for argv in (
+            ["augment", "--manifest", f"{ws}/manifest.jsonl", "--out", f"{ws}/a", "--scale-min", "0.9"],
+            ["embed", "--intrinsics", f"{ws}/k.json", "--out", f"{ws}/e/ray.cgem", "--dim", "16"],
+            ["embed", "--intrinsics", f"{ws}/k.json", "--depth", f"{ws}/depth.cgem", "--out", f"{ws}/e/geo.cgem"],
+            ["unproject", "--depth", f"{ws}/depth.cgem", "--out", f"{ws}/u/p.cgem"],
+            ["eval", "--preds", f"{ws}/gt.json", "--truths", f"{ws}/gt.json", "--out", f"{ws}/v", "--iou", "0.5"],
+            ["ambiguity", "--out", f"{ws}/amb", "--n-scenes", "4", "--factors", "0.5,2"],
+            ["version"],
+        ):
+            assert main(argv) == 0, argv
+        assert json.dumps(cli.DEFAULTS) == json.dumps(PINNED_DEFAULTS)
