@@ -7,8 +7,11 @@ so every line of sight is preserved (verifiable with
 untouched -- a camera-space resize does not move world geometry, and that
 asymmetry is exactly what makes the augmentation teach camera awareness.
 
-Images are resampled bilinearly; depth maps use nearest-neighbor sampling
-because interpolating across a depth discontinuity fabricates 3D points.
+Resampling is separable: a transform is an axis-aligned scale plus a
+shift, so each axis gets its own taps, computed once per transform.  Images
+are resampled bilinearly (a row pass, then a column pass); depth maps use
+nearest-neighbor sampling (one floor index per axis) because interpolating
+across a depth discontinuity fabricates 3D points.
 Batch runs seed each sample independently from (policy.seed, sample index),
 so results do not depend on ordering or worker count.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import CamGeomError, CropOutOfBounds, ExtentMismatch
+from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch
 from .evaluation import Detection
 from .transforms import PixelTransform, apply_transform
 
@@ -137,11 +140,21 @@ class AugmentedSample:
     boxes: tuple[Detection, ...] | None = None
 
 
-def _source_sample_coords(t: PixelTransform, out_width: int, out_height: int):
-    u_out = np.arange(out_width, dtype=np.float64) + 0.5
-    v_out = np.arange(out_height, dtype=np.float64) + 0.5
-    u_src, v_src = t.source_coords(u_out[None, :], v_out[:, None])
-    return np.broadcast_to(u_src, (out_height, out_width)), np.broadcast_to(v_src, (out_height, out_width))
+def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
+    """Per-axis bilinear taps ``((i0, w0), (i1, w1))`` for source pixel-center coordinates.
+
+    In pad mode a tap outside the source weighs 0; in both modes its index
+    is then clamped to the edge, so every index is safe to gather.
+    """
+    x = coords - 0.5
+    i0 = np.floor(x).astype(np.int64)
+    f = x - i0
+    taps = []
+    for index, weight in ((i0, 1 - f), (i0 + 1, f)):
+        if mode == "pad":
+            weight = np.where((index >= 0) & (index < size), weight, 0.0)
+        taps.append((np.clip(index, 0, size - 1), weight))
+    return taps
 
 
 def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> RasterImage:
@@ -167,29 +180,13 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
                 f"{t.dv:.3f}..{t.dv + t.out_height:.3f}) exceeds scaled source "
                 f"{t.sx * image.width:.3f}x{t.sy * image.height:.3f}"
             )
-    u_src, v_src = _source_sample_coords(t, t.out_width, t.out_height)
-    x = u_src - 0.5
-    y = v_src - 0.5
-    j0 = np.floor(x).astype(np.int64)
-    i0 = np.floor(y).astype(np.int64)
-    fx = x - j0
-    fy = y - i0
-    weights = (
-        ((1 - fy) * (1 - fx), i0, j0),
-        ((1 - fy) * fx, i0, j0 + 1),
-        (fy * (1 - fx), i0 + 1, j0),
-        (fy * fx, i0 + 1, j0 + 1),
-    )
-    src = image.data.astype(np.float64)
-    out = np.zeros((t.out_height, t.out_width, image.channels), dtype=np.float64)
-    for w, ii, jj in weights:
-        if mode == "pad":
-            inside = (ii >= 0) & (ii < image.height) & (jj >= 0) & (jj < image.width)
-            w = np.where(inside, w, 0.0)
-        ii = np.clip(ii, 0, image.height - 1)
-        jj = np.clip(jj, 0, image.width - 1)
-        out += w[:, :, None] * src[ii, jj]
-    if image.data.dtype == np.uint8:
+    u_src, v_src = t.source_coords(np.arange(t.out_width) + 0.5, np.arange(t.out_height) + 0.5)
+    (iy0, wy0), (iy1, wy1) = _bilinear_taps(v_src, image.height, mode)
+    (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode)
+    src = image.data  # uint8 or float32 rows times float64 weights promote: no full-frame cast
+    rows = wy0[:, None, None] * src[iy0] + wy1[:, None, None] * src[iy1]
+    out = wx0[None, :, None] * rows[:, ix0] + wx1[None, :, None] * rows[:, ix1]
+    if src.dtype == np.uint8:
         out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     else:
         out = out.astype(np.float32)
@@ -198,15 +195,14 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     """Nearest-neighbor depth resample; out-of-source samples become invalid."""
-    u_src, v_src = _source_sample_coords(t, t.out_width, t.out_height)
-    jj = np.floor(u_src).astype(np.int64)
+    u_src, v_src = t.source_coords(np.arange(t.out_width) + 0.5, np.arange(t.out_height) + 0.5)
     ii = np.floor(v_src).astype(np.int64)
-    inside = (ii >= 0) & (ii < depth.height) & (jj >= 0) & (jj < depth.width)
-    ii_c = np.clip(ii, 0, depth.height - 1)
-    jj_c = np.clip(jj, 0, depth.width - 1)
-    values = depth.values[ii_c, jj_c]
-    valid = inside & depth.valid[ii_c, jj_c]
-    return DepthMap(np.where(valid, values, np.nan), valid)
+    jj = np.floor(u_src).astype(np.int64)
+    inside_i = (ii >= 0) & (ii < depth.height)
+    inside_j = (jj >= 0) & (jj < depth.width)
+    sel = np.ix_(np.clip(ii, 0, depth.height - 1), np.clip(jj, 0, depth.width - 1))
+    valid = inside_i[:, None] & inside_j[None, :] & depth.valid[sel]
+    return DepthMap(np.where(valid, depth.values[sel], np.nan), valid)
 
 
 def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Generator) -> PixelTransform:
@@ -292,7 +288,10 @@ def batch_augment(
     sample yields None in the result list and a failure record; the batch
     continues.  A None entry (an input the caller could not load) yields
     None with no failure record, and every other sample keeps its index.
+    A worker count below 1 raises BelowMinimum before any sample runs.
     """
+    if workers < 1:
+        raise BelowMinimum(f"workers must be >= 1, got {workers}")
     results: list[AugmentedSample | None] = [None] * len(samples)
     failures: list[tuple[int, str, str]] = []
 
@@ -306,7 +305,7 @@ def batch_augment(
             failures.append((index, sample.id, f"{type(exc).__name__}: {exc}"))
 
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_one, range(len(samples))))
     elapsed = time.perf_counter() - start
 

@@ -159,8 +159,7 @@ def _load_raster(path: Path) -> RasterImage:
     if path.suffix == ".ppm":
         return RasterImage(read_ppm(path))
     if path.suffix == ".cgem":
-        data = read_cgem(path)
-        return RasterImage(data.astype(np.float32))
+        return RasterImage(read_cgem(path))  # read_cgem already returns float32
     raise CamGeomError(f"{path}: unsupported image format (use .ppm or .cgem)")
 
 

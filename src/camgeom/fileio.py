@@ -66,7 +66,7 @@ def read_cgem(path: str | Path) -> np.ndarray:
     if len(body) != expected:
         raise MalformedFile(f"{path}: payload is {len(body)} bytes, expected {expected}")
     try:
-        return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).copy()
+        return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).astype(np.float32)
     except ValueError:  # an empty tensor whose other two extents overflow numpy's size limit
         raise MalformedFile(f"{path}: shape {rows}x{cols}x{dim} is too large") from None
 

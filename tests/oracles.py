@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's clipping/volume code paths: box
 membership is a direct frame-change test and volumes come from uniform
-sampling, so they can arbitrate the analytic IoU.
+sampling, so they can arbitrate the analytic IoU.  The resampling oracles
+loop over output pixels and read only a transform's fields, so they can
+arbitrate the vectorized resamplers.
 """
 
 import math
@@ -54,3 +56,47 @@ def monte_carlo_iou(a: OrientedBox3, b: OrientedBox3, n: int, rng) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def _taps(out_index: int, scale: float, shift: float) -> tuple[int, float]:
+    """First bilinear tap index and its partner's weight for one output pixel center."""
+    x = (out_index + 0.5 + shift) / scale - 0.5
+    i0 = math.floor(x)
+    return i0, x - i0
+
+
+def bilinear_oracle(data: np.ndarray, t, mode: str) -> np.ndarray:
+    """Per-pixel 4-tap bilinear resample of an H x W x C array, in float64.
+
+    Reads only the transform's fields.  A tap outside the source adds 0 in
+    pad mode and clamps to the nearest edge pixel in crop mode.
+    """
+    height, width, channels = data.shape
+    out = np.zeros((t.out_height, t.out_width, channels))
+    for r in range(t.out_height):
+        i0, fy = _taps(r, t.sy, t.dv)
+        for q in range(t.out_width):
+            j0, fx = _taps(q, t.sx, t.du)
+            for i, wy in ((i0, 1 - fy), (i0 + 1, fy)):
+                for j, wx in ((j0, 1 - fx), (j0 + 1, fx)):
+                    if not (0 <= i < height and 0 <= j < width):
+                        if mode == "pad":
+                            continue
+                        i, j = min(max(i, 0), height - 1), min(max(j, 0), width - 1)
+                    out[r, q] += wy * wx * data[i, j].astype(np.float64)
+    return out
+
+
+def nearest_depth_oracle(values: np.ndarray, valid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel floor-nearest depth resample: (values with NaN holes, mask)."""
+    height, width = values.shape
+    out = np.full((t.out_height, t.out_width), np.nan)
+    out_valid = np.zeros((t.out_height, t.out_width), dtype=bool)
+    for r in range(t.out_height):
+        i = math.floor((r + 0.5 + t.dv) / t.sy)
+        for q in range(t.out_width):
+            j = math.floor((q + 0.5 + t.du) / t.sx)
+            if 0 <= i < height and 0 <= j < width and valid[i, j]:
+                out[r, q] = values[i, j]
+                out_valid[r, q] = True
+    return out, out_valid

@@ -1,5 +1,7 @@
 """Resampling correctness and the camera-aware augmentation contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from camgeom import (
     resample,
     resample_depth,
 )
-from camgeom.errors import CropOutOfBounds
+from camgeom.augment import draw_transform
+from camgeom.errors import BelowMinimum, CropOutOfBounds
 from camgeom.transforms import apply_transform, compose, invert
 
 
@@ -94,6 +97,107 @@ class TestResample:
         out = resample_depth(depth, PixelTransform(1, 1, -10.0, 0.0, 64, 48))
         assert not out.valid[:, :10].any()
         assert out.valid[:, 10:].all()
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of resample(uint8 RGB), resample(float32) and resample_depth
+# (values, then mask) for the transform that draw_transform gives each
+# (mode, seed) policy on a 97x61 source.  Any change here is the resampler's
+# output changing: a rounding or summation-order change, not noise.
+PINNED_DIGESTS = {
+    ("pad", 0): (
+        "ca36ed785b0faa03d6e86c7dc84ed97350de48174835686cd8e122aa9b0a50c0",
+        "b6d77f19293bc570066f51707b19de716580ad3d14cd83d547e68680f75bd2c5",
+        "fca8345afede10ae66a91acde1c7f1858efcdc09abdeca50b582cc39cab9e5d3",
+    ),
+    ("pad", 1): (
+        "0393f8a9288a51db967aaa10c6be42580c8568644ac8f88e4ee71ad065008363",
+        "020912eeb28a31f30c9096b169bb1ddb315f9824945e033d65bda81f07dc0ac9",
+        "812f19da20847d9610a1d1990341771fc78333472c77c4a547b6d653cadc7709",
+    ),
+    ("pad", 2): (
+        "0c1058447b4eb4e8c96f728dd55763886c1dc5a313bafd6a3619f11adb4f5b5c",
+        "7825df76457e73280ab49944da7ff29c532f08d80d392fa4d88b4f5ceb0c4219",
+        "7321643f70434bcfcfe04e7ffd765c208d0dd3bbe3270e136c718f504fb195b4",
+    ),
+    ("pad", 3): (
+        "e73d88987e6da4aa9098bb386dcd0c62375803dca136b16e78e3da1c57453b68",
+        "cd95a4e9f9938fb7c884444f21f00f74c6efeb6ba5de2e99211cd0c6084b8d5b",
+        "bfddb6647168c7d46f45ae43aa783905db0ac56b2e1b7612df509a11c159bb06",
+    ),
+    ("pad", 4): (
+        "c9689b804666e840ee4d9c9e0e94201cb401b61abecaa5ebed0459cb694be669",
+        "b2b796449a1ceba916035f4409e999d78569c2bf398f5f3769de2125ea99f8d7",
+        "1bfd19adc1f3bf566918e151a2cedc33065e535c7c35d7b780220d636f0070f2",
+    ),
+    ("pad", 5): (
+        "65b058b70516f03992d49d2d890f25086549e3f29aa466d045841dd5fab37191",
+        "51e531ad4e2749641f36e2c62c95821b222ee50ae5a267de8b86abdf093de0f7",
+        "fa882d2300fcac69f14e0c9f546019b12e2ec47c4fbb99682a920139e6997d47",
+    ),
+    ("crop", 0): (
+        "fe67ab8ed9a21f63c60cbae0e49f19cc6f6d4947d2d7d5ec49e5c7fba52ea4e9",
+        "50a659e842bc748bc994a2c11e2c02c37dedfc90ce0462ca497ebafd21d5062e",
+        "9f1ac72df78533da05590fd8dc7f3c72b6b2b5b1ecaf2c4370fb6e878e6591ad",
+    ),
+    ("crop", 1): (
+        "680b4e019df138b4bdd3f6e8509b8c465c7e3d9359166daa71c0182cda042400",
+        "37b0321926447c936b7c782dd34d0e82299fdf818ee9015c310e9d79172f7634",
+        "5a3de102acfeb830fffddfc450fc4eca1ad12d898483efa3624508a58c589af6",
+    ),
+    ("crop", 2): (
+        "b6b78b1f6884f47d0b0ebfc551f68e6a2eab5251ca72149ec7330b640ea71857",
+        "794e7a594113e6712d6fd79c6fda74aad56c365d5e3ff0b3e354fc71e18f4ac1",
+        "92919324dc70a3dbb8a950b4eba0f3af145b6a26604ef844ded1a1bd95ecd547",
+    ),
+    ("crop", 3): (
+        "4e51231ee840236f225c1195b1b93ba65a758f5386d59b95b90fd83dec518fe7",
+        "cc304e345501d284d7313583bd1f29b9893a0e619e70c9070ead997ac16edc30",
+        "a3327f13702598d6cae35f7490c8d9832c597f92db910648fa4a1f2dadf91a38",
+    ),
+    ("crop", 4): (
+        "36e4e4d6cbb865b02c8b13d81f6ef92141ba7e4e787b768ad956ca8e9d8079d2",
+        "06039a19d7bc35bbd5dafff480319e48795aa813bae781bd58c44a5d7f2861b3",
+        "121f3ae590491acd74d5e9947e2ded063e3c149153621b194c9a3b4088d1e6d8",
+    ),
+    ("crop", 5): (
+        "d2425d88a22fcac054bc51dcc38d45279e135c9d806bf09de564e22e0525e4e7",
+        "b8fd139a2649095ae3f4fb368912e82b6d828c0528e6dd67e3ddb271cb603b1f",
+        "4ba82370cd45ab13509e03940528c0a813b5bc32c9ae6f3e2824279def27b4fc",
+    ),
+}
+
+
+class TestPinnedResample:
+    @pytest.fixture(scope="class")
+    def sources(self):
+        rng = np.random.default_rng(61)
+        rgb = RasterImage(rng.integers(0, 256, size=(61, 97, 3), dtype=np.uint8))
+        gray = RasterImage(rng.random((61, 97, 1), dtype=np.float32))
+        values = rng.uniform(0.5, 50.0, size=(61, 97))
+        values[rng.random((61, 97)) < 0.15] = np.nan  # holes
+        return rgb, gray, DepthMap.from_array(values)
+
+    @pytest.mark.parametrize("mode, seed", sorted(PINNED_DIGESTS))
+    def test_outputs_match_pinned_digests(self, sources, mode, seed):
+        rgb, gray, depth = sources
+        k = Intrinsics(90.0, 90.0, 48.5, 30.5, 97, 61)
+        policy = AugmentationPolicy(scale_range=(0.6, 1.7), shift_fraction=0.2, mode=mode, seed=seed)
+        t = draw_transform(k, policy, np.random.default_rng(seed))
+        out_depth = resample_depth(depth, t)
+        got = (
+            _digest(resample(rgb, t, mode).data),
+            _digest(resample(gray, t, mode).data),
+            _digest(out_depth.values, out_depth.valid),
+        )
+        assert got == PINNED_DIGESTS[mode, seed]
 
 
 class TestAugment:
@@ -177,6 +281,11 @@ class TestBatch:
         results, report = batch_augment([], AugmentationPolicy(seed=1), workers=4)
         assert results == []
         assert report.n_samples == report.n_ok == report.n_failed == 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_rejected(self, workers):
+        with pytest.raises(BelowMinimum, match="workers"):
+            batch_augment(self._samples(2), AugmentationPolicy(seed=1), workers=workers)
 
     def test_failures_are_isolated(self):
         samples = self._samples(4)

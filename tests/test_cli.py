@@ -450,6 +450,14 @@ class TestConfigValidation:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_exit_2(self, workspace, capsys, workers):
+        assert self._run(workspace, "augment", {"workers": workers}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "workers" in err
+        assert not list((workspace / "run").glob("img*"))  # no sample was augmented
+
     def test_int_for_float_and_intrinsics_in_the_pool(self, workspace):
         pool = [600, {"fx": 700, "fy": 700, "cx": 320, "cy": 240, "width": 640, "height": 480}]
         config = {"ambiguity": {"n_scenes": 4, "prior_spread": 0, "camera_pool": pool}}
@@ -496,6 +504,10 @@ VALIDATION_CASES = {
                                         "--out", str(ws / "e.cgem"), "--base-period", "0"], True),
     "augment-shift-above-half": (lambda ws: ["augment", "--manifest", str(ws / "manifest.jsonl"),
                                              "--out", str(ws / "o"), "--shift", "0.6"], True),
+    "augment-workers-0": (lambda ws: ["augment", "--manifest", str(ws / "manifest.jsonl"),
+                                      "--out", str(ws / "o"), "--workers", "0"], True),
+    "augment-workers-negative": (lambda ws: ["augment", "--manifest", str(ws / "manifest.jsonl"),
+                                             "--out", str(ws / "o"), "--workers", "-3"], True),
     "eval-rotation-order": (lambda ws: ["eval", "--preds", str(ws / "gt.json"), "--truths", str(ws / "gt.json"),
                                         "--out", str(ws / "o"), "--rotation-order", "abc"], True),
     "eval-rotation-order-flat-boxes": (lambda ws: _eval_flat_boxes(ws, "--rotation-order", "bogus"), True),

@@ -1,6 +1,7 @@
 """Property tests: the pinhole core (unprojection, the resize rule, ray
-preservation), oriented-box IoU (symmetry, rigid invariance) and the input
-parsers (every input parses or raises CamGeomError, nothing else).
+preservation), resampling against per-pixel oracles, oriented-box IoU
+(symmetry, rigid invariance) and the input parsers (every input parses or
+raises CamGeomError, nothing else).
 
 Derandomized with no example database, so every run draws the same cases;
 ``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
@@ -15,12 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from camgeom.augment import RasterImage, resample, resample_depth
 from camgeom.boxes import OrientedBox3, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
+from camgeom.depthmap import DepthMap
 from camgeom.errors import CamGeomError
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
+from oracles import bilinear_oracle, nearest_depth_oracle
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
@@ -65,6 +69,62 @@ def test_scale_round_trip(k, s):
 def test_consistent_update_preserves_rays(k, sx, sy, du, dv, out_width, out_height):
     t = PixelTransform(sx, sy, du, dv, out_width, out_height)
     assert ray_preservation_check(k, t, samples=16) < 1e-9
+
+
+@st.composite
+def resample_cases(draw):
+    """A small seeded source (uint8 or float32 raster, depth with holes) and a
+    transform valid for the drawn mode: any window in pad mode, a window
+    inside the scaled source in crop mode."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    mode = draw(st.sampled_from(["pad", "crop"]))
+    dtype = draw(st.sampled_from([np.uint8, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (height, width, draw(st.sampled_from([1, 3])))
+    data = rng.integers(0, 256, size=shape, dtype=np.uint8) if dtype == np.uint8 else rng.random(shape, dtype=np.float32)
+    depth = rng.uniform(0.5, 20.0, size=(height, width))
+    depth[rng.random((height, width)) < 0.2] = np.nan
+    if mode == "pad":
+        sx, sy = draw(_floats(0.2, 5)), draw(_floats(0.2, 5))
+        t = PixelTransform(sx, sy, draw(_floats(-20, 20)), draw(_floats(-20, 20)),
+                           draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    else:
+        sx, sy = draw(_floats(1.0 / width, 5)), draw(_floats(1.0 / height, 5))
+        out_w = draw(st.integers(1, max(1, math.floor(sx * width))))
+        out_h = draw(st.integers(1, max(1, math.floor(sy * height))))
+        t = PixelTransform(sx, sy, draw(_floats(0, max(0.0, sx * width - out_w))),
+                           draw(_floats(0, max(0.0, sy * height - out_h))), out_w, out_h)
+    return RasterImage(data), DepthMap.from_array(depth), t, mode
+
+
+@SETTINGS
+@given(resample_cases())
+def test_resample_matches_per_pixel_oracle(case):
+    image, _, t, mode = case
+    out = resample(image, t, mode).data
+    expected = bilinear_oracle(image.data, t, mode)
+    assert out.dtype == image.data.dtype
+    if out.dtype == np.uint8:
+        rounded = np.clip(np.rint(expected), 0, 255)
+        assert np.max(np.abs(out.astype(np.float64) - rounded)) <= 1
+    else:
+        np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-7)
+    if mode == "pad":
+        # both taps of a column (row) outside the source: nothing to blend but the pad value
+        x = (np.arange(t.out_width) + 0.5 + t.du) / t.sx - 0.5
+        y = (np.arange(t.out_height) + 0.5 + t.dv) / t.sy - 0.5
+        assert not out[:, (np.floor(x) + 1 < 0) | (np.floor(x) >= image.width)].any()
+        assert not out[(np.floor(y) + 1 < 0) | (np.floor(y) >= image.height)].any()
+
+
+@SETTINGS
+@given(resample_cases())
+def test_resample_depth_matches_per_pixel_oracle(case):
+    _, depth, t, _ = case
+    out = resample_depth(depth, t)
+    values, valid = nearest_depth_oracle(depth.values, depth.valid, t)
+    np.testing.assert_array_equal(out.valid, valid)
+    np.testing.assert_array_equal(out.values, values)  # NaN where invalid, on both sides
 
 
 _ANGLE = _floats(-math.pi, math.pi)
