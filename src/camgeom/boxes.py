@@ -10,7 +10,11 @@ The intersection of two boxes is computed exactly (up to float rounding):
 one box's face polygons are clipped against the other's six half-spaces
 (Sutherland-Hodgman per face, plus a cap polygon where each plane cuts),
 and the volume of the clipped polytope follows from the divergence theorem
-as a signed tetrahedron sum over its outward-wound faces.
+as a signed tetrahedron sum over its outward-wound faces.  This is the
+clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al., 2020)
+and the Objectron IoU (Ahmadyan et al., CVPR 2021).  Each box computes its
+rotation, corners, bounding box and face planes once per rotation order and
+keeps them; the clip itself runs on plain floats.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ class OrientedBox3:
             raise DegenerateBox("center and size must have 3 components each")
         if not all(math.isfinite(v) for v in center + size + angles):
             raise DegenerateBox(f"box parameters must be finite: {center + size + angles}")
-        if any(s <= 0 for s in size):
-            raise DegenerateBox(f"box sizes must be > 0, got {size}")
+        if any(s <= 0 for s in size) or not 0.0 < size[0] * size[1] * size[2] < math.inf:
+            raise DegenerateBox(f"box sizes must be > 0 with a finite, non-zero volume, got {size}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "yaw", angles[0])
@@ -123,64 +127,78 @@ def box_face_polygons(box: OrientedBox3, order: str = "zyx") -> list[np.ndarray]
     return list(box_corners(box, order)[_FACES])
 
 
-def polytope_volume(faces: list[np.ndarray]) -> float:
-    """Volume of a closed polytope from outward-wound face polygons.
+def polytope_volume(faces: Sequence[Sequence]) -> float:
+    """Volume of a closed polytope from outward-wound faces, each a sequence of 3-vectors.
 
     Divergence-theorem form: one sixth of the summed scalar triple products
     over a triangle fan of every face.
     """
     total = 0.0
-    for poly in faces:
-        v0 = poly[0]
-        for i in range(1, len(poly) - 1):
-            total += float(np.dot(v0, np.cross(poly[i], poly[i + 1])))
-    return total / 6.0
+    for (x0, y0, z0), *rest in faces:
+        for (x1, y1, z1), (x2, y2, z2) in zip(rest, rest[1:]):
+            total += x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2) + z0 * (x1 * y2 - y1 * x2)
+    return float(total) / 6.0
 
 
-def _clip_faces(
-    faces: list[np.ndarray], normal: np.ndarray, offset: float, eps: float
-) -> list[np.ndarray]:
-    """Clip a face-polygon polytope against the half-space normal . x <= offset.
+def _geometry(box: OrientedBox3, order: str) -> tuple:
+    """Face polygons, AABB low and high corner, max |coordinate| and face planes
+    (normal, offset, e1, e2) of ``box``, on floats: normal . x <= offset inside,
+    (e1, e2, normal) right-handed.  Kept on the box, outside its fields.
+    """
+    cache = box.__dict__.setdefault("_geometry", {})
+    if order not in cache:
+        rot = box.rotation(order)
+        corners = _corners(box, rot)
+        points = [tuple(c) for c in corners.tolist()]
+        axes = rot.T.tolist()
+        planes = []
+        for k in range(3):
+            e1, e2 = axes[(k + 1) % 3], axes[(k + 2) % 3]  # axes k+1, k+2, k are right-handed
+            for normal, basis in ((rot[:, k], (e1, e2)), (-rot[:, k], (e2, e1))):
+                planes.append((normal.tolist(), float(normal @ box.center + box.size[k] / 2.0), *basis))
+        cache[order] = ([[points[i] for i in face] for face in _FACES], corners.min(axis=0).tolist(),
+                        corners.max(axis=0).tolist(), float(np.abs(corners).max()), planes)
+    return cache[order]
+
+
+def _clip_faces(faces: list[list[tuple]], plane: tuple, eps: float) -> list[list[tuple]]:
+    """Clip a face-polygon polytope against one of :func:`_geometry`'s planes.
 
     Keeps the inside parts of every face and closes the cut with a cap
-    polygon (wound so its outward normal is ``normal``).
+    polygon (wound so its outward normal is the plane's normal).
     """
-    kept: list[np.ndarray] = []
-    crossings: list[np.ndarray] = []
+    (nx, ny, nz), offset, (ax, ay, az), (bx, by, bz) = plane
+    kept: list[list[tuple]] = []
+    crossings: list[tuple] = []
     for poly in faces:
-        dist = poly @ normal - offset
-        inside = dist <= eps
-        if np.all(inside):
+        dist = [nx * x + ny * y + nz * z - offset for x, y, z in poly]
+        inside = [d <= eps for d in dist]
+        if all(inside):
             kept.append(poly)
             continue
-        if not np.any(inside):
+        if not any(inside):
             continue
-        out: list[np.ndarray] = []
+        out: list[tuple] = []
         m = len(poly)
         for i in range(m):
             j = (i + 1) % m
             if inside[i]:
                 out.append(poly[i])
             if inside[i] != inside[j]:
-                t = dist[i] / (dist[i] - dist[j])
-                t = min(max(t, 0.0), 1.0)
-                p = poly[i] + t * (poly[j] - poly[i])
+                t = min(max(dist[i] / (dist[i] - dist[j]), 0.0), 1.0)
+                p = tuple(u + t * (v - u) for u, v in zip(poly[i], poly[j]))
                 out.append(p)
                 crossings.append(p)
         if len(out) >= 3:
-            kept.append(np.asarray(out))
+            kept.append(out)
     if len(crossings) >= 3:
-        pts = np.asarray(crossings)
-        centroid = pts.mean(axis=0)
-        # in-plane right-handed basis (e1, e2, normal): ascending angle = CCW
-        # seen from +normal, giving the cap an outward winding
-        helper = np.eye(3)[int(np.argmin(np.abs(normal)))]
-        e1 = np.cross(normal, helper)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        rel = pts - centroid
-        ang = np.arctan2(rel @ e2, rel @ e1)
-        kept.append(pts[np.argsort(ang)])
+        # ascending angle about the centroid in the (e1, e2) plane = CCW seen
+        # from +normal, giving the cap an outward winding
+        uv = [(ax * x + ay * y + az * z, bx * x + by * y + bz * z) for x, y, z in crossings]
+        cu = sum(u for u, _ in uv) / len(uv)
+        cv = sum(v for _, v in uv) / len(uv)
+        angles = [math.atan2(v - cv, u - cu) for u, v in uv]
+        kept.append([p for _, p in sorted(zip(angles, crossings))])
     return kept
 
 
@@ -211,24 +229,15 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
     differ; it stays callable directly so tests can pit the clipper against
     closed forms on inputs the fast path would otherwise intercept.
     """
-    corners_a = box_corners(a, order)
-    rot_b = b.rotation(order)
-    corners_b = _corners(b, rot_b)
-    if np.any(corners_a.max(axis=0) <= corners_b.min(axis=0)) or np.any(
-        corners_b.max(axis=0) <= corners_a.min(axis=0)
-    ):
+    faces, lo_a, hi_a, reach_a, _ = _geometry(a, order)
+    _, lo_b, hi_b, reach_b, planes_b = _geometry(b, order)
+    if any(h <= lo for h, lo in zip(hi_a, lo_b)) or any(h <= lo for h, lo in zip(hi_b, lo_a)):
         return 0.0
-    scale = max(1.0, float(np.max(np.abs(corners_a))), float(np.max(np.abs(corners_b))))
-    eps = 1e-9 * scale
-    faces = list(corners_a[_FACES])
-    center_b = np.asarray(b.center, dtype=np.float64)
-    half_b = np.asarray(b.size, dtype=np.float64) / 2.0
-    for axis in range(3):
-        for sign in (1.0, -1.0):  # b's face planes, as half-spaces normal . x <= offset
-            normal = sign * rot_b[:, axis]
-            faces = _clip_faces(faces, normal, float(normal @ center_b + half_b[axis]), eps)
-            if not faces:
-                return 0.0
+    eps = 1e-9 * max(1.0, reach_a, reach_b)
+    for plane in planes_b:
+        faces = _clip_faces(faces, plane, eps)
+        if not faces:
+            return 0.0
     return max(polytope_volume(faces), 0.0)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -444,6 +445,7 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing leaves no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="camgeom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -508,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
     except (CamGeomError, json.JSONDecodeError) as exc:

@@ -1,5 +1,6 @@
 """Oriented box geometry and IoU, checked against closed forms and Monte Carlo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,12 @@ class TestBoxBasics:
             OrientedBox3((0, 0, math.nan), (1, 1, 1), 0, 0, 0)
         with pytest.raises(DegenerateBox):
             OrientedBox3.from_list([0, 0, 0, 1, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("size", [1e-120, 1e120])
+    def test_volume_must_be_finite_and_positive(self, size):
+        # each size is valid alone; the volume underflows to 0 or overflows to inf
+        with pytest.raises(DegenerateBox):
+            OrientedBox3((0, 0, 0), (size, size, size), 0, 0, 0)
 
     def test_unit_cube_corners(self):
         box = OrientedBox3((0, 0, 0), (1, 1, 1), 0, 0, 0)
@@ -167,6 +174,28 @@ class TestIoU3d:
             assert intersection_volume(a, b) == pytest.approx(intersection_volume(b, a), abs=1e-9)
 
 
+class TestGeometryKeptOnTheBox:
+    def test_each_rotation_order_gets_its_own_geometry(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a, b = random_box(rng, center_span=0.5), random_box(rng, center_span=0.5)
+            for first, second in (("zyx", "xyz"), ("xyz", "zyx")):
+                used = [dataclasses.replace(box) for box in (a, b)]
+                iou3d(*used, order=first)
+                fresh = [dataclasses.replace(box) for box in (a, b)]
+                assert iou3d(*used, order=second) == iou3d(*fresh, order=second)
+
+    def test_used_box_keeps_its_dataclass_behaviour(self):
+        rng = np.random.default_rng(37)
+        a, b = random_box(rng, center_span=0.5), random_box(rng, center_span=0.5)
+        fresh = dataclasses.replace(a)
+        iou3d(a, b)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        moved = dataclasses.replace(a, center=(0.2, -0.1, 0.3), yaw=0.4)
+        assert moved != a
+        assert iou3d(moved, b) == iou3d(OrientedBox3((0.2, -0.1, 0.3), a.size, 0.4, a.pitch, a.roll), b)
+
+
 class TestAabbIoU:
     def test_ignores_rotation_by_design(self):
         a = OrientedBox3((0, 0, 0), (2, 1, 1), math.pi / 2, 0, 0)
@@ -178,3 +207,63 @@ class TestAabbIoU:
         a = OrientedBox3((0, 0, 0), (1, 1, 1), 0, 0, 0)
         b = OrientedBox3((5, 5, 5), (1, 1, 1), 0, 0, 0)
         assert aabb_iou(a, b) == 0.0
+
+
+def _pinned_pairs() -> list[tuple[OrientedBox3, OrientedBox3]]:
+    """64 seeded pairs: 16 overlapping, 12 AABB-disjoint, 12 nested,
+    12 near-coincident and 12 at eval's 10-60 m range (true positives and
+    near misses)."""
+    rng = np.random.default_rng(29)
+    pairs = [(random_box(rng, center_span=0.5), random_box(rng, center_span=0.5)) for _ in range(16)]
+    for _ in range(12):
+        a, b = random_box(rng), random_box(rng)
+        pairs.append((a, dataclasses.replace(b, center=np.add(b.center, (12.0, 0.0, 0.0)))))
+    for _ in range(12):
+        outer = random_box(rng, size_range=(2.0, 3.0))
+        inner = random_box(rng, size_range=(0.2, 0.5))
+        pairs.append((outer, dataclasses.replace(inner, center=np.add(outer.center, rng.uniform(-0.1, 0.1, 3)))))
+    for _ in range(12):
+        a = random_box(rng)
+        pairs.append((a, OrientedBox3(
+            np.add(a.center, rng.uniform(-1e-3, 1e-3, 3)), np.multiply(a.size, rng.uniform(0.999, 1.001, 3)),
+            *np.add((a.yaw, a.pitch, a.roll), rng.uniform(-1e-3, 1e-3, 3)),
+        )))
+    for k in range(12):
+        center = (rng.uniform(-25, 25), rng.uniform(-1, 1), rng.uniform(10, 60))
+        truth = OrientedBox3(center, rng.uniform(0.6, 2.5, 3), rng.uniform(-math.pi, math.pi),
+                             *rng.uniform(-0.2, 0.2, 2))
+        shift = (0.75 * truth.size[0], 0.0, 0.0) if k % 2 else np.multiply(truth.size, rng.uniform(-0.03, 0.03, 3))
+        pairs.append((truth, OrientedBox3(
+            np.add(center, shift), np.multiply(truth.size, rng.uniform(0.95, 1.05, 3)),
+            *np.add((truth.yaw, truth.pitch, truth.roll), rng.uniform(-0.03, 0.03, 3)),
+        )))
+    return pairs
+
+
+# iou3d of each _pinned_pairs() pair, as computed before the clipper ran on plain floats
+PINNED_IOU = [
+    0.01954726521585923, 0.08070800345835602, 0.03616480950449535, 0.08400799542339543,
+    0.2246069710251274, 0.08802974739809745, 0.1139056318243126, 0.07255159536373658,
+    0.08343332192701719, 0.1568108057743226, 0.326501940717581, 0.10229149381480601,
+    0.4117878276414817, 0.17903335675161777, 0.040840873047589356, 0.13757077316896232,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.002316104795864545, 0.0018912940665452786, 0.0013035448436614853, 0.002460318744124186,
+    0.0031500570009503942, 0.004907423675676697, 0.0024867573151822675, 0.002030055671380034,
+    0.0036546449385671713, 0.006473482299700674, 0.0023108114452887996, 0.0016581149635599944,
+    0.9977077727745453, 0.9970583491455821, 0.9972131941341681, 0.9931775037925946,
+    0.9947553207189285, 0.9956532552112392, 0.9967052442895384, 0.9975124605372774,
+    0.996385850521637, 0.9977624411750194, 0.997433676908451, 0.9939408274641753,
+    0.8834931782288172, 0.13547920109546188, 0.891876857804409, 0.0,
+    0.8995292788632758, 0.0, 0.8556669946439461, 0.09369855963277737,
+    0.8768440994829025, 0.0, 0.9057762813984197, 0.002865036827269051,
+]
+
+
+class TestPinnedIoU:
+    def test_matches_pinned_values(self):
+        got = [iou3d(a, b) for a, b in _pinned_pairs()]
+        off = [(k, value, pinned) for k, (value, pinned) in enumerate(zip(got, PINNED_IOU))
+               if abs(value - pinned) > 1e-11]
+        assert len(got) == len(PINNED_IOU) == 64 and not off, off

@@ -260,6 +260,19 @@ class TestEvalCommand:
                      "--truths", str(tmp_path / "gt.json"), "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("size", ["1e-120", "1e120"])
+    def test_box_without_a_finite_volume_is_skipped(self, tmp_path, capsys, size):
+        # a volume of 0 divided IoU by zero, one of inf gave NaN and never matched
+        boxes = GT[:-1] + f', {{"label": "cup", "bbox_3d": [3, 0, 2, {size}, {size}, {size}, 0, 0, 0]}}]'
+        (tmp_path / "gt.json").write_text(boxes)
+        out = tmp_path / "eval"
+        assert main(["eval", "--preds", str(tmp_path / "gt.json"),
+                     "--truths", str(tmp_path / "gt.json"), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["per_class"]) == ["chair"]
+        assert (report["micro"]["n_pred"], report["micro"]["n_truth"], report["micro"]["matched"]) == (1, 1, 1)
+
     def test_unparsable_predictions_exit_2(self, tmp_path):
         (tmp_path / "preds.txt").write_text("no boxes here, sorry")
         (tmp_path / "gt.json").write_text(GT)
@@ -388,6 +401,23 @@ class TestConfigResolution:
                 expected[key] = value
         text = (workspace / "run" / "config.resolved.json").read_text()
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_no_flag_leaks_into_the_next_call(self, workspace):
+        # the parser is built once per process and reused by every main() call
+        (workspace / "gt.json").write_text(GT)
+        ws = str(workspace)
+        eval_argv = ["eval", "--preds", f"{ws}/gt.json", "--truths", f"{ws}/gt.json"]
+        assert main(eval_argv + ["--out", f"{ws}/v1", "--iou", "0.5", "--axis-aligned",
+                                 "--rotation-order", "xyz", "--seed", "3"]) == 0
+        assert main(["ambiguity", "--out", f"{ws}/a1", "--n-scenes", "4", "--factors", "0.5,2",
+                     "--estimator", "aware", "--prior-spread", "0.1", "--seed", "5"]) == 0
+        assert main(eval_argv + ["--out", f"{ws}/v2"]) == 0
+        assert main(["ambiguity", "--out", f"{ws}/a2", "--n-scenes", "3"]) == 0
+        expected = json.loads(json.dumps(PINNED_DEFAULTS))
+        assert (workspace / "v2" / "config.resolved.json").read_text() == _json_text(expected)
+        expected["ambiguity"]["n_scenes"] = 3
+        assert (workspace / "a2" / "config.resolved.json").read_text() == _json_text(expected)
+        assert cli.build_parser() is cli.build_parser()
 
     def test_float_flag_over_a_file_int(self, workspace):
         (workspace / "conf.json").write_text(json.dumps({"embed": {"patch": 16}}))

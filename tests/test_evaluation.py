@@ -61,6 +61,16 @@ class TestParse:
         out = parse_detections('[{"label": "  Trash Can ", "bbox_3d": [0,0,0,1,1,1,0,0,0]}]')
         assert out[0].label == "trash can"
 
+    @pytest.mark.parametrize("size", ["1e-120", "1e120"])
+    def test_boxes_without_a_finite_volume_skipped(self, size, caplog):
+        text = (
+            f'[{{"label": "a", "bbox_3d": [0,0,0,{size},{size},{size},0,0,0]}},'
+            ' {"label": "b", "bbox_3d": [0,0,0,1,1,1,0,0,0]}]'
+        )
+        with caplog.at_level(logging.WARNING, logger="camgeom.evaluation"):
+            assert [d.label for d in parse_detections(text)] == ["b"]
+        assert any("degenerate" in record.message for record in caplog.records)
+
     def test_no_json_raises(self):
         with pytest.raises(NoParsableJson):
             parse_detections("I could not find any objects in the scene.")

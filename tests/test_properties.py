@@ -1,7 +1,7 @@
 """Property tests: the pinhole core (unprojection, the resize rule, ray
 preservation), resampling against per-pixel oracles, oriented-box IoU
-(symmetry, rigid invariance) and the input parsers (every input parses or
-raises CamGeomError, nothing else).
+(symmetry, rigid invariance, the clipper against the closed form) and the
+input parsers (every input parses or raises CamGeomError, nothing else).
 
 Derandomized with no example database, so every run draws the same cases;
 ``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camgeom.augment import RasterImage, resample, resample_depth
-from camgeom.boxes import OrientedBox3, iou3d
+from camgeom.boxes import OrientedBox3, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.depthmap import DepthMap
 from camgeom.errors import CamGeomError
@@ -169,6 +169,16 @@ def test_iou_invariant_under_common_yaw(pair, theta):
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     turned = [_moved(box, rz @ np.asarray(box.center), theta) for box in pair]
     assert abs(iou3d(*turned) - iou3d(*pair)) <= 1e-9
+
+
+@SETTINGS
+@given(box_pairs())
+def test_clipper_matches_closed_form_for_equal_attitudes(pair):
+    # intersection_volume takes the closed form here; the clipper must agree with it
+    a, b = pair
+    b = OrientedBox3(b.center, b.size, a.yaw, a.pitch, a.roll)
+    scale = max(1.0, a.volume(), b.volume())
+    assert abs(clipped_intersection_volume(a, b) - intersection_volume(a, b)) <= 1e-9 * scale
 
 
 @SETTINGS
