@@ -30,6 +30,7 @@ from .camera import Intrinsics
 from .depthmap import DepthMap
 from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch
 from .evaluation import Detection
+from .rays import _frozen_copy
 from .transforms import PixelTransform, apply_transform
 
 __all__ = [
@@ -61,9 +62,7 @@ class RasterImage:
             raise ValueError(f"raster must be H x W x (1|3), got shape {data.shape}")
         if data.dtype not in (np.uint8, np.float32):
             raise ValueError(f"raster dtype must be uint8 or float32, got {data.dtype}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen_copy(data))
 
     @property
     def height(self) -> int:
@@ -202,7 +201,7 @@ def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     inside_j = (jj >= 0) & (jj < depth.width)
     sel = np.ix_(np.clip(ii, 0, depth.height - 1), np.clip(jj, 0, depth.width - 1))
     valid = inside_i[:, None] & inside_j[None, :] & depth.valid[sel]
-    return DepthMap(np.where(valid, depth.values[sel], np.nan), valid)
+    return DepthMap(depth.values[sel], valid)
 
 
 def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Generator) -> PixelTransform:

@@ -241,12 +241,18 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
     return max(polytope_volume(faces), 0.0)
 
 
+def _iou(vi: float, va: float, vb: float) -> float:
+    """vi / (va + vb - vi); when va + vb overflows, all three are halved first, which is exact."""
+    if va + vb == math.inf:
+        vi, va, vb = vi / 2, va / 2, vb / 2
+    return vi / (va + vb - vi)
+
+
 def iou3d(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
     """Intersection-over-union of two oriented cuboids, in [0, 1]."""
     va = a.volume()
     vb = b.volume()
-    vi = min(intersection_volume(a, b, order), va, vb)
-    return vi / (va + vb - vi)
+    return _iou(min(intersection_volume(a, b, order), va, vb), va, vb)
 
 
 def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
@@ -259,5 +265,4 @@ def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
     cb = np.asarray(b.center)
     ha = np.asarray(a.size) / 2.0
     hb = np.asarray(b.size) / 2.0
-    vi = _aligned_overlap(ca - ha, ca + ha, cb - hb, cb + hb)
-    return vi / (a.volume() + b.volume() - vi)
+    return _iou(_aligned_overlap(ca - ha, ca + ha, cb - hb, cb + hb), a.volume(), b.volume())

@@ -36,6 +36,7 @@ from .depthmap import token_point_grid, embed_points, unproject
 from .errors import CamGeomError
 from .evaluation import match_and_score, parse_detections
 from .fileio import (
+    _read_text,
     load_intrinsics,
     read_cgem,
     read_depth,
@@ -105,7 +106,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     the file's values (a float flag where the file gave an int), so they are set in place.
     """
     path = os.environ.get("CAMGEOM_CONFIG") if args.config is None else args.config
-    file_config = json.loads(Path(path).read_text()) if path else {}
+    file_config = json.loads(_read_text(path)) if path else {}
     if not isinstance(file_config, dict):
         raise CamGeomError(f"{path}: config must be a JSON object")
     config = _merge(DEFAULTS, file_config, f"{path}: ")
@@ -166,7 +167,7 @@ def _load_raster(path: Path) -> RasterImage:
 
 def _load_manifest(path: Path) -> list[dict]:
     entries = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -347,11 +348,11 @@ def cmd_unproject(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    preds = parse_detections(Path(args.preds).read_text())
-    truths = parse_detections(Path(args.truths).read_text())
+    preds = parse_detections(_read_text(args.preds))
+    truths = parse_detections(_read_text(args.truths))
     classes = None
     if args.classes:
-        classes = [line.strip() for line in Path(args.classes).read_text().splitlines() if line.strip()]
+        classes = [line.strip() for line in _read_text(args.classes).splitlines() if line.strip()]
     report = match_and_score(
         preds,
         truths,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import Intrinsics, unproject_array
 from .errors import BadDimension, ExtentMismatch, NonPositiveInput
-from .rays import EmbeddingGrid, TokenGridSpec, sinusoid_features, token_centers
+from .rays import EmbeddingGrid, TokenGridSpec, _check_grid_extent, _frozen_copy, sinusoid_features, token_centers
 
 __all__ = [
     "DepthMap",
@@ -44,21 +44,20 @@ GEO_CHANNEL_LAYOUT = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
-    """height x width metric depths with a validity mask."""
+    """height x width metric depths, finite and > 0 where ``valid``; an invalid pixel holds NaN."""
 
     values: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        valid = np.asarray(self.valid, dtype=bool).copy()
+        values = np.asarray(self.values, dtype=np.float64)
+        valid = _frozen_copy(self.valid, bool)
         if values.ndim != 2 or valid.shape != values.shape:
             raise ValueError(f"values/valid must share a 2-D shape, got {values.shape} and {valid.shape}")
-        picked = values[valid]
-        if picked.size and (not np.all(np.isfinite(picked)) or np.any(picked <= 0)):
+        if np.any(valid & ~((values > 0) & (values < np.inf))):
             raise ValueError("valid depths must be finite and > 0")
+        values = np.where(valid, values, np.nan)  # the map's one copy, C-order like valid
         values.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)
 
@@ -86,12 +85,10 @@ class PointGrid:
     valid: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64).copy()
-        valid = np.asarray(self.valid, dtype=bool).copy()
+        points = _frozen_copy(self.points, np.float64)
+        valid = _frozen_copy(self.valid, bool)
         if points.ndim != 3 or points.shape[2] != 3 or valid.shape != points.shape[:2]:
             raise ValueError(f"points must be rows x cols x 3 with matching mask, got {points.shape}")
-        points.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "valid", valid)
 
@@ -112,8 +109,7 @@ def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     _check_extent(depth, k)
     u = np.arange(depth.width, dtype=np.float64) + 0.5
     v = np.arange(depth.height, dtype=np.float64) + 0.5
-    z = np.where(depth.valid, depth.values, np.nan)
-    return unproject_array(u[None, :], v[:, None], z, k), depth.valid.copy()
+    return unproject_array(u[None, :], v[:, None], depth.values, k), depth.valid.copy()
 
 
 def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> PointGrid:
@@ -121,16 +117,16 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
 
     Each token takes the depth of the pixel containing its patch center
     (nearest sample) and unprojects it along the token-center ray, so the
-    point reprojects exactly onto the token center.
+    point reprojects exactly onto the token center.  Raises GridExceedsImage
+    for a grid that :func:`~camgeom.rays.ray_grid` would reject.
     """
     _check_extent(depth, k)
+    _check_grid_extent(k, grid)
     u_c, v_c = token_centers(grid)
     cols = np.clip(np.floor(u_c).astype(int), 0, depth.width - 1)
     rows = np.clip(np.floor(v_c).astype(int), 0, depth.height - 1)
-    z = depth.values[np.ix_(rows, cols)]
-    valid = depth.valid[np.ix_(rows, cols)]
-    z = np.where(valid, z, np.nan)
-    return PointGrid(unproject_array(u_c[None, :], v_c[:, None], z, k), valid)
+    sel = np.ix_(rows, cols)
+    return PointGrid(unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
 
 
 def embed_points(

@@ -71,6 +71,14 @@ def read_cgem(path: str | Path) -> np.ndarray:
         raise MalformedFile(f"{path}: shape {rows}x{cols}x{dim} is too large") from None
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 raise MalformedFile naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
@@ -85,13 +93,15 @@ def write_sidecar(path: str | Path, meta: dict[str, Any]) -> None:
 
 
 def read_sidecar(path: str | Path) -> dict[str, Any]:
-    return json.loads(sidecar_path(path).read_text())
+    meta = json.loads(_read_text(sidecar_path(path)))
+    if not isinstance(meta, dict):
+        raise MalformedFile(f"{sidecar_path(path)}: a sidecar must be a JSON object")
+    return meta
 
 
 def write_depth(path: str | Path, depth: DepthMap, k: Intrinsics | None = None) -> None:
     """Depth map as CGEM dim=1 (NaN = invalid) with intrinsics in the sidecar."""
-    values = np.where(depth.valid, depth.values, np.nan)
-    write_cgem(path, values.astype(np.float32))
+    write_cgem(path, depth.values)
     meta: dict[str, Any] = {"kind": "depth", "invalid": "nan", "units": "meters"}
     if k is not None:
         meta["intrinsics"] = k.to_dict()
@@ -103,7 +113,7 @@ def read_depth(path: str | Path) -> tuple[DepthMap, Intrinsics | None]:
     data = read_cgem(path)
     if data.shape[2] != 1:
         raise MalformedFile(f"{path}: depth tensors must have dim = 1, got {data.shape[2]}")
-    depth = DepthMap.from_array(data[:, :, 0].astype(np.float64))
+    depth = DepthMap.from_array(data[:, :, 0])
     k = None
     if sidecar_path(path).exists():
         meta = read_sidecar(path)
@@ -155,7 +165,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 
 def load_intrinsics(path: str | Path) -> Intrinsics:
-    return Intrinsics.from_json(Path(path).read_text(), where=str(path))
+    return Intrinsics.from_json(_read_text(path), where=str(path))
 
 
 def save_intrinsics(path: str | Path, k: Intrinsics) -> None:

@@ -61,6 +61,13 @@ class TokenGridSpec:
         return cls(math.ceil(k.height / patch), math.ceil(k.width / patch), patch)
 
 
+def _frozen_copy(array, dtype=None) -> np.ndarray:
+    """A read-only, C-order copy of ``array``: the buffer a value type holds in place of its argument."""
+    out = np.array(array, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def _check_patch(patch: float) -> float:
     value = float(patch)
     if not math.isfinite(value) or value < 1:
@@ -76,14 +83,11 @@ class RayGrid:
     ry: np.ndarray
 
     def __post_init__(self):
-        rx = np.asarray(self.rx, dtype=np.float64).copy()
-        ry = np.asarray(self.ry, dtype=np.float64).copy()
+        rx, ry = _frozen_copy(self.rx, np.float64), _frozen_copy(self.ry, np.float64)
         if rx.shape != ry.shape or rx.ndim != 2:
             raise ValueError(f"rx/ry must share a 2-D shape, got {rx.shape} and {ry.shape}")
         if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))):
             raise ValueError("ray grid contains non-finite values")
-        rx.setflags(write=False)
-        ry.setflags(write=False)
         object.__setattr__(self, "rx", rx)
         object.__setattr__(self, "ry", ry)
 
@@ -107,10 +111,9 @@ class EmbeddingGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64).copy()
+        data = _frozen_copy(self.data, np.float64)
         if data.ndim != 3 or data.shape[2] != self.dim:
             raise ValueError(f"embedding data must be rows x cols x {self.dim}, got {data.shape}")
-        data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
 
@@ -131,13 +134,18 @@ def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarr
     return u, v
 
 
-def ray_grid(k: Intrinsics, grid: TokenGridSpec, origin: str = "center") -> RayGrid:
-    """Normalized ray components for every token of the grid."""
+def _check_grid_extent(k: Intrinsics, grid: TokenGridSpec) -> None:
+    """A token grid may reach past the image by at most one patch on each axis."""
     if grid.rows * grid.patch > k.height + grid.patch or grid.cols * grid.patch > k.width + grid.patch:
         raise GridExceedsImage(
             f"grid {grid.rows}x{grid.cols} with patch {grid.patch} exceeds "
             f"image extent {k.width}x{k.height} by more than one patch"
         )
+
+
+def ray_grid(k: Intrinsics, grid: TokenGridSpec, origin: str = "center") -> RayGrid:
+    """Normalized ray components for every token of the grid."""
+    _check_grid_extent(k, grid)
     u, v = token_centers(grid, origin=origin)
     rx, ry = ray_components(u[None, :], v[:, None], k)
     return RayGrid(np.broadcast_to(rx, (grid.rows, grid.cols)), np.broadcast_to(ry, (grid.rows, grid.cols)))

@@ -197,6 +197,13 @@ class TestGeometryKeptOnTheBox:
 
 
 class TestAabbIoU:
+    def test_volumes_whose_sum_overflows(self):
+        # each volume is 1e308, so va + vb is inf; the union must not be
+        box = OrientedBox3((0, 0, 0), (1e154, 1e154, 1), 0, 0, 0)
+        half = dataclasses.replace(box, center=(5e153, 0, 0))
+        assert iou3d(box, box) == aabb_iou(box, box) == 1.0
+        assert iou3d(box, half) == aabb_iou(box, half) == pytest.approx(1 / 3, rel=1e-15)
+
     def test_ignores_rotation_by_design(self):
         a = OrientedBox3((0, 0, 0), (2, 1, 1), math.pi / 2, 0, 0)
         b = OrientedBox3((0, 0, 0), (2, 1, 1), 0, 0, 0)

@@ -32,6 +32,8 @@ def workspace(tmp_path):
 
 
 GT = '[{"label": "chair", "bbox_3d": [0, 0, 2, 1, 1, 1, 0, 0, 0]}]'
+# sidecars that are JSON but not an object
+BAD_SIDECARS = {"null": "null", "number": "5", "string": '"intrinsics"', "list": "[1]"}
 
 
 class TestVersion:
@@ -116,6 +118,20 @@ class TestAugmentCommand:
         assert lines["gap"] == lines["clean"][1:]
         for name in ("img1.ppm", "img1.intrinsics.json", "img3.ppm", "img3.intrinsics.json"):
             assert (runs["gap"] / name).read_bytes() == (runs["clean"] / name).read_bytes()
+
+    @pytest.mark.parametrize("sidecar", sorted(BAD_SIDECARS.values()))
+    def test_depth_sidecar_that_is_not_an_object_is_a_load_failure(self, workspace, sidecar):
+        (workspace / "bad.cgem").write_bytes((workspace / "depth.cgem").read_bytes())
+        sidecar_path(workspace / "bad.cgem").write_text(sidecar)
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+        entries[1]["depth"] = "bad.cgem"
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_ok"] == 2
+        assert [f[:2] for f in report["load_failures"]] == [[1, "img1"]]
+        assert report["load_failures"][0][2].startswith("MalformedFile: ")
 
     def test_depth_and_boxes_travel_through(self, workspace):
         (workspace / "boxes.json").write_text(GT)
@@ -272,6 +288,15 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         assert list(report["per_class"]) == ["chair"]
         assert (report["micro"]["n_pred"], report["micro"]["n_truth"], report["micro"]["matched"]) == (1, 1, 1)
+
+    @pytest.mark.parametrize("flags", [[], ["--axis-aligned"]])
+    def test_exact_prediction_of_a_box_at_the_volume_limit_matches(self, tmp_path, flags):
+        # volume 1e308: two of them overflow a float, which once made the IoU 0
+        (tmp_path / "gt.json").write_text(GT.replace("1, 1, 1,", "1e154, 1e154, 1,"))
+        out = tmp_path / "eval"
+        assert main(["eval", "--preds", str(tmp_path / "gt.json"), "--truths", str(tmp_path / "gt.json"),
+                     "--out", str(out), *flags]) == 0
+        assert json.loads((out / "report.json").read_text())["micro"]["matched"] == 1
 
     def test_unparsable_predictions_exit_2(self, tmp_path):
         (tmp_path / "preds.txt").write_text("no boxes here, sorry")
@@ -511,6 +536,29 @@ def _deeply_nested_transcript(ws):
     return ["eval", "--preds", str(ws / "deep.txt"), "--truths", str(ws / "gt.json"), "--out", str(ws / "o")]
 
 
+NOT_UTF8 = b"{\xff}"
+
+
+def _not_utf8(ws, name):
+    (ws / name).write_bytes(NOT_UTF8)
+    return str(ws / name)
+
+
+def _eval_not_utf8(ws, flag):
+    argv = ["eval", "--preds", str(ws / "gt.json"), "--truths", str(ws / "gt.json"), "--out", str(ws / "o")]
+    if flag == "--classes":
+        return argv + ["--classes", _not_utf8(ws, "classes.txt")]
+    argv[argv.index(flag) + 1] = _not_utf8(ws, "bad.json")
+    return argv
+
+
+def _depth_with_sidecar(ws, text):
+    """A copy of the workspace depth map whose sidecar is ``text``."""
+    (ws / "bad.cgem").write_bytes((ws / "depth.cgem").read_bytes())
+    sidecar_path(ws / "bad.cgem").write_text(text)
+    return str(ws / "bad.cgem")
+
+
 # argv reaching a validation error; True where the error is a CamGeomError
 VALIDATION_CASES = {
     "cgem-bad-magic": (_bad_magic, True),
@@ -548,6 +596,25 @@ VALIDATION_CASES = {
     "ambiguity-prior-spread-nan": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--prior-spread", "nan"], True),
     "ambiguity-prior-spread-negative": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
                                                     "--prior-spread", "-1"], True),
+    "embed-depth-grid-exceeds-image": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"),
+                                                   "--depth", str(ws / "depth.cgem"), "--out", str(ws / "e.cgem"),
+                                                   "--rows", "40", "--cols", "40", "--patch", "8"], True),
+    "embed-grid-exceeds-image": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
+                                             "--rows", "40", "--cols", "40", "--patch", "8"], True),
+    "config-not-utf8": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
+                                    "--config", _not_utf8(ws, "conf.json")], True),
+    "manifest-not-utf8": (lambda ws: ["augment", "--manifest", _not_utf8(ws, "m.jsonl"), "--out", str(ws / "o")], True),
+    "intrinsics-not-utf8": (lambda ws: ["embed", "--intrinsics", _not_utf8(ws, "bad_k.json"),
+                                        "--out", str(ws / "e.cgem")], True),
+    "eval-preds-not-utf8": (lambda ws: _eval_not_utf8(ws, "--preds"), True),
+    "eval-truths-not-utf8": (lambda ws: _eval_not_utf8(ws, "--truths"), True),
+    "eval-classes-not-utf8": (lambda ws: _eval_not_utf8(ws, "--classes"), True),
+    **{f"unproject-sidecar-{name}": (lambda ws, text=text: ["unproject", "--depth", _depth_with_sidecar(ws, text),
+                                                            "--out", str(ws / "p.cgem")], True)
+       for name, text in BAD_SIDECARS.items()},
+    **{f"embed-depth-sidecar-{name}": (lambda ws, text=text: [
+        "embed", "--intrinsics", str(ws / "k.json"), "--depth", _depth_with_sidecar(ws, text),
+        "--out", str(ws / "e.cgem")], True) for name, text in BAD_SIDECARS.items()},
 }
 
 

@@ -17,8 +17,8 @@ from camgeom import (
 from camgeom.augment import resample_depth
 from camgeom.camera import project_array
 from camgeom.depthmap import PointGrid
-from camgeom.errors import BadDimension, ExtentMismatch, NonPositiveInput
-from camgeom.rays import token_centers
+from camgeom.errors import BadDimension, ExtentMismatch, GridExceedsImage, NonPositiveInput
+from camgeom.rays import ray_grid, token_centers
 from camgeom.transforms import PixelTransform, apply_transform, scale
 
 
@@ -140,6 +140,15 @@ class TestTokenPointGrid:
         t = PixelTransform(1.0, 1.0, 16.0, 16.0, 48, 32)  # drop one token row/col
         pg = token_point_grid(resample_depth(depth, t), apply_transform(k, t), TokenGridSpec(2, 3, 16.0))
         np.testing.assert_allclose(pg.points, base.points[1:, 1:], atol=1e-9)
+
+    @pytest.mark.parametrize("rows, cols", [(8, 9), (7, 10), (40, 40)])
+    def test_grid_exceeding_image_rejected_like_ray_grid(self, rows, cols):
+        k = Intrinsics(500, 500, 32, 24, 64, 48)
+        depth = _constant_depth(k, 2.0)
+        token_point_grid(depth, k, TokenGridSpec(7, 9, 8))  # one patch beyond on each axis: fine
+        for build in (ray_grid, lambda k, grid: token_point_grid(depth, k, grid)):
+            with pytest.raises(GridExceedsImage):
+                build(k, TokenGridSpec(rows, cols, 8))
 
 
 class TestEmbedPoints:
