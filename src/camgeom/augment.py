@@ -22,7 +22,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -183,13 +183,17 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
     (iy0, wy0), (iy1, wy1) = _bilinear_taps(v_src, image.height, mode)
     (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode)
     src = image.data  # uint8 or float32 rows times float64 weights promote: no full-frame cast
-    rows = wy0[:, None, None] * src[iy0] + wy1[:, None, None] * src[iy1]
-    out = wx0[None, :, None] * rows[:, ix0] + wx1[None, :, None] * rows[:, ix1]
+    rows = wy0[:, None, None] * src[iy0]
+    rows += wy1[:, None, None] * src[iy1]
+    # products in place, and the row pass freed once gathered: at most three float64 frames live
+    out, right = rows[:, ix0], rows[:, ix1]
+    del rows
+    out *= wx0[None, :, None]
+    right *= wx1[None, :, None]
+    out += right
     if src.dtype == np.uint8:
-        out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    else:
-        out = out.astype(np.float32)
-    return RasterImage(out)
+        np.clip(np.rint(out, out=out), 0, 255, out=out)
+    return RasterImage(out.astype(src.dtype))
 
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
@@ -275,10 +279,16 @@ class BatchReport:
         return asdict(self)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise BelowMinimum(f"workers must be >= 1, got {workers}")
+
+
 def batch_augment(
     samples: Sequence[Sample | None],
     policy: AugmentationPolicy,
     workers: int = 1,
+    on_result: Callable[[AugmentedSample], None] | None = None,
 ) -> tuple[list[AugmentedSample | None], BatchReport]:
     """Augment a batch with per-sample isolation.
 
@@ -288,10 +298,17 @@ def batch_augment(
     continues.  A None entry (an input the caller could not load) yields
     None with no failure record, and every other sample keeps its index.
     A worker count below 1 raises BelowMinimum before any sample runs.
+
+    ``samples[index]`` is read on the pool thread that augments it, so a
+    sequence may load each sample there.  With ``on_result``, each result is
+    passed to it on that thread and not kept (its slot in the result list is
+    None); an exception it raises makes the sample a failure record.  A pool
+    thread then holds one sample at a time, from its load until
+    ``on_result`` returns.
     """
-    if workers < 1:
-        raise BelowMinimum(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     results: list[AugmentedSample | None] = [None] * len(samples)
+    transforms: list[dict | None] = [None] * len(samples)
     failures: list[tuple[int, str, str]] = []
 
     def run_one(index: int) -> None:
@@ -299,9 +316,15 @@ def batch_augment(
         if sample is None:
             return
         try:
-            results[index] = augment(sample, policy, policy.seed, index=index)
+            result = augment(sample, policy, policy.seed, index=index)
+            if on_result is None:
+                results[index] = result
+            else:
+                on_result(result)
         except Exception as exc:  # isolation contract: keep the batch alive
             failures.append((index, sample.id, f"{type(exc).__name__}: {exc}"))
+        else:
+            transforms[index] = result.transform.to_dict()
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -309,15 +332,14 @@ def batch_augment(
     elapsed = time.perf_counter() - start
 
     failures.sort()
-    transforms = tuple(r.transform.to_dict() if r is not None else None for r in results)
-    n_ok = sum(r is not None for r in results)
+    n_ok = sum(t is not None for t in transforms)
     n_samples = n_ok + len(failures)
     report = BatchReport(
         n_samples=n_samples,
         n_ok=n_ok,
         n_failed=len(failures),
         failures=tuple(failures),
-        transforms=transforms,
+        transforms=tuple(transforms),
         elapsed_s=elapsed,
         samples_per_s=n_samples / elapsed if elapsed > 0 else float("inf"),
     )

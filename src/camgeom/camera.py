@@ -108,7 +108,7 @@ class Intrinsics:
     def from_json(cls, text: str, where: str = "intrinsics") -> "Intrinsics":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise IntrinsicsError(f"{where}: invalid JSON ({exc})") from None
         return cls.from_mapping(obj, where=where)
 

@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,14 @@ from .ambiguity import (
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
-from .augment import AugmentationPolicy, RasterImage, Sample, batch_augment
+from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, batch_augment
 from .camera import Intrinsics
 from .depthmap import token_point_grid, embed_points, unproject
 from .errors import CamGeomError
 from .evaluation import match_and_score, parse_detections
 from .fileio import (
+    _open_atomic,
+    _read_json,
     _read_text,
     load_intrinsics,
     read_cgem,
@@ -106,7 +109,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     the file's values (a float flag where the file gave an int), so they are set in place.
     """
     path = os.environ.get("CAMGEOM_CONFIG") if args.config is None else args.config
-    file_config = json.loads(_read_text(path)) if path else {}
+    file_config = _read_json(path) if path else {}
     if not isinstance(file_config, dict):
         raise CamGeomError(f"{path}: config must be a JSON object")
     config = _merge(DEFAULTS, file_config, f"{path}: ")
@@ -127,7 +130,7 @@ def _echo_config(out_dir: Path, config: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_atomic(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -173,7 +176,7 @@ def _load_manifest(path: Path) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise CamGeomError(f"{path}:{line_no}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict) or "image" not in obj or "intrinsics" not in obj or "id" not in obj:
             raise CamGeomError(f"{path}:{line_no}: manifest entries need id, image and intrinsics")
@@ -199,29 +202,41 @@ def _check_paths(entry: dict) -> None:
             raise CamGeomError(f"{field} {value!r}: must be a path string")
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out_dir = Path(args.out)
-    manifest_path = Path(args.manifest)
-    entries = _load_manifest(manifest_path)
-    root = manifest_path.parent
+class _ManifestSamples(Sequence):
+    """The manifest's samples, each loaded from its files when it is read.
 
-    policy = AugmentationPolicy(
-        scale_range=(config["augment"]["scale_min"], config["augment"]["scale_max"]),
-        shift_fraction=config["augment"]["shift_fraction"],
-        mode=config["augment"]["mode"],
-        seed=int(config["seed"]),
-    )
-    _echo_config(out_dir, config)
+    Every entry's id and paths are checked on construction, in manifest
+    order, so a repeated id fails on its later entry.  An entry that fails
+    its check or its load reads as None, with its failure recorded by
+    index.  Box files are validated and kept as bytes until their sample is
+    written.
+    """
 
-    samples = []
-    load_failures: list[tuple[int, str, str]] = []
-    box_bytes: dict[str, bytes] = {}
-    seen: set[str] = set()
-    for index, entry in enumerate(entries):
+    def __init__(self, entries: list[dict], root: Path):
+        self.entries = entries
+        self.root = root
+        self.failures: dict[int, tuple[int, str, str]] = {}
+        self.box_bytes: dict[str, bytes] = {}
+        seen: set[str] = set()
+        for index, entry in enumerate(entries):
+            try:
+                _check_id(entry["id"], seen)
+                _check_paths(entry)
+            except CamGeomError as exc:
+                self._fail(index, exc)
+
+    def _fail(self, index: int, exc: Exception) -> None:
+        self.failures[index] = (index, self.entries[index]["id"], f"{type(exc).__name__}: {exc}")
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index: int) -> Sample | None:
+        entry = self.entries[index]
+        if index in self.failures:
+            return None
+        root = self.root
         try:
-            _check_id(entry["id"], seen)
-            _check_paths(entry)
             image = _load_raster(root / entry["image"])
             raw_k = entry["intrinsics"]
             if isinstance(raw_k, str):
@@ -234,37 +249,59 @@ def cmd_augment(args: argparse.Namespace) -> int:
             if entry.get("boxes"):
                 raw = (root / entry["boxes"]).read_bytes()
                 parse_detections(raw.decode("utf-8"))  # validate, but pass bytes through
-                box_bytes[entry["id"]] = raw
-            samples.append(Sample(entry["id"], image, k, depth=depth))
+                self.box_bytes[entry["id"]] = raw
+            return Sample(entry["id"], image, k, depth=depth)
         except (OSError, CamGeomError, ValueError) as exc:
-            samples.append(None)
-            load_failures.append((index, entry["id"], f"{type(exc).__name__}: {exc}"))
+            self._fail(index, exc)
+            return None
 
-    results, report = batch_augment(samples, policy, workers=int(config["workers"]))
 
-    transforms_lines = []
-    for result in results:
-        if result is None:
-            continue
-        stem, index = result.provenance.source_id, result.provenance.index
-        if result.image.data.dtype == np.uint8:  # _load_raster reads .ppm as uint8, .cgem as float32
-            write_ppm(out_dir / f"{stem}.ppm", result.image.data)
-        else:
-            write_cgem(out_dir / f"{stem}.cgem", result.image.data)
-        save_intrinsics(out_dir / f"{stem}.intrinsics.json", result.intrinsics)
-        if result.depth is not None:
-            write_depth(out_dir / f"{stem}.depth.cgem", result.depth, result.intrinsics)
-        if stem in box_bytes:  # 3D annotations are invariant: bytes pass through
-            (out_dir / f"{stem}.boxes.json").write_bytes(box_bytes[stem])
-        transforms_lines.append(
-            json.dumps({"id": stem, "index": index, "transform": result.transform.to_dict()}, sort_keys=True)
-        )
-    (out_dir / "transforms.jsonl").write_text("\n".join(transforms_lines) + ("\n" if transforms_lines else ""))
+def _write_sample(out_dir: Path, box_bytes: dict[str, bytes], result: AugmentedSample) -> None:
+    stem = result.provenance.source_id
+    boxes = box_bytes.pop(stem, None)
+    if result.image.data.dtype == np.uint8:  # _load_raster reads .ppm as uint8, .cgem as float32
+        write_ppm(out_dir / f"{stem}.ppm", result.image.data)
+    else:
+        write_cgem(out_dir / f"{stem}.cgem", result.image.data)
+    save_intrinsics(out_dir / f"{stem}.intrinsics.json", result.intrinsics)
+    if result.depth is not None:
+        write_depth(out_dir / f"{stem}.depth.cgem", result.depth, result.intrinsics)
+    if boxes is not None:  # 3D annotations are invariant: bytes pass through
+        with _open_atomic(out_dir / f"{stem}.boxes.json") as fh:
+            fh.write(boxes)
+
+
+def cmd_augment(args: argparse.Namespace) -> int:
+    config = _resolve_config(args)
+    workers = int(config["workers"])
+    _check_workers(workers)
+    out_dir = Path(args.out)
+    manifest_path = Path(args.manifest)
+    entries = _load_manifest(manifest_path)
+
+    policy = AugmentationPolicy(
+        scale_range=(config["augment"]["scale_min"], config["augment"]["scale_max"]),
+        shift_fraction=config["augment"]["shift_fraction"],
+        mode=config["augment"]["mode"],
+        seed=int(config["seed"]),
+    )
+    _echo_config(out_dir, config)
+
+    # one pool job per entry: load, augment, write, then drop the sample
+    samples = _ManifestSamples(entries, manifest_path.parent)
+    _, report = batch_augment(samples, policy, workers=workers,
+                              on_result=functools.partial(_write_sample, out_dir, samples.box_bytes))
+
+    with _open_atomic(out_dir / "transforms.jsonl", "w") as fh:
+        for index, transform in enumerate(report.transforms):
+            if transform is not None:
+                fh.write(json.dumps({"id": entries[index]["id"], "index": index, "transform": transform},
+                                    sort_keys=True) + "\n")
 
     full_report = report.to_dict()
-    full_report["load_failures"] = [list(f) for f in load_failures]
+    full_report["load_failures"] = [list(f) for _, f in sorted(samples.failures.items())]
     write_json(out_dir / "report.json", full_report)
-    n_failed = report.n_failed + len(load_failures)
+    n_failed = report.n_failed + len(samples.failures)
     print(f"augmented {report.n_ok}/{len(entries)} samples ({n_failed} failed) -> {out_dir}")
     return 0
 
@@ -439,7 +476,8 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
                 f"ratio={row.ratio_mean:.6f} expected={row.expected_ratio:.6f}"
             )
     summary = "\n".join(lines) + "\n"
-    (out_dir / "summary.txt").write_text(summary)
+    with _open_atomic(out_dir / "summary.txt", "w") as fh:
+        fh.write(summary)
     print(summary, end="")
     return 0
 
@@ -514,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except (CamGeomError, json.JSONDecodeError) as exc:
+    except CamGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

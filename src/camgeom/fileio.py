@@ -5,12 +5,18 @@ point grids: a 16-byte header (magic ``CGEM``, then u32 rows, cols, dim,
 little-endian) followed by row-major float32 little-endian samples.  Depth
 maps use dim = 1 with NaN encoding invalid pixels.  Every tensor travels
 with a ``<name>.json`` sidecar describing how it was produced.
+
+Every file is written to a short temporary name beside its target and then
+renamed over it, so a reader never sees a partly written file and a failed
+write leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -39,6 +45,27 @@ MAGIC = b"CGEM"
 _HEADER = struct.Struct("<4sIII")
 
 
+@contextmanager
+def _open_atomic(path: str | Path, mode: str = "wb", **kwargs):
+    """A new file that replaces ``path`` when the block ends; if the block raises, it is removed.
+
+    The temporary name is short, so a target name too long for the file system
+    fails at the rename, and an error names the target, never the temporary
+    file.  ``open`` creates the file with its usual mode (umask applied).
+    """
+    path = Path(path)
+    temp = path.parent / f".camgeom-{os.urandom(6).hex()}.tmp"
+    try:
+        with open(temp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def write_cgem(path: str | Path, data: np.ndarray) -> None:
     """Write a (rows, cols) or (rows, cols, dim) array as a CGEM tensor."""
     data = np.asarray(data)
@@ -48,9 +75,9 @@ def write_cgem(path: str | Path, data: np.ndarray) -> None:
         raise MalformedFile(f"CGEM tensors are rows x cols x dim, got shape {data.shape}")
     rows, cols, dim = data.shape
     payload = np.ascontiguousarray(data, dtype="<f4")
-    with open(path, "wb") as fh:
+    with _open_atomic(path) as fh:
         fh.write(_HEADER.pack(MAGIC, rows, cols, dim))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_cgem(path: str | Path) -> np.ndarray:
@@ -79,13 +106,22 @@ def _read_text(path: str | Path) -> str:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _read_json(path: str | Path) -> Any:
+    """The JSON value in a UTF-8 file; text that is not JSON raises MalformedFile naming the file."""
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise MalformedFile(f"{path}: invalid JSON ({exc})") from None
+
+
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Indented, key-sorted JSON with a trailing newline: sidecars, reports and config echoes."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _open_atomic(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_sidecar(path: str | Path, meta: dict[str, Any]) -> None:
@@ -93,7 +129,7 @@ def write_sidecar(path: str | Path, meta: dict[str, Any]) -> None:
 
 
 def read_sidecar(path: str | Path) -> dict[str, Any]:
-    meta = json.loads(_read_text(sidecar_path(path)))
+    meta = _read_json(sidecar_path(path))
     if not isinstance(meta, dict):
         raise MalformedFile(f"{sidecar_path(path)}: a sidecar must be a JSON object")
     return meta
@@ -128,9 +164,9 @@ def write_ppm(path: str | Path, data: np.ndarray) -> None:
     if data.ndim != 3 or data.shape[2] != 3 or data.dtype != np.uint8:
         raise MalformedFile(f"PPM needs uint8 H x W x 3 data, got {data.dtype} {data.shape}")
     height, width = data.shape[:2]
-    with open(path, "wb") as fh:
+    with _open_atomic(path) as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(data).tobytes())
+        fh.write(np.ascontiguousarray(data))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -169,4 +205,5 @@ def load_intrinsics(path: str | Path) -> Intrinsics:
 
 
 def save_intrinsics(path: str | Path, k: Intrinsics) -> None:
-    Path(path).write_text(k.to_json() + "\n")
+    with _open_atomic(path, "w") as fh:
+        fh.write(k.to_json() + "\n")

@@ -1,6 +1,9 @@
 """Resampling correctness and the camera-aware augmentation contracts."""
 
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -317,6 +320,92 @@ class TestBatch:
         assert len(report.transforms) == 5
         for r, meta in zip(results, report.transforms):
             assert r.transform.to_dict() == meta
+
+    def test_on_result_gets_each_result_on_its_pool_thread_and_none_is_kept(self):
+        samples = self._samples(6)
+        policy = AugmentationPolicy(seed=21)
+        kept, kept_report = batch_augment(samples, policy, workers=3)
+        given = {}
+
+        def on_result(result):
+            given[result.provenance.index] = (result, threading.current_thread())
+
+        results, report = batch_augment(samples, policy, workers=3, on_result=on_result)
+        assert results == [None] * 6
+        assert sorted(given) == list(range(6))
+        assert all(thread is not threading.main_thread() for _, thread in given.values())
+        assert self._fingerprint([given[i][0] for i in range(6)]) == self._fingerprint(kept)
+        assert (report.n_ok, report.n_failed, report.transforms) == (6, 0, kept_report.transforms)
+
+    def test_on_result_that_raises_is_the_samples_failure(self):
+        samples = self._samples(5)
+
+        def on_result(result):
+            if result.provenance.index in (1, 3):
+                raise OSError(f"disk full at {result.provenance.source_id}")
+
+        results, report = batch_augment(samples, AugmentationPolicy(seed=4), workers=2, on_result=on_result)
+        assert report.failures == ((1, "s001", "OSError: disk full at s001"),
+                                   (3, "s003", "OSError: disk full at s003"))
+        assert (report.n_samples, report.n_ok, report.n_failed) == (5, 3, 2)
+        assert [t is None for t in report.transforms] == [False, True, False, True, False]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_at_most_workers_samples_are_loaded_and_not_yet_handled(self, workers):
+        sources = self._samples(12)
+        lock = threading.Lock()
+        live, peak = [0], [0]
+
+        class Loading:
+            def __len__(self):
+                return len(sources)
+
+            def __getitem__(self, index):
+                time.sleep(0.002)  # a slow load, so that jobs overlap
+                with lock:
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                return sources[index]
+
+        def on_result(result):
+            time.sleep(0.002)
+            with lock:
+                live[0] -= 1
+
+        _, report = batch_augment(Loading(), AugmentationPolicy(seed=8), workers=workers, on_result=on_result)
+        assert report.n_ok == 12
+        assert live[0] == 0
+        assert 1 <= peak[0] <= workers
+
+    def test_no_record_is_lost_under_frequent_thread_switches(self):
+        rng = np.random.default_rng(5)
+        small = Intrinsics(20, 20, 4, 3, 8, 6)
+        bad_depth = DepthMap.from_array(np.ones((2, 2)))
+        samples = [Sample(f"s{i:03d}", _noise_image(rng, 8, 6), small, depth=bad_depth if i % 3 == 0 else None)
+                   for i in range(300)]
+        handed = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            _, report = batch_augment(samples, AugmentationPolicy(seed=6), workers=8,
+                                      on_result=lambda r: handed.append(r.provenance.index))
+            assert time.monotonic() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
+        failed = [i for i in range(300) if i % 3 == 0]
+        assert [f[0] for f in report.failures] == failed
+        assert sorted(handed) == [i for i in range(300) if i % 3]
+        assert [t is None for t in report.transforms] == [i % 3 == 0 for i in range(300)]
+        assert (report.n_ok, report.n_failed) == (200, 100)
+
+    def test_failure_records_are_sorted_by_index(self):
+        samples = self._samples(16)
+        bad_depth = DepthMap.from_array(np.ones((5, 5)))
+        for i in (2, 5, 6, 11, 15):
+            samples[i] = Sample(f"bad{i}", samples[i].image, K, depth=bad_depth)
+        _, report = batch_augment(samples, AugmentationPolicy(seed=3), workers=8)
+        assert [f[0] for f in report.failures] == [2, 5, 6, 11, 15]
 
     def test_per_sample_seeding_is_order_invariant(self):
         samples = self._samples(6)

@@ -133,6 +133,80 @@ class TestAugmentCommand:
         assert [f[:2] for f in report["load_failures"]] == [[1, "img1"]]
         assert report["load_failures"][0][2].startswith("MalformedFile: ")
 
+    def test_depth_sidecar_that_is_not_json_is_a_load_failure_naming_it(self, workspace):
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+        entries[1]["depth"] = _depth_with_sidecar(workspace, "{nope")
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_ok"] == 2
+        assert [f[:2] for f in report["load_failures"]] == [[1, "img1"]]
+        assert report["load_failures"][0][2].startswith(f"MalformedFile: {workspace / 'bad.cgem.json'}: invalid JSON")
+
+    def test_write_failure_is_a_failure_record(self, workspace):
+        # the id passes the file-name check, but its output name is longer than any file system allows
+        long_id = "x" * 300
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+        entries.insert(1, {"id": long_id, "image": "img1.ppm", "intrinsics": "k.json", "depth": "depth.cgem"})
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out), "--seed", "2"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["n_ok"], report["n_failed"], report["load_failures"]) == (3, 1, [])
+        assert report["failures"] == [
+            [1, long_id, f"OSError: [Errno 36] File name too long: '{out / long_id}.ppm'"]]
+        assert report["transforms"][1] is None
+        assert sorted(p.name for p in out.iterdir()) == [  # no temporary file is left behind
+            "config.resolved.json", "img0.intrinsics.json", "img0.ppm", "img1.intrinsics.json", "img1.ppm",
+            "img2.intrinsics.json", "img2.ppm", "report.json", "transforms.jsonl"]
+        lines = [json.loads(line) for line in (out / "transforms.jsonl").read_text().splitlines()]
+        assert [(line["id"], line["index"]) for line in lines] == [("img0", 0), ("img1", 2), ("img2", 3)]
+
+    def test_every_file_is_byte_identical_at_one_and_eight_workers(self, workspace):
+        # a load failure, an augment failure and a repeated id among samples with depth and boxes
+        (workspace / "boxes.json").write_text(GT)
+        write_depth(workspace / "small.cgem", DepthMap.from_array(np.ones((5, 5))))
+        entries = []
+        for i in range(12):
+            entry = {"id": f"s{i:02d}", "image": f"img{i % 3}.ppm", "intrinsics": "k.json"}
+            if i % 2:
+                entry.update(depth="depth.cgem", boxes="boxes.json")
+            entries.append(entry)
+        entries[4]["image"] = "missing.ppm"
+        entries[7]["depth"] = "small.cgem"
+        entries[9]["id"] = "s01"
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        files = {}
+        for workers in ("1", "8"):
+            out = workspace / f"w{workers}"
+            assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out),
+                         "--seed", "11", "--workers", workers]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["elapsed_s"], report["samples_per_s"]  # wall-clock timing
+            files[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name not in ("config.resolved.json", "report.json")}
+            files[workers]["report.json"] = report
+        assert files["1"] == files["8"]
+        report = files["8"]["report.json"]
+        assert [f[:2] for f in report["load_failures"]] == [[4, "s04"], [9, "s01"]]
+        assert [f[:2] for f in report["failures"]] == [[7, "s07"]]
+        assert report["n_ok"] == 9 and len(files["8"]) == 5 * 2 + 4 * 5 + 2  # 4 ok samples with depth and boxes
+
+    def test_failure_records_are_sorted_by_index(self, workspace):
+        write_depth(workspace / "small.cgem", DepthMap.from_array(np.ones((5, 5))))
+        entries = [{"id": f"s{i:02d}", "image": "img0.ppm", "intrinsics": "k.json"} for i in range(16)]
+        for i in (1, 6, 7, 12):
+            entries[i]["image"] = "missing.ppm"
+        for i in (3, 8, 9, 15):
+            entries[i]["depth"] = "small.cgem"
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out), "--workers", "8"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [f[0] for f in report["load_failures"]] == [1, 6, 7, 12]
+        assert [f[0] for f in report["failures"]] == [3, 8, 9, 15]
+
     def test_depth_and_boxes_travel_through(self, workspace):
         (workspace / "boxes.json").write_text(GT)
         manifest = workspace / "full.jsonl"
@@ -513,6 +587,17 @@ class TestConfigValidation:
         assert "workers" in err
         assert not list((workspace / "run").glob("img*"))  # no sample was augmented
 
+    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3"], ["--config", "{ws}/conf.json"]])
+    def test_workers_below_one_exit_2_before_reading_or_writing(self, workspace, capsys, flags):
+        (workspace / "conf.json").write_text(json.dumps({"workers": 0}))
+        out = workspace / "run"
+        for manifest in ("manifest.jsonl", "missing.jsonl"):  # the manifest is not read either
+            argv = ["augment", "--manifest", str(workspace / manifest), "--out", str(out)]
+            assert main(argv + [flag.format(ws=workspace) for flag in flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: workers must be >= 1") and err.count("\n") == 1, err
+            assert not out.exists()
+
     def test_int_for_float_and_intrinsics_in_the_pool(self, workspace):
         pool = [600, {"fx": 700, "fy": 700, "cx": 320, "cy": 240, "width": 640, "height": 480}]
         config = {"ambiguity": {"n_scenes": 4, "prior_spread": 0, "camera_pool": pool}}
@@ -550,6 +635,14 @@ def _eval_not_utf8(ws, flag):
         return argv + ["--classes", _not_utf8(ws, "classes.txt")]
     argv[argv.index(flag) + 1] = _not_utf8(ws, "bad.json")
     return argv
+
+
+DEEP = "[" * 100_000  # nesting too deep for the JSON decoder
+
+
+def _not_json(ws, name, text="{nope"):
+    (ws / name).write_text(text)
+    return str(ws / name)
 
 
 def _depth_with_sidecar(ws, text):
@@ -609,6 +702,21 @@ VALIDATION_CASES = {
     "eval-preds-not-utf8": (lambda ws: _eval_not_utf8(ws, "--preds"), True),
     "eval-truths-not-utf8": (lambda ws: _eval_not_utf8(ws, "--truths"), True),
     "eval-classes-not-utf8": (lambda ws: _eval_not_utf8(ws, "--classes"), True),
+    "config-deeply-nested": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
+                                         "--config", _not_json(ws, "conf.json", DEEP)], True),
+    "manifest-deeply-nested": (lambda ws: ["augment", "--manifest", _not_json(ws, "m.jsonl", DEEP),
+                                           "--out", str(ws / "o")], True),
+    "intrinsics-deeply-nested": (lambda ws: ["embed", "--intrinsics", _not_json(ws, "bad_k.json", DEEP),
+                                             "--out", str(ws / "e.cgem")], True),
+    "unproject-sidecar-deeply-nested": (lambda ws: ["unproject", "--depth", _depth_with_sidecar(ws, DEEP),
+                                                    "--out", str(ws / "p.cgem")], True),
+    "config-not-json": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--config", _not_json(ws, "conf.json")],
+                        True),
+    "unproject-sidecar-not-json": (lambda ws: ["unproject", "--depth", _depth_with_sidecar(ws, "{nope"),
+                                               "--out", str(ws / "p.cgem")], True),
+    "embed-depth-sidecar-not-json": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"),
+                                                 "--depth", _depth_with_sidecar(ws, "{nope"),
+                                                 "--out", str(ws / "e.cgem")], True),
     **{f"unproject-sidecar-{name}": (lambda ws, text=text: ["unproject", "--depth", _depth_with_sidecar(ws, text),
                                                             "--out", str(ws / "p.cgem")], True)
        for name, text in BAD_SIDECARS.items()},
@@ -632,6 +740,14 @@ class TestValidationExits:
         assert "Traceback" not in err
         if camgeom_error:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+    @pytest.mark.parametrize("case, named", [("config-not-json", "conf.json"),
+                                             ("unproject-sidecar-not-json", "bad.cgem.json"),
+                                             ("embed-depth-sidecar-not-json", "bad.cgem.json")])
+    def test_malformed_json_names_its_file(self, workspace, capsys, case, named):
+        assert main(VALIDATION_CASES[case][0](workspace)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {workspace / named}: invalid JSON (")
 
 
 K_DICT = {"fx": 500.0, "fy": 500.0, "cx": 32.0, "cy": 24.0, "width": 64, "height": 48}

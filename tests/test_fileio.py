@@ -1,18 +1,25 @@
-"""CGEM tensor, PPM raster, and intrinsics JSON round trips."""
+"""CGEM tensor, PPM raster, and intrinsics JSON round trips; atomic writes."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from camgeom import DepthMap, Intrinsics
+from camgeom.errors import MalformedFile
 from camgeom.fileio import (
+    _open_atomic,
     read_cgem,
     read_depth,
     read_ppm,
     read_sidecar,
     load_intrinsics,
     save_intrinsics,
+    sidecar_path,
     write_cgem,
     write_depth,
+    write_json,
     write_ppm,
     write_sidecar,
 )
@@ -116,3 +123,62 @@ class TestIntrinsicsFile:
         path.write_text('{"fx": 1, "fy": 1, "cx": 0, "cy": 0, "width": 0, "height": 1}')
         with pytest.raises(Exception, match="k.json"):
             load_intrinsics(path)
+
+
+class TestAtomicWrites:
+    """Every writer goes through one temporary file that is renamed over its target."""
+
+    WRITERS = {
+        "cgem": lambda path: write_cgem(path, np.ones((2, 3, 1))),
+        "ppm": lambda path: write_ppm(path, np.zeros((2, 3, 3), dtype=np.uint8)),
+        "json": lambda path: write_json(path, {"a": 1}),
+        "intrinsics": lambda path: save_intrinsics(path, Intrinsics(5.0, 5.0, 1.0, 1.0, 2, 2)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_file_mode_is_the_one_open_gives(self, tmp_path, kind):
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        self.WRITERS[kind](tmp_path / "target")
+        assert stat.S_IMODE(os.stat(tmp_path / "target").st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference", "target"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_name_too_long_names_the_target_and_leaves_nothing(self, tmp_path, kind):
+        target = tmp_path / ("x" * 300)
+        with pytest.raises(OSError) as info:
+            self.WRITERS[kind](target)
+        assert info.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_that_raises_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "t.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with _open_atomic(target) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        target = tmp_path / "t.txt"
+        target.write_text("a much longer earlier text")
+        with _open_atomic(target, "w") as fh:
+            fh.write("new")
+        assert target.read_text() == "new"
+
+    def test_array_bytes_are_written_as_they_lie_in_memory(self, tmp_path):
+        data = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)[:, ::2]  # strided view
+        write_ppm(tmp_path / "s.ppm", data)
+        assert (tmp_path / "s.ppm").read_bytes() == b"P6\n2 2\n255\n" + np.ascontiguousarray(data).tobytes()
+        write_cgem(tmp_path / "s.cgem", np.zeros((0, 3, 2)))
+        assert len((tmp_path / "s.cgem").read_bytes()) == 16
+
+
+class TestJsonErrors:
+    def test_sidecar_that_is_not_json_names_its_file(self, tmp_path):
+        sidecar_path(tmp_path / "d.cgem").write_text("{nope")
+        with pytest.raises(MalformedFile, match="d.cgem.json: invalid JSON"):
+            read_sidecar(tmp_path / "d.cgem")
