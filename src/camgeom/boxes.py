@@ -14,7 +14,8 @@ as a signed tetrahedron sum over its outward-wound faces.  This is the
 clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al., 2020)
 and the Objectron IoU (Ahmadyan et al., CVPR 2021).  Each box computes its
 rotation, corners, bounding box and face planes once per rotation order and
-keeps them; the clip itself runs on plain floats.
+keeps them.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed form
+in the box frame; all per-pair work is on plain floats but that frame product.
 """
 
 from __future__ import annotations
@@ -206,20 +207,22 @@ def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") ->
     """Exact volume of the intersection of two oriented boxes."""
     if (a.yaw, a.pitch, a.roll) == (b.yaw, b.pitch, b.roll):
         # equal attitudes: the overlap is axis-aligned in the shared box frame
-        rot = a.rotation(order)
-        delta = rot.T @ (np.asarray(b.center) - np.asarray(a.center))
-        ha = np.asarray(a.size) / 2.0
-        hb = np.asarray(b.size) / 2.0
-        return _aligned_overlap(-ha, ha, delta - hb, delta + hb)
+        delta = (a.rotation(order).T @ np.subtract(b.center, a.center)).tolist()
+        if not all(map(math.isfinite, delta)):  # the offset overflowed: too far apart for finite boxes to meet
+            return 0.0
+        return _aligned_overlap((0.0, 0.0, 0.0), a.size, delta, b.size)
     return clipped_intersection_volume(a, b, order)
 
 
-def _aligned_overlap(lo_a, hi_a, lo_b, hi_b) -> float:
-    """Volume shared by two axis-aligned boxes, each given by its low and high corner."""
-    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-    if np.any(overlap <= 0):
-        return 0.0
-    return float(np.prod(overlap))
+def _aligned_overlap(center_a, size_a, center_b, size_b) -> float:
+    """Volume shared by two axis-aligned boxes, each given by its center and size, on floats."""
+    volume = 1.0
+    for ca, sa, cb, sb in zip(center_a, size_a, center_b, size_b):
+        side = min(ca + sa / 2, cb + sb / 2) - max(ca - sa / 2, cb - sb / 2)
+        if side <= 0:
+            return 0.0
+        volume *= side
+    return volume
 
 
 def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
@@ -261,8 +264,4 @@ def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
     Provided for sensitivity checks against the oriented computation; for
     boxes with zero angles it is the exact answer.
     """
-    ca = np.asarray(a.center)
-    cb = np.asarray(b.center)
-    ha = np.asarray(a.size) / 2.0
-    hb = np.asarray(b.size) / 2.0
-    return _iou(_aligned_overlap(ca - ha, ca + ha, cb - hb, cb + hb), a.volume(), b.volume())
+    return _iou(_aligned_overlap(a.center, a.size, b.center, b.size), a.volume(), b.volume())

@@ -51,11 +51,14 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy"):
+        for name in _INTRINSICS_KEYS:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise IntrinsicsError(f"intrinsics.{name}: must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise IntrinsicsError(f"intrinsics.{name}: must be a number, got {value!r}")
+            if not abs(value) <= 1.7976931348623157e308:  # the largest float: false for NaN, inf, huge ints
+                raise IntrinsicsError(f"intrinsics.{name}: must be finite, got {value!r}")
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.fx <= 0:
             raise IntrinsicsError(f"intrinsics.fx: must be > 0, got {self.fx}")
         if self.fy <= 0:
@@ -89,18 +92,11 @@ class Intrinsics:
         """Build from a parsed JSON object, reporting errors by key path."""
         if not isinstance(obj, Mapping):
             raise IntrinsicsError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-        values = {}
         for key in _INTRINSICS_KEYS:
             if key not in obj:
                 raise IntrinsicsError(f"{where}.{key}: missing key")
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise IntrinsicsError(f"{where}.{key}: must be a number, got {value!r}")
-            if not abs(value) <= 1.7976931348623157e308:  # the largest float: false for NaN, inf, huge ints
-                raise IntrinsicsError(f"{where}.{key}: must be finite, got {value!r}")
-            values[key] = value
         try:
-            return cls(**values)
+            return cls(**{key: obj[key] for key in _INTRINSICS_KEYS})
         except IntrinsicsError as exc:
             raise IntrinsicsError(str(exc).replace("intrinsics.", f"{where}.", 1)) from None
 

@@ -314,6 +314,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if (args.rows is None) != (args.cols is None):
         raise CamGeomError("--rows and --cols must be given together")
     k = load_intrinsics(args.intrinsics)
+    if args.depth:
+        depth, sidecar_k = read_depth(args.depth)
+        k = sidecar_k or k  # the depth's own camera, when its sidecar names one; the grid covers it
     patch = float(config["embed"]["patch"])
     if args.rows is not None:
         grid = TokenGridSpec(args.rows, args.cols, patch)
@@ -322,14 +325,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     _echo_config(out_path.parent, config)
 
+    origin = "center" if args.depth else config["embed"]["origin"]  # token_point_grid pools at patch centers
     if args.depth:
-        depth, sidecar_k = read_depth(args.depth)
-        k = sidecar_k or k  # the depth's own camera, when its sidecar names one
         points = token_point_grid(depth, k, grid)
         emb = embed_points(points, dim=int(config["geo"]["dim"]), base_period=float(config["geo"]["base_period"]))
         kind = {"kind": "geometric_prior_embedding", "pooling": "token-center ray x nearest patch-center depth"}
     else:
-        rays = ray_grid(k, grid, origin=config["embed"]["origin"])
+        rays = ray_grid(k, grid, origin=origin)
         emb = embed(
             rays,
             k,
@@ -345,7 +347,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         "channel_layout": list(emb.layout),
         "dims_per_channel": emb.dim // len(emb.layout),
         "intrinsics": k.to_dict(),
-        "token_grid": {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch, "origin": config["embed"]["origin"]},
+        "token_grid": {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch, "origin": origin},
     })
     print(f"wrote {emb.data.shape[0]}x{emb.data.shape[1]}x{emb.dim} embedding -> {out_path}")
     return 0

@@ -14,6 +14,7 @@ average is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -209,6 +210,7 @@ def match_and_score(
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
     _check_order(rotation_order)  # also when no pair reaches rotation_matrix
     class_filter = None if classes is None else {normalize_label(c) for c in classes}
+    iou = aabb_iou if axis_aligned else functools.partial(iou3d, order=rotation_order)
 
     def keep(d: Detection) -> bool:
         return class_filter is None or d.label in class_filter
@@ -227,10 +229,7 @@ def match_and_score(
         candidates = []
         for i in pred_idx:
             for j in truth_idx:
-                if axis_aligned:
-                    overlap = aabb_iou(preds[i].box, truths[j].box)
-                else:
-                    overlap = iou3d(preds[i].box, truths[j].box, order=rotation_order)
+                overlap = iou(preds[i].box, truths[j].box)
                 if overlap >= threshold:
                     candidates.append((-overlap, i, j))
         candidates.sort()

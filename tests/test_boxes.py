@@ -1,7 +1,9 @@
 """Oriented box geometry and IoU, checked against closed forms and Monte Carlo."""
 
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -173,6 +175,13 @@ class TestIoU3d:
             b = random_box(rng, center_span=1.0)
             assert intersection_volume(a, b) == pytest.approx(intersection_volume(b, a), abs=1e-9)
 
+    def test_equal_attitudes_whose_offset_overflows_are_disjoint(self):
+        # b - a overflows to inf, and the frame product then holds NaN
+        a = OrientedBox3((-1e308, -1e308, -1e308), (1, 1, 1), 0.3, 0.2, 0.1)
+        b = dataclasses.replace(a, center=(1e308, 1e308, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert intersection_volume(a, b) == iou3d(a, b) == 0.0
+
 
 class TestGeometryKeptOnTheBox:
     def test_each_rotation_order_gets_its_own_geometry(self):
@@ -274,3 +283,32 @@ class TestPinnedIoU:
         off = [(k, value, pinned) for k, (value, pinned) in enumerate(zip(got, PINNED_IOU))
                if abs(value - pinned) > 1e-11]
         assert len(got) == len(PINNED_IOU) == 64 and not off, off
+
+
+def _bit_pairs(n: int = 200) -> list[tuple[OrientedBox3, OrientedBox3]]:
+    """Seeded overlapping pairs: n each with zero, equal non-zero and differing attitudes."""
+    rng = np.random.default_rng(41)
+    pairs = []
+    for kind in ("zero", "equal", "differ"):
+        for _ in range(n):
+            a, b = random_box(rng, center_span=0.6), random_box(rng, center_span=0.6)
+            if kind == "zero":
+                a, b = (dataclasses.replace(box, yaw=0.0, pitch=0.0, roll=0.0) for box in (a, b))
+            elif kind == "equal":
+                b = dataclasses.replace(b, yaw=a.yaw, pitch=a.pitch, roll=a.roll)
+            pairs.append((a, b))
+    return pairs
+
+
+# SHA-256 of the float64 bits of iou3d, intersection_volume (zyx, xyz) and aabb_iou
+# over _bit_pairs(), taken before the equal-attitude closed form moved to plain floats
+PINNED_OVERLAP_SHA256 = "47badd0bf467a5095fa8ed32264f0e8920502658bd3f6791dd4041b14ab3a15a"
+
+
+class TestPinnedOverlapBits:
+    def test_results_are_bit_identical(self):
+        digest = hashlib.sha256()
+        for a, b in _bit_pairs():
+            values = (iou3d(a, b), intersection_volume(a, b, "zyx"), intersection_volume(a, b, "xyz"), aabb_iou(a, b))
+            digest.update(struct.pack("<4d", *values))
+        assert digest.hexdigest() == PINNED_OVERLAP_SHA256

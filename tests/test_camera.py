@@ -71,6 +71,17 @@ class TestIntrinsics:
                 {"fx": 5, "fy": 500, "cx": 1e999, "cy": 240, "width": 640, "height": 480}
             ).replace("Infinity", "1e999"))
 
+    @pytest.mark.parametrize("name", ["fx", "width"])
+    def test_constructor_rejects_bools(self, name):
+        # a bool fx read as 1.0, and a bool width wrote JSON that from_mapping rejects
+        values = {"fx": 500, "fy": 500, "cx": 320, "cy": 240, "width": 640, "height": 480, name: True}
+        with pytest.raises(IntrinsicsError, match=rf"intrinsics\.{name}: must be a number"):
+            Intrinsics(**values)
+
+    def test_constructor_rejects_ints_beyond_float_range(self):
+        with pytest.raises(IntrinsicsError, match=r"intrinsics\.fx: must be finite"):
+            Intrinsics(10**400, 500, 320, 240, 640, 480)
+
 
 class TestProject:
     def test_optical_axis_hits_principal_point(self):

@@ -304,6 +304,18 @@ class TestEmbedCommand:
         assert read_cgem(out).shape == (3, 4, 24)
         assert read_sidecar(out)["kind"] == "geometric_prior_embedding"
 
+    @pytest.mark.parametrize("width, height", [(16, 16), (640, 480)])
+    def test_depth_grid_covers_the_depth_camera(self, workspace, width, height):
+        # --intrinsics names another camera; the grid is sized from the depth sidecar's
+        save_intrinsics(workspace / "other.json", Intrinsics(500.0, 500.0, width / 2, height / 2, width, height))
+        outs = []
+        for name in ("k", "other"):
+            out = workspace / f"{name}.cgem"
+            assert main(["embed", "--intrinsics", str(workspace / f"{name}.json"), "--patch", "16",
+                         "--depth", str(workspace / "depth.cgem"), "--out", str(out)]) == 0
+            outs.append((out.read_bytes(), sidecar_path(out).read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_invalid_intrinsics_exit_2(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"fx": -5, "fy": 1, "cx": 0, "cy": 0, "width": 4, "height": 4}')
         code = main(["embed", "--intrinsics", str(tmp_path / "bad.json"),
@@ -337,7 +349,8 @@ class TestEvalCommand:
         assert "F1=100.0" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["micro"]["f1"] == 100.0
-        rows = list(csv.reader((out / "per_class.csv").open()))
+        with (out / "per_class.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][0] == "label"
         assert rows[-1][0] == "__micro__"
 
@@ -786,7 +799,7 @@ class TestPinnedOutputs:
             "base_period": 100.0,
             "pooling": "token-center ray x nearest patch-center depth",
             "intrinsics": K_DICT,  # the depth sidecar's camera, not --intrinsics
-            "token_grid": {"rows": 3, "cols": 4, "patch": 16.0, "origin": "corner"},
+            "token_grid": {"rows": 3, "cols": 4, "patch": 16.0, "origin": "center"},  # pooled at patch centers
         })
 
     def test_per_class_csv(self, tmp_path):
