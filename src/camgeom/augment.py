@@ -7,11 +7,11 @@ so every line of sight is preserved (verifiable with
 untouched -- a camera-space resize does not move world geometry, and that
 asymmetry is exactly what makes the augmentation teach camera awareness.
 
-Resampling is separable: a transform is an axis-aligned scale plus a
-shift, so each axis gets its own taps, computed once per transform.  Images
-are resampled bilinearly (a row pass, then a column pass); depth maps use
-nearest-neighbor sampling (one floor index per axis) because interpolating
-across a depth discontinuity fabricates 3D points.
+Resampling is separable: a transform is an axis-aligned scale plus a shift,
+so each axis gets its own taps, computed once per transform.  Images are
+resampled bilinearly, band by band of output rows into one array kept without
+a copy; depth maps use nearest-neighbor sampling (one floor index per axis)
+because interpolating across a depth discontinuity fabricates 3D points.
 Batch runs seed each sample independently from (policy.seed, sample index),
 so results do not depend on ordering or worker count.
 """
@@ -54,7 +54,7 @@ class RasterImage:
 
     data: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, adopt: bool = False):
         data = np.asarray(self.data)
         if data.ndim == 2:
             data = data[:, :, None]
@@ -62,7 +62,16 @@ class RasterImage:
             raise ValueError(f"raster must be H x W x (1|3), got shape {data.shape}")
         if data.dtype not in (np.uint8, np.float32):
             raise ValueError(f"raster dtype must be uint8 or float32, got {data.dtype}")
-        object.__setattr__(self, "data", _frozen_copy(data))
+        object.__setattr__(self, "data", data if adopt else _frozen_copy(data))
+        self.data.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> RasterImage:
+        """A raster keeping ``data``, a new C-order array no one else holds, frozen in place, not copied."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "data", data)
+        image.__post_init__(adopt=True)
+        return image
 
     @property
     def height(self) -> int:
@@ -139,6 +148,9 @@ class AugmentedSample:
     boxes: tuple[Detection, ...] | None = None
 
 
+_BAND_ROWS = 16  # output rows per band of resample: 16 float64 rows of a 640 x 3 frame are 240 KiB
+
+
 def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
     """Per-axis bilinear taps ``((i0, w0), (i1, w1))`` for source pixel-center coordinates.
 
@@ -158,6 +170,10 @@ def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
 
 def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> RasterImage:
     """Bilinear resample under the half-integer pixel-center convention.
+
+    It fills one output array in the source dtype ``_BAND_ROWS`` rows at a
+    time, each band through its own float64 row and column passes: a call holds
+    the output plus one band, and every pixel gets a whole-frame pass's float ops.
 
     In pad mode, samples falling outside the source contribute the pad
     value 0 and source-covered pixels are never altered.  In crop mode the
@@ -183,17 +199,19 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
     (iy0, wy0), (iy1, wy1) = _bilinear_taps(v_src, image.height, mode)
     (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode)
     src = image.data  # uint8 or float32 rows times float64 weights promote: no full-frame cast
-    rows = wy0[:, None, None] * src[iy0]
-    rows += wy1[:, None, None] * src[iy1]
-    # products in place, and the row pass freed once gathered: at most three float64 frames live
-    out, right = rows[:, ix0], rows[:, ix1]
-    del rows
-    out *= wx0[None, :, None]
-    right *= wx1[None, :, None]
-    out += right
-    if src.dtype == np.uint8:
-        np.clip(np.rint(out, out=out), 0, 255, out=out)
-    return RasterImage(out.astype(src.dtype))
+    result = np.empty((t.out_height, t.out_width, image.channels), dtype=src.dtype)
+    for start in range(0, t.out_height, _BAND_ROWS):
+        r = slice(start, start + _BAND_ROWS)
+        rows = wy0[r, None, None] * src[iy0[r]]
+        rows += wy1[r, None, None] * src[iy1[r]]
+        out, right = rows[:, ix0], rows[:, ix1]  # products in place: a band's float64 work stays in cache
+        out *= wx0[None, :, None]
+        right *= wx1[None, :, None]
+        out += right
+        if src.dtype == np.uint8:
+            np.clip(np.rint(out, out=out), 0, 255, out=out)
+        result[r] = out
+    return RasterImage._adopt(result)
 
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:

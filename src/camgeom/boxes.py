@@ -15,7 +15,8 @@ clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al., 2020)
 and the Objectron IoU (Ahmadyan et al., CVPR 2021).  Each box computes its
 rotation, corners, bounding box and face planes once per rotation order and
 keeps them.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed form
-in the box frame; all per-pair work is on plain floats but that frame product.
+in the box frame, measured from the first box's center; all per-pair work is
+on plain floats but that frame product.
 """
 
 from __future__ import annotations
@@ -207,18 +208,18 @@ def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") ->
     """Exact volume of the intersection of two oriented boxes."""
     if (a.yaw, a.pitch, a.roll) == (b.yaw, b.pitch, b.roll):
         # equal attitudes: the overlap is axis-aligned in the shared box frame
-        delta = (a.rotation(order).T @ np.subtract(b.center, a.center)).tolist()
-        if not all(map(math.isfinite, delta)):  # the offset overflowed: too far apart for finite boxes to meet
-            return 0.0
-        return _aligned_overlap((0.0, 0.0, 0.0), a.size, delta, b.size)
+        return _aligned_overlap(a.size, (a.rotation(order).T @ np.subtract(b.center, a.center)).tolist(), b.size)
     return clipped_intersection_volume(a, b, order)
 
 
-def _aligned_overlap(center_a, size_a, center_b, size_b) -> float:
-    """Volume shared by two axis-aligned boxes, each given by its center and size, on floats."""
+def _aligned_overlap(size_a, offset, size_b) -> float:
+    """Volume shared by axis-aligned boxes of the given sizes, b's center ``offset`` from a's, on
+    floats; a non-finite offset overflowed: too far apart for finite boxes to meet."""
+    if not all(map(math.isfinite, offset)):
+        return 0.0
     volume = 1.0
-    for ca, sa, cb, sb in zip(center_a, size_a, center_b, size_b):
-        side = min(ca + sa / 2, cb + sb / 2) - max(ca - sa / 2, cb - sb / 2)
+    for sa, d, sb in zip(size_a, offset, size_b):
+        side = min(sa / 2, d + sb / 2) - max(-sa / 2, d - sb / 2)
         if side <= 0:
             return 0.0
         volume *= side
@@ -245,7 +246,9 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
 
 
 def _iou(vi: float, va: float, vb: float) -> float:
-    """vi / (va + vb - vi); when va + vb overflows, all three are halved first, which is exact."""
+    """IoU of boxes of volumes va and vb sharing vi, clamped to min(va, vb); when va + vb
+    overflows, all three are halved first, which is exact."""
+    vi = min(vi, va, vb)
     if va + vb == math.inf:
         vi, va, vb = vi / 2, va / 2, vb / 2
     return vi / (va + vb - vi)
@@ -253,15 +256,14 @@ def _iou(vi: float, va: float, vb: float) -> float:
 
 def iou3d(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
     """Intersection-over-union of two oriented cuboids, in [0, 1]."""
-    va = a.volume()
-    vb = b.volume()
-    return _iou(min(intersection_volume(a, b, order), va, vb), va, vb)
+    return _iou(intersection_volume(a, b, order), a.volume(), b.volume())
 
 
 def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
     """Closed-form IoU treating both boxes as axis-aligned (attitude ignored).
 
     Provided for sensitivity checks against the oriented computation; for
-    boxes with zero angles it is the exact answer.
+    boxes with zero angles it is the exact answer, bit for bit :func:`iou3d`'s.
     """
-    return _iou(_aligned_overlap(a.center, a.size, b.center, b.size), a.volume(), b.volume())
+    offset = [cb - ca for ca, cb in zip(a.center, b.center)]  # from a's center, as iou3d measures
+    return _iou(_aligned_overlap(a.size, offset, b.size), a.volume(), b.volume())

@@ -162,9 +162,9 @@ def _camera_from_pool_entry(entry, where: str) -> Intrinsics:
 
 def _load_raster(path: Path) -> RasterImage:
     if path.suffix == ".ppm":
-        return RasterImage(read_ppm(path))
+        return RasterImage._adopt(read_ppm(path))  # each reader returns a new array: the raster keeps it
     if path.suffix == ".cgem":
-        return RasterImage(read_cgem(path))  # read_cgem already returns float32
+        return RasterImage._adopt(read_cgem(path))  # already float32
     raise CamGeomError(f"{path}: unsupported image format (use .ppm or .cgem)")
 
 

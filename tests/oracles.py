@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's clipping/volume code paths: box
 membership is a direct frame-change test and volumes come from uniform
-sampling, so they can arbitrate the analytic IoU.  The resampling oracles
-loop over output pixels and read only a transform's fields, so they can
-arbitrate the vectorized resamplers.
+sampling, so they can arbitrate the analytic IoU.  The per-pixel resampling
+oracles loop over output pixels and read only a transform's fields, so they
+can arbitrate the vectorized resamplers; the whole-frame one pins the banded
+resampler to the formula it replaced.
 """
 
 import math
@@ -85,6 +86,32 @@ def bilinear_oracle(data: np.ndarray, t, mode: str) -> np.ndarray:
                         i, j = min(max(i, 0), height - 1), min(max(j, 0), width - 1)
                     out[r, q] += wy * wx * data[i, j].astype(np.float64)
     return out
+
+
+def whole_frame_resample(data: np.ndarray, t, mode: str) -> np.ndarray:
+    """Bilinear resample with each pass over the whole frame in float64, then one cast.
+
+    The vectorized formula the banded resampler replaced: the same taps and
+    the same float operations per pixel, so the two must agree byte for byte.
+    """
+    def taps(out_size, shift, scale, size):
+        x = (np.arange(out_size) + 0.5 + shift) / scale - 0.5
+        i0 = np.floor(x).astype(np.int64)
+        f = x - i0
+        out = []
+        for index, weight in ((i0, 1 - f), (i0 + 1, f)):
+            if mode == "pad":
+                weight = np.where((index >= 0) & (index < size), weight, 0.0)
+            out.append((np.clip(index, 0, size - 1), weight))
+        return out
+
+    (iy0, wy0), (iy1, wy1) = taps(t.out_height, t.dv, t.sy, data.shape[0])
+    (ix0, wx0), (ix1, wx1) = taps(t.out_width, t.du, t.sx, data.shape[1])
+    rows = wy0[:, None, None] * data[iy0] + wy1[:, None, None] * data[iy1]
+    out = rows[:, ix0] * wx0[None, :, None] + rows[:, ix1] * wx1[None, :, None]
+    if data.dtype == np.uint8:
+        out = np.clip(np.rint(out), 0, 255)
+    return out.astype(data.dtype)
 
 
 def nearest_depth_oracle(values: np.ndarray, valid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:

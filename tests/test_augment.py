@@ -1,9 +1,11 @@
 """Resampling correctness and the camera-aware augmentation contracts."""
 
+import dataclasses
 import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ class TestResample:
         image = _noise_image(np.random.default_rng(1))
         out = resample(image, PixelTransform.identity(64, 48))
         np.testing.assert_array_equal(out.data, image.data)
+
+    def test_adopted_array_is_kept_frozen_and_checked(self):
+        data = np.zeros((4, 5, 3), dtype=np.uint8)
+        assert RasterImage._adopt(data).data is data and not data.flags.writeable
+        with pytest.raises(ValueError):
+            RasterImage._adopt(np.zeros((4, 5, 2), dtype=np.uint8))
 
     def test_up_then_down_on_gradient(self):
         # crop mode clamps at the half-pixel border ring instead of mixing in
@@ -201,6 +209,59 @@ class TestPinnedResample:
             _digest(out_depth.values, out_depth.valid),
         )
         assert got == PINNED_DIGESTS[mode, seed]
+
+
+# SHA-256 of resample(uint8 RGB) and resample(float32 gray) of a seeded 640 x 480
+# frame, in pad mode (shifted) and then crop mode, taken before resample ran in bands
+PINNED_FULL_FRAME_DIGESTS = {
+    0.7: (
+        "bf7c68a371c33f911c7201d64c568d6a88eec0b203482d9cd42ce605024965b4",
+        "983a01979fb8e062d82cd4e2175cc1db933838a02a4e4a476b99c15b59501b0e",
+        "6672955a5fab481e9d75a9944a3a46e8ef614cba1ea2ecff417ebc1daf73eb66",
+        "1fe5f60cdc410b2c9cbbef9101a3f1277d196b37cf5b5f40549fd94563137e9f",
+    ),
+    1.0: (
+        "6fae440860403f38da74fa1b9f959b163d52babb3823ebe21785d6c5d3bbaf95",
+        "9cab06f5d376f342c2bc046245b8f29cbd672b33879cef9d82c949ef6523a523",
+        "649c796c17cf6b04335c558892e3a68c0ca5fc6c4432ef22987743788c7396ee",
+        "83d8797d7e83ac3edcfdf278bb0f1abd7fc79661cc246abb435f6e98ddcf4d9b",
+    ),
+    1.4: (
+        "982564e54083f6a569c9055ace857a5ca6cc68bfcad9545fc05695b69ebe5541",
+        "f09306a0b2998b8cb3dcb1f41c68299bcc77d1d234145c732f3a1783735f4240",
+        "33d0c8d70f46eed4bf687149b42cbc6c0bf99af04bd18bc902ed70b73f9e2c72",
+        "efee7c626663605dca47d485b47da4a71a1ad0bf80e0cc613268ae8463a12494",
+    ),
+}
+
+
+class TestFullFrameResample:
+    """640 x 480 frames span many bands of resample, where the pinned 97 x 61 source may fit in one."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        rng = np.random.default_rng(640)
+        return (RasterImage(rng.integers(0, 256, size=(480, 640, 3), dtype=np.uint8)),
+                RasterImage(rng.random((480, 640, 1), dtype=np.float32)))
+
+    @pytest.mark.parametrize("s", sorted(PINNED_FULL_FRAME_DIGESTS))
+    def test_outputs_match_pinned_digests(self, frames, s):
+        pad = dataclasses.replace(PixelTransform.scaling(s, 640, 480), du=-0.1 * s * 640 + 0.25, dv=0.1 * s * 480 - 0.5)
+        crop = PixelTransform(s, s, 0.05 * s * 640 + 0.3, 0.15 * s * 480 - 0.7, int(s * 640 * 0.8), int(s * 480 * 0.8))
+        got = tuple(_digest(resample(image, t, mode).data)
+                    for t, mode in ((pad, "pad"), (crop, "crop")) for image in frames)
+        assert got == PINNED_FULL_FRAME_DIGESTS[s]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_peak_memory_is_the_output_plus_a_band(self, dtype):
+        image = RasterImage(np.zeros((480, 640, 3), dtype=dtype))
+        tracemalloc.start()
+        try:
+            out = resample(image, PixelTransform.scaling(1.4, 640, 480))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (672, 896, 3) and peak <= out.data.nbytes + 4 * 2**20, peak
 
 
 class TestAugment:

@@ -224,6 +224,17 @@ class TestAabbIoU:
         b = OrientedBox3((5, 5, 5), (1, 1, 1), 0, 0, 0)
         assert aabb_iou(a, b) == 0.0
 
+    @pytest.mark.parametrize("size, x", [((1e-8, 1, 1), 1e8), ((0.001, 1, 1), 12345.678)])
+    def test_box_far_from_the_origin_against_itself(self, size, x):
+        # absolute corners once lost the thin side to rounding (0.0) or overshot it (above 1)
+        box = OrientedBox3((x, 0, 0), size, 0, 0, 0)
+        assert aabb_iou(box, box) == iou3d(box, box) == 1.0
+
+    def test_offset_that_overflows_is_disjoint(self):
+        a = OrientedBox3((-1e308, 0, 0), (1, 1, 1), 0, 0, 0)
+        b = dataclasses.replace(a, center=(1e308, 0, 0))
+        assert aabb_iou(a, b) == aabb_iou(b, a) == 0.0
+
 
 def _pinned_pairs() -> list[tuple[OrientedBox3, OrientedBox3]]:
     """64 seeded pairs: 16 overlapping, 12 AABB-disjoint, 12 nested,
@@ -300,15 +311,23 @@ def _bit_pairs(n: int = 200) -> list[tuple[OrientedBox3, OrientedBox3]]:
     return pairs
 
 
-# SHA-256 of the float64 bits of iou3d, intersection_volume (zyx, xyz) and aabb_iou
-# over _bit_pairs(), taken before the equal-attitude closed form moved to plain floats
-PINNED_OVERLAP_SHA256 = "47badd0bf467a5095fa8ed32264f0e8920502658bd3f6791dd4041b14ab3a15a"
+# SHA-256 of the float64 bits of iou3d and intersection_volume (zyx, xyz) over
+# _bit_pairs(), taken before the equal-attitude closed form moved to plain floats
+PINNED_ORIENTED_SHA256 = "43baada551dcf6399957c412fc93c9cf40f864f442a8df627db13d73fbdd0290"
+# the same of aabb_iou, taken once it measured from the first box's center
+PINNED_AABB_SHA256 = "13ea555d2e680d16089fc312b7766f43e928e5114ffb3ee00da4fdb89ac82280"
 
 
 class TestPinnedOverlapBits:
     def test_results_are_bit_identical(self):
         digest = hashlib.sha256()
         for a, b in _bit_pairs():
-            values = (iou3d(a, b), intersection_volume(a, b, "zyx"), intersection_volume(a, b, "xyz"), aabb_iou(a, b))
-            digest.update(struct.pack("<4d", *values))
-        assert digest.hexdigest() == PINNED_OVERLAP_SHA256
+            digest.update(struct.pack("<3d", iou3d(a, b), intersection_volume(a, b, "zyx"),
+                                      intersection_volume(a, b, "xyz")))
+        assert digest.hexdigest() == PINNED_ORIENTED_SHA256
+
+    def test_aabb_results_are_bit_identical(self):
+        digest = hashlib.sha256()
+        for a, b in _bit_pairs():
+            digest.update(struct.pack("<d", aabb_iou(a, b)))
+        assert digest.hexdigest() == PINNED_AABB_SHA256

@@ -1,7 +1,9 @@
 """Property tests: the pinhole core (unprojection, the resize rule, ray
-preservation), resampling against per-pixel oracles, oriented-box IoU
-(symmetry, rigid invariance, the clipper against the closed form) and the
-input parsers (every input parses or raises CamGeomError, nothing else).
+preservation), resampling against per-pixel oracles and banded resampling
+against the whole-frame formula, oriented-box IoU (symmetry, rigid
+invariance, the clipper against the closed form, aabb_iou on zero angles)
+and the input parsers (every input parses or raises CamGeomError, nothing
+else).
 
 Derandomized with no example database, so every run draws the same cases;
 ``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
@@ -16,15 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camgeom.augment import RasterImage, resample, resample_depth
-from camgeom.boxes import OrientedBox3, clipped_intersection_volume, intersection_volume, iou3d
+from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
+from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.depthmap import DepthMap
 from camgeom.errors import CamGeomError
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
-from oracles import bilinear_oracle, nearest_depth_oracle
+from oracles import bilinear_oracle, nearest_depth_oracle, whole_frame_resample
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
@@ -127,6 +129,41 @@ def test_resample_depth_matches_per_pixel_oracle(case):
     np.testing.assert_array_equal(out.values, values)  # NaN where invalid, on both sides
 
 
+@st.composite
+def band_edge_cases(draw):
+    """A seeded raster and a transform whose output height sits at a band edge of
+    resample: one row, a band less or more one row, one band, or several bands."""
+    out_h = draw(st.sampled_from([1, max(1, _BAND_ROWS - 1), _BAND_ROWS, _BAND_ROWS + 1])
+                 | st.integers(2 * _BAND_ROWS, 5 * _BAND_ROWS + 3))
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 24))
+    mode = draw(st.sampled_from(["pad", "crop"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (height, width, draw(st.sampled_from([1, 3])))
+    if draw(st.sampled_from([np.uint8, np.float32])) == np.uint8:
+        data = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        data = rng.random(shape, dtype=np.float32)
+    if mode == "pad":
+        t = PixelTransform(draw(_floats(0.2, 5)), draw(_floats(0.2, 5)), draw(_floats(-20, 20)),
+                           draw(_floats(-20, 20)), draw(st.integers(1, 24)), out_h)
+    else:
+        sx, sy = draw(_floats(1.0 / width, 5)), draw(_floats(out_h / height, out_h / height + 5))
+        out_w = draw(st.integers(1, max(1, math.floor(sx * width))))
+        t = PixelTransform(sx, sy, draw(_floats(0, max(0.0, sx * width - out_w))),
+                           draw(_floats(0, max(0.0, sy * height - out_h))), out_w, out_h)
+    return RasterImage(data), t, mode
+
+
+@SETTINGS
+@given(band_edge_cases())
+def test_banded_resample_equals_whole_frame_formula(case):
+    image, t, mode = case
+    out = resample(image, t, mode).data
+    expected = whole_frame_resample(image.data, t, mode)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
 _ANGLE = _floats(-math.pi, math.pi)
 
 
@@ -187,6 +224,26 @@ def test_coincident_boxes_with_nearly_equal_attitudes(pair, deltas):
     a = pair[0]
     b = OrientedBox3(a.center, a.size, a.yaw + deltas[0], a.pitch + deltas[1], a.roll + deltas[2])
     assert iou3d(a, b) >= 1 - 1e-9
+
+
+@st.composite
+def zero_angle_pairs(draw):
+    """Two axis-aligned boxes from far-apart sizes and positions, b often overlapping a."""
+    def box(center):
+        return OrientedBox3(center, [draw(_floats(1e-8, 1e3)) for _ in range(3)], 0.0, 0.0, 0.0)
+
+    center = [draw(_floats(-1e9, 1e9) | _floats(-3, 3)) for _ in range(3)]
+    offset = [draw(_floats(-2, 2) | _floats(-1e308, 1e308)) for _ in range(3)]
+    return box(center), box([c + d for c, d in zip(center, offset)])
+
+
+@SETTINGS
+@given(zero_angle_pairs())
+@example((OrientedBox3((1.7e308, 0, 0), (1, 1, 1), 0, 0, 0), OrientedBox3((-1.7e308, 0, 0), (1, 1, 1), 0, 0, 0)))
+def test_aabb_iou_is_iou3d_bit_for_bit_on_zero_angles(pair):
+    a, b = pair
+    with np.errstate(over="ignore", invalid="ignore"):  # iou3d's offset may overflow to inf, then NaN
+        assert aabb_iou(a, b).hex() == iou3d(a, b).hex()
 
 
 # -- parser fuzzing ----------------------------------------------------------
