@@ -28,7 +28,7 @@ import numpy as np
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, CamGeomError, NonPositiveFactor
+from .errors import BelowMinimum, CamGeomError, NonPositiveFactor, _count, _number, _positive
 from .evaluation import Detection, _score, match_and_score
 from .transforms import scale
 
@@ -73,11 +73,11 @@ class EquivalenceWitness:
     h_proj: float
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if value <= 0 or not math.isfinite(value):
-        raise NonPositiveFactor(f"{name} must be > 0, got {value}")
-    return value
+def _factors(name: str, values, names: tuple[str, ...]) -> tuple[float, ...]:
+    """``values``, a tuple or list with one entry > 0 for each of ``names``."""
+    if not isinstance(values, (tuple, list)) or len(values) != len(names):
+        raise NonPositiveFactor(f"{name}: must be {len(names)} numbers {names}, got {values!r}")
+    return tuple(_positive(n, v, NonPositiveFactor) for n, v in zip(names, values))
 
 
 def make_witness(
@@ -92,20 +92,18 @@ def make_witness(
     (alpha*f, beta*H, alpha*beta*Z).  The equal projected heights are
     verified at construction (1e-9 relative).
     """
-    f, height, depth = (_check_positive(n, v) for n, v in zip(("f", "H", "Z"), base))
+    f, height, depth = _factors("base", base, ("f", "H", "Z"))
     if kind == "focal_depth":
-        lam = _check_positive("lambda", factor)
+        lam = _positive("lambda", factor, NonPositiveFactor)
         variant = (lam * f, height, lam * depth)
     elif kind == "size_depth":
-        lam = _check_positive("lambda", factor)
+        lam = _positive("lambda", factor, NonPositiveFactor)
         variant = (f, lam * height, lam * depth)
     elif kind == "coupled":
-        alpha, beta = factor  # type: ignore[misc]
-        alpha = _check_positive("alpha", alpha)
-        beta = _check_positive("beta", beta)
+        alpha, beta = _factors("factor", factor, ("alpha", "beta"))
         variant = (alpha * f, beta * height, alpha * beta * depth)
     else:
-        raise ValueError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
+        raise CamGeomError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
     h_base = f * height / depth
     h_variant = variant[0] * variant[1] / variant[2]
     if abs(h_variant - h_base) > 1e-9 * abs(h_base):
@@ -123,9 +121,9 @@ class SizePrior:
     spread: float = 0.0
 
     def __post_init__(self):
-        _check_positive("size prior mean", self.mean)
-        if not (math.isfinite(self.spread) and self.spread >= 0):
-            raise CamGeomError(f"size prior spread must be finite and >= 0, got {self.spread}")
+        _positive("size prior mean", self.mean, NonPositiveFactor)
+        if _number("size prior spread", self.spread, CamGeomError) < 0:
+            raise CamGeomError(f"size prior spread: must be >= 0, got {self.spread!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def _as_prior(value) -> SizePrior:
     if isinstance(value, SizePrior):
         return value
     mean, spread = value
-    return SizePrior(float(mean), float(spread))
+    return SizePrior(mean, spread)
 
 
 def generate_scenes(
@@ -174,12 +172,9 @@ def generate_scenes(
     placed on random rays inside the central 60% of the frame; the GT box
     sits at the true depth along that ray with a square footprint.
     """
-    if n < 1:
-        raise BelowMinimum(f"need n >= 1 scenes, got {n}")
-    if objects_per_scene < 1:
-        raise BelowMinimum(f"need objects_per_scene >= 1, got {objects_per_scene}")
-    if seed < 0:
-        raise BelowMinimum(f"seed must be >= 0, got {seed}")
+    n = _count("n", n, BelowMinimum)
+    objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
+    seed = _count("seed", seed, BelowMinimum, minimum=0)
     if not camera_pool:
         raise BelowMinimum("camera_pool must be non-empty")
     priors = {label: _as_prior(p) for label, p in (size_priors or DEFAULT_SIZE_PRIORS).items()}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch
+from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _number, _positive
 from .evaluation import Detection
 from .rays import _frozen_copy
 from .transforms import PixelTransform, apply_transform
@@ -103,17 +103,17 @@ class AugmentationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = (float(v) for v in self.scale_range)
-        if not (0 < lo <= hi) or not math.isfinite(hi):
+        lo, hi = (_positive("scale_range", v, CamGeomError) for v in self.scale_range)
+        if lo > hi:
             raise CamGeomError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
         object.__setattr__(self, "scale_range", (lo, hi))
-        frac = float(self.shift_fraction)
+        frac = _number("shift_fraction", self.shift_fraction, CamGeomError)
         if not (0.0 <= frac <= 0.5):
             raise CamGeomError(f"shift_fraction must be in [0, 0.5], got {frac}")
         object.__setattr__(self, "shift_fraction", frac)
         if self.mode not in ("pad", "crop"):
             raise CamGeomError(f"mode must be 'pad' or 'crop', got {self.mode!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if not isinstance(self.seed, int) or _count("seed", self.seed, CamGeomError, minimum=0) >= 2**64:
             raise CamGeomError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CamGeomError, DegenerateBox
+from .errors import CamGeomError, DegenerateBox, _number, _positive
 
 __all__ = [
     "OrientedBox3",
@@ -58,27 +58,22 @@ class OrientedBox3:
     roll: float
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        size = tuple(float(s) for s in self.size)
-        angles = (float(self.yaw), float(self.pitch), float(self.roll))
+        center = tuple(_number("box center", c, DegenerateBox) for c in self.center)
+        size = tuple(_positive("box size", s, DegenerateBox) for s in self.size)
         if len(center) != 3 or len(size) != 3:
             raise DegenerateBox("center and size must have 3 components each")
-        if not all(math.isfinite(v) for v in center + size + angles):
-            raise DegenerateBox(f"box parameters must be finite: {center + size + angles}")
-        if any(s <= 0 for s in size) or not 0.0 < size[0] * size[1] * size[2] < math.inf:
+        if not 0.0 < size[0] * size[1] * size[2] < math.inf:
             raise DegenerateBox(f"box sizes must be > 0 with a finite, non-zero volume, got {size}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "yaw", angles[0])
-        object.__setattr__(self, "pitch", angles[1])
-        object.__setattr__(self, "roll", angles[2])
+        for name in ("yaw", "pitch", "roll"):
+            object.__setattr__(self, name, _number(f"box {name}", getattr(self, name), DegenerateBox))
 
     @classmethod
     def from_list(cls, values: Sequence[float]) -> "OrientedBox3":
         if len(values) != 9:
             raise DegenerateBox(f"box list must have 9 entries, got {len(values)}")
-        v = [float(x) for x in values]
-        return cls((v[0], v[1], v[2]), (v[3], v[4], v[5]), v[6], v[7], v[8])
+        return cls(values[0:3], values[3:6], *values[6:])
 
     def to_list(self) -> list[float]:
         return [*self.center, *self.size, self.yaw, self.pitch, self.roll]
@@ -208,17 +203,19 @@ def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") ->
     """Exact volume of the intersection of two oriented boxes."""
     if (a.yaw, a.pitch, a.roll) == (b.yaw, b.pitch, b.roll):
         # equal attitudes: the overlap is axis-aligned in the shared box frame
-        return _aligned_overlap(a.size, (a.rotation(order).T @ np.subtract(b.center, a.center)).tolist(), b.size)
+        return _aligned_overlap(a, b, a.rotation(order))
     return clipped_intersection_volume(a, b, order)
 
 
-def _aligned_overlap(size_a, offset, size_b) -> float:
-    """Volume shared by axis-aligned boxes of the given sizes, b's center ``offset`` from a's, on
-    floats; a non-finite offset overflowed: too far apart for finite boxes to meet."""
-    if not all(map(math.isfinite, offset)):
+def _aligned_overlap(a: OrientedBox3, b: OrientedBox3, frame: np.ndarray | None = None) -> float:
+    """Volume shared by axis-aligned boxes ``a`` and ``b``, b's center taken from a's in ``frame``'s axes."""
+    offset = [cb - ca for ca, cb in zip(a.center, b.center)]
+    if not all(map(math.isfinite, offset)):  # overflowed: too far apart for finite boxes to meet
         return 0.0
+    if frame is not None:
+        offset = (frame.T @ offset).tolist()
     volume = 1.0
-    for sa, d, sb in zip(size_a, offset, size_b):
+    for sa, d, sb in zip(a.size, offset, b.size):
         side = min(sa / 2, d + sb / 2) - max(-sa / 2, d - sb / 2)
         if side <= 0:
             return 0.0
@@ -265,5 +262,4 @@ def aabb_iou(a: OrientedBox3, b: OrientedBox3) -> float:
     Provided for sensitivity checks against the oriented computation; for
     boxes with zero angles it is the exact answer, bit for bit :func:`iou3d`'s.
     """
-    offset = [cb - ca for ca, cb in zip(a.center, b.center)]  # from a's center, as iou3d measures
-    return _iou(_aligned_overlap(a.size, offset, b.size), a.volume(), b.volume())
+    return _iou(_aligned_overlap(a, b), a.volume(), b.volume())

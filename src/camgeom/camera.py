@@ -13,13 +13,12 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import IntrinsicsError, NonPositiveDepth, NonPositiveSize
+from .errors import CamGeomError, IntrinsicsError, NonPositiveDepth, NonPositiveSize, _count, _number, _positive
 
 __all__ = [
     "Intrinsics",
@@ -51,27 +50,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        for name in _INTRINSICS_KEYS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise IntrinsicsError(f"intrinsics.{name}: must be a number, got {value!r}")
-            if not abs(value) <= 1.7976931348623157e308:  # the largest float: false for NaN, inf, huge ints
-                raise IntrinsicsError(f"intrinsics.{name}: must be finite, got {value!r}")
-        for name in ("fx", "fy", "cx", "cy"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.fx <= 0:
-            raise IntrinsicsError(f"intrinsics.fx: must be > 0, got {self.fx}")
-        if self.fy <= 0:
-            raise IntrinsicsError(f"intrinsics.fy: must be > 0, got {self.fy}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise IntrinsicsError(f"intrinsics.{name}: must be an integer, got {value!r}")
-                value = int(value)
-            if not isinstance(value, int) or value < 1:
-                raise IntrinsicsError(f"intrinsics.{name}: must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, value)
+        for name, check in zip(_INTRINSICS_KEYS, (_positive, _positive, _number, _number, _count, _count)):
+            object.__setattr__(self, name, check(f"intrinsics.{name}", getattr(self, name), IntrinsicsError))
 
     def matrix(self) -> np.ndarray:
         """3x3 calibration matrix [[fx, 0, cx], [0, fy, cy], [0, 0, 1]]."""
@@ -118,8 +98,8 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise ValueError(f"point components must be finite: {self}")
+        for name in ("x", "y", "z"):
+            _number(f"point.{name}", getattr(self, name), CamGeomError)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
@@ -133,8 +113,8 @@ class Pixel:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError(f"pixel coordinates must be finite: {self}")
+        _number("pixel.u", self.u, CamGeomError)
+        _number("pixel.v", self.v, CamGeomError)
 
 
 @dataclass(frozen=True)
@@ -168,10 +148,8 @@ def back_project(pixel: Pixel, k: Intrinsics) -> Ray:
 
 
 def _projected_extent(size: float, name: str, depth: float, focal: float) -> float:
-    if size <= 0 or not math.isfinite(size):
-        raise NonPositiveSize(f"{name} must be > 0, got {size}")
-    if depth <= 0 or not math.isfinite(depth):
-        raise NonPositiveDepth(f"depth must be > 0, got {depth}")
+    _positive(name, size, NonPositiveSize)
+    _positive("depth", depth, NonPositiveDepth)
     return focal * size / depth
 
 

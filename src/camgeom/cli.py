@@ -152,8 +152,7 @@ def _factor_list(text: str) -> list[float]:
 
 def _camera_from_pool_entry(entry, where: str) -> Intrinsics:
     if isinstance(entry, (int, float)):
-        f = float(entry)
-        return Intrinsics(f, f, 320.0, 240.0, 640, 480)
+        return Intrinsics(entry, entry, 320.0, 240.0, 640, 480)
     return Intrinsics.from_mapping(entry, where=where)
 
 

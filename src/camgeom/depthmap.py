@@ -13,13 +13,12 @@ break the token-point invariance under consistent rescales.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import Intrinsics, unproject_array
-from .errors import BadDimension, ExtentMismatch, NonPositiveInput
+from .errors import BadDimension, ExtentMismatch, NonPositiveInput, _positive
 from .rays import EmbeddingGrid, TokenGridSpec, _check_grid_extent, _frozen_copy, sinusoid_features, token_centers
 
 __all__ = [
@@ -157,9 +156,9 @@ def biased_depth_estimate(h_proj: float, height_prior: float, f_assumed: float) 
     image resize by s it returns Z/s instead of Z (the systematic bias this
     toolkit demonstrates).
     """
-    for name, value in (("h_proj", h_proj), ("height_prior", height_prior), ("f_assumed", f_assumed)):
-        if value <= 0 or not math.isfinite(value):
-            raise NonPositiveInput(f"{name} must be > 0, got {value}")
+    _positive("h_proj", h_proj, NonPositiveInput)
+    _positive("height_prior", height_prior, NonPositiveInput)
+    _positive("f_assumed", f_assumed, NonPositiveInput)
     return f_assumed * height_prior / h_proj
 
 
@@ -169,7 +168,6 @@ def aware_depth_estimate(h_proj: float, height_prior: float, k: Intrinsics) -> f
     Using the updated intrinsics makes the estimate invariant under any
     consistent resize (the scale factor cancels).
     """
-    for name, value in (("h_proj", h_proj), ("height_prior", height_prior)):
-        if value <= 0 or not math.isfinite(value):
-            raise NonPositiveInput(f"{name} must be > 0, got {value}")
+    _positive("h_proj", h_proj, NonPositiveInput)
+    _positive("height_prior", height_prior, NonPositiveInput)
     return k.fy * height_prior / h_proj

@@ -1,8 +1,44 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its one rule for numbers.
 
 Everything derives from :class:`CamGeomError` (a ``ValueError``) so callers
 can catch toolkit validation failures with a single except clause.
+
+A number taken from a caller is an int or a float (``np.float64`` is one),
+never a bool or text, and finite: NaN, +-inf and ints too large for a float
+are not.  A count is an int or an integral float.  :func:`_number`,
+:func:`_positive` and :func:`_count` apply this rule for every value type and
+checker, raising the error class their caller names.
 """
+
+_LARGEST = 1.7976931348623157e308
+
+
+def _number(what: str, value, error: type) -> float:
+    """``value`` as a float if it is a finite int or float; ``error`` otherwise."""
+    if value.__class__ is float and -_LARGEST <= value <= _LARGEST:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what}: must be a number, got {value!r}")
+    if not abs(value) <= _LARGEST:  # false for NaN and inf, exact for ints of any size
+        raise error(f"{what}: must be finite, got {value!r}")
+    return float(value)
+
+
+def _positive(what: str, value, error: type) -> float:
+    """:func:`_number`, and > 0."""
+    if value.__class__ is float and 0 < value <= _LARGEST:  # the common case, in one test
+        return value
+    if not _number(what, value, error) > 0:
+        raise error(f"{what}: must be > 0, got {value!r}")
+    return float(value)
+
+
+def _count(what: str, value, error: type, minimum: int = 1) -> int:
+    """``value`` as an int if it is an int or an integral float (:func:`_number`), >= ``minimum``."""
+    number = value if value.__class__ is int else _number(what, value, error)
+    if not minimum <= number <= _LARGEST or number != int(number):
+        raise error(f"{what}: must be an integer >= {minimum}, got {value!r}")
+    return int(number)
 
 
 class CamGeomError(ValueError):

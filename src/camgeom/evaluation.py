@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .boxes import OrientedBox3, _check_order, aabb_iou, iou3d
-from .errors import BadThreshold, DegenerateBox, NoParsableJson
+from .errors import BadThreshold, DegenerateBox, NoParsableJson, _positive
 
 __all__ = [
     "Detection",
@@ -136,12 +136,9 @@ def parse_detections(text: str) -> list[Detection]:
         if not isinstance(values, list) or len(values) != 9:
             logger.warning("skipping entry with bad box arity for %r: %r", label, values)
             continue
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            logger.warning("skipping entry with non-numeric box for %r", label)
-            continue
         try:
             detections.append(Detection(label, OrientedBox3.from_list(values)))
-        except (DegenerateBox, OverflowError) as exc:  # OverflowError: an integer beyond float range
+        except DegenerateBox as exc:
             logger.warning("skipping degenerate box for %r: %s", label, exc)
     return detections
 
@@ -206,7 +203,7 @@ def match_and_score(
     rotation_order: str = "zyx",
 ) -> EvalReport:
     """Greedy class-wise matching and P/R/F1 at the given IoU threshold."""
-    if not (0.0 < threshold <= 1.0):
+    if _positive("IoU threshold", threshold, BadThreshold) > 1.0:
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
     _check_order(rotation_order)  # also when no pair reaches rotation_matrix
     class_filter = None if classes is None else {normalize_label(c) for c in classes}

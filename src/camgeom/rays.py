@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import Intrinsics, ray_components
-from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage
+from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, _count, _number, _positive
 
 __all__ = [
     "TokenGridSpec",
@@ -50,8 +50,8 @@ class TokenGridSpec:
     patch: float
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise BelowMinimum(f"token grid must have rows, cols >= 1, got {self.rows}x{self.cols}")
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, _count(f"token grid {name}", getattr(self, name), BelowMinimum))
         object.__setattr__(self, "patch", _check_patch(self.patch))
 
     @classmethod
@@ -69,10 +69,9 @@ def _frozen_copy(array, dtype=None) -> np.ndarray:
 
 
 def _check_patch(patch: float) -> float:
-    value = float(patch)
-    if not math.isfinite(value) or value < 1:
-        raise BelowMinimum(f"patch must be >= 1 pixel, got {patch}")
-    return value
+    if _number("patch", patch, BelowMinimum) < 1:
+        raise BelowMinimum(f"patch: must be >= 1 pixel, got {patch!r}")
+    return float(patch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +158,7 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
     """
     if dim < 2 or dim % 2:
         raise BadDimension(f"per-scalar feature width must be even and >= 2, got {dim}")
-    if not 0 < period < math.inf:
-        raise CamGeomError(f"base period must be finite and > 0, got {period}")
+    _positive("base period", period, CamGeomError)
     x = np.asarray(x, dtype=np.float64)
     m = np.arange(dim // 2, dtype=np.float64)
     angles = x[..., None] / period ** (2.0 * m / dim)
@@ -187,8 +185,7 @@ def embed(
     """
     if dim < 8 or dim % 8:
         raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
-    if not 0 < focal_reference < math.inf:
-        raise CamGeomError(f"focal reference must be finite and > 0, got {focal_reference}")
+    _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
     log_fx = math.log(k.fx / focal_reference)
     log_fy = math.log(k.fy / focal_reference)

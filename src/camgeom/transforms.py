@@ -13,14 +13,13 @@ affects the raster canvas, never the focal/principal-point arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .camera import Intrinsics, ray_directions
-from .errors import NonPositiveScale
+from .errors import BelowMinimum, CamGeomError, NonPositiveScale, _count, _number, _positive
 
 __all__ = [
     "PixelTransform",
@@ -48,20 +47,10 @@ class PixelTransform:
     out_height: int
 
     def __post_init__(self):
-        for name in ("sx", "sy", "du", "dv"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"transform.{name}: must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.sx <= 0 or self.sy <= 0:
-            raise NonPositiveScale(f"scale factors must be > 0, got sx={self.sx}, sy={self.sy}")
-        for name in ("out_width", "out_height"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"transform.{name}: must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, value)
+        for name, check, error in (("sx", _positive, NonPositiveScale), ("sy", _positive, NonPositiveScale),
+                                   ("du", _number, CamGeomError), ("dv", _number, CamGeomError),
+                                   ("out_width", _count, BelowMinimum), ("out_height", _count, BelowMinimum)):
+            object.__setattr__(self, name, check(f"transform.{name}", getattr(self, name), error))
 
     @classmethod
     def identity(cls, width: int, height: int) -> "PixelTransform":
@@ -70,8 +59,8 @@ class PixelTransform:
     @classmethod
     def scaling(cls, s: float, width: int, height: int) -> "PixelTransform":
         """Pure resize of a width x height source by factor s."""
-        if s <= 0 or not math.isfinite(s):
-            raise NonPositiveScale(f"scale factor must be > 0, got {s}")
+        _positive("scale factor", s, NonPositiveScale)
+        width, height = _count("width", width, BelowMinimum), _count("height", height, BelowMinimum)
         return cls(s, s, 0.0, 0.0, _round_extent(s * width), _round_extent(s * height))
 
     def apply(self, u, v):

@@ -82,6 +82,16 @@ class TestParse:
         )
         assert [d.label for d in parse_detections(text)] == ["b"]
 
+    @pytest.mark.parametrize("size", ["true", '"1"', "null", "[1]", "1" + "0" * 400])
+    def test_boxes_with_an_entry_outside_the_number_rule_skipped(self, size, caplog):
+        text = (
+            f'[{{"label": "a", "bbox_3d": [0,0,0,{size},1,1,0,0,0]}},'
+            ' {"label": "b", "bbox_3d": [0,0,0,1,1,1,0,0,0]}]'
+        )
+        with caplog.at_level(logging.WARNING, logger="camgeom.evaluation"):
+            assert [d.label for d in parse_detections(text)] == ["b"]
+        assert any("box size" in record.message for record in caplog.records)
+
 
 class TestF1:
     def test_reference_row_identity(self):

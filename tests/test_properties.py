@@ -242,8 +242,7 @@ def zero_angle_pairs(draw):
 @example((OrientedBox3((1.7e308, 0, 0), (1, 1, 1), 0, 0, 0), OrientedBox3((-1.7e308, 0, 0), (1, 1, 1), 0, 0, 0)))
 def test_aabb_iou_is_iou3d_bit_for_bit_on_zero_angles(pair):
     a, b = pair
-    with np.errstate(over="ignore", invalid="ignore"):  # iou3d's offset may overflow to inf, then NaN
-        assert aabb_iou(a, b).hex() == iou3d(a, b).hex()
+    assert aabb_iou(a, b).hex() == iou3d(a, b).hex()
 
 
 # -- parser fuzzing ----------------------------------------------------------
