@@ -28,7 +28,7 @@ import numpy as np
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, CamGeomError, NonPositiveFactor, _count, _number, _positive
+from .errors import BelowMinimum, CamGeomError, NonPositiveFactor, _count, _factors, _number, _positive
 from .evaluation import Detection, _score, match_and_score
 from .transforms import scale
 
@@ -73,13 +73,6 @@ class EquivalenceWitness:
     h_proj: float
 
 
-def _factors(name: str, values, names: tuple[str, ...]) -> tuple[float, ...]:
-    """``values``, a tuple or list with one entry > 0 for each of ``names``."""
-    if not isinstance(values, (tuple, list)) or len(values) != len(names):
-        raise NonPositiveFactor(f"{name}: must be {len(names)} numbers {names}, got {values!r}")
-    return tuple(_positive(n, v, NonPositiveFactor) for n, v in zip(names, values))
-
-
 def make_witness(
     base: tuple[float, float, float],
     kind: str,
@@ -92,7 +85,7 @@ def make_witness(
     (alpha*f, beta*H, alpha*beta*Z).  The equal projected heights are
     verified at construction (1e-9 relative).
     """
-    f, height, depth = _factors("base", base, ("f", "H", "Z"))
+    f, height, depth = _factors("base", base, ("f", "H", "Z"), NonPositiveFactor)
     if kind == "focal_depth":
         lam = _positive("lambda", factor, NonPositiveFactor)
         variant = (lam * f, height, lam * depth)
@@ -100,7 +93,7 @@ def make_witness(
         lam = _positive("lambda", factor, NonPositiveFactor)
         variant = (f, lam * height, lam * depth)
     elif kind == "coupled":
-        alpha, beta = _factors("factor", factor, ("alpha", "beta"))
+        alpha, beta = _factors("factor", factor, ("alpha", "beta"), NonPositiveFactor)
         variant = (alpha * f, beta * height, alpha * beta * depth)
     else:
         raise CamGeomError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
@@ -219,7 +212,12 @@ def generate_scenes(
 
 
 def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = "mean") -> float:
-    """The focal a camera-agnostic estimator absorbs from its training pool."""
+    """The focal a camera-agnostic estimator absorbs from its training pool.
+
+    Raises BelowMinimum for an empty scene list and CamGeomError for an unknown ``mode``.
+    """
+    if not scenes:
+        raise BelowMinimum("scenes must be non-empty")
     focals = [scene.camera.fy for scene in scenes]
     if mode == "mean":
         return statistics.fmean(focals)
@@ -228,29 +226,22 @@ def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = "mean") ->
     raise CamGeomError(f"mode must be 'mean' or 'median', got {mode!r}")
 
 
-def _predict(
-    obj: SceneObject,
-    k_resized: Intrinsics,
-    estimator: str,
-    f_assumed: float,
-) -> tuple[float, Detection]:
-    """Depth estimate plus the 3D detection implied by it along the known ray."""
-    h_obs = projected_height(obj.height, obj.depth, k_resized)
-    w_obs = projected_width(obj.width, obj.depth, k_resized)
+def _estimators(names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple, each 'agnostic' or 'aware'; CamGeomError otherwise."""
+    names = tuple(names)
+    for name in names:
+        if name not in ("agnostic", "aware"):
+            raise CamGeomError(f"estimator must be 'agnostic' or 'aware', got {name!r}")
+    return names
+
+
+def _estimate(obj: SceneObject, k: Intrinsics, estimator: str, f_assumed: float) -> tuple[float, float, float, float]:
+    """Depth of ``obj`` estimated from its height seen through ``k``, that observed height, and
+    the focals (fy, fx) the estimator believes: ``f_assumed`` if agnostic, k's own if aware."""
+    h_obs = projected_height(obj.height, obj.depth, k)
     if estimator == "agnostic":
-        z_hat = biased_depth_estimate(h_obs, obj.height_prior, f_assumed)
-        f_y, f_x = f_assumed, f_assumed
-    elif estimator == "aware":
-        z_hat = aware_depth_estimate(h_obs, obj.height_prior, k_resized)
-        f_y, f_x = k_resized.fy, k_resized.fx
-    else:
-        raise ValueError(f"estimator must be 'agnostic' or 'aware', got {estimator!r}")
-    # box dimensions consistent with the estimator's internal world: size
-    # follows from observed extent and its own depth/focal beliefs
-    h_hat = h_obs * z_hat / f_y
-    w_hat = w_obs * z_hat / f_x
-    box = OrientedBox3((obj.ray_x * z_hat, obj.ray_y * z_hat, z_hat), (w_hat, h_hat, w_hat), 0.0, 0.0, 0.0)
-    return z_hat, Detection(obj.label, box)
+        return biased_depth_estimate(h_obs, obj.height_prior, f_assumed), h_obs, f_assumed, f_assumed
+    return aware_depth_estimate(h_obs, obj.height_prior, k), h_obs, k.fy, k.fx
 
 
 @dataclass(frozen=True)
@@ -279,39 +270,39 @@ def run_bias_experiment(
     fitted from the UNSCALED pool; the aware estimator uses the updated
     intrinsics.  Detection places each depth estimate along the object's
     known ray and scores it against the ground truth at ``iou_threshold``.
+    Raises CamGeomError for an unknown ``estimator`` or ``f_mode``, BelowMinimum
+    for an empty scene list, NonPositiveScale for a factor that is not a number
+    > 0 and BadThreshold for an ``iou_threshold`` outside (0, 1].
     """
-    if not scenes:
-        raise ValueError("scenes must be non-empty")
+    _estimators([estimator])
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
+    truths = [[Detection(obj.label, obj.box) for obj in scene.objects] for scene in scenes]
+    cameras = dict.fromkeys(scene.camera for scene in scenes)
     rows = []
     for s in resize_factors:
-        ratios = []
-        errors = []
+        resized = {k: scale(k, s) for k in cameras}
+        ratios, errors = [], []
         matched = n_pred = n_truth = 0
-        for scene in scenes:
-            k_resized = scale(scene.camera, s)
+        for scene, truth in zip(scenes, truths):
+            k = resized[scene.camera]
             preds = []
-            truths = []
             for obj in scene.objects:
-                z_hat, detection = _predict(obj, k_resized, estimator, f_assumed)
+                z_hat, h_obs, f_y, f_x = _estimate(obj, k, estimator, f_assumed)
+                # box dimensions consistent with the estimator's internal world: size
+                # follows from observed extent and its own depth/focal beliefs
+                h_hat = h_obs * z_hat / f_y
+                w_hat = projected_width(obj.width, obj.depth, k) * z_hat / f_x
+                center = (obj.ray_x * z_hat, obj.ray_y * z_hat, z_hat)
+                preds.append(Detection(obj.label, OrientedBox3(center, (w_hat, h_hat, w_hat), 0.0, 0.0, 0.0)))
                 ratios.append(z_hat / obj.depth)
                 errors.append(abs(z_hat - obj.depth) / obj.depth)
-                preds.append(detection)
-                truths.append(Detection(obj.label, obj.box))
-            report = match_and_score(preds, truths, threshold=iou_threshold)
+            report = match_and_score(preds, truth, threshold=iou_threshold)
             matched += report.micro.matched
             n_pred += report.micro.n_pred
             n_truth += report.micro.n_truth
-        rows.append(
-            BiasRow(
-                s=float(s),
-                estimator=estimator,
-                ratio_mean=statistics.fmean(ratios),
-                ratio_std=statistics.pstdev(ratios),
-                depth_error_mean=statistics.fmean(errors),
-                f1=_score(matched, n_pred, n_truth).f1,
-            )
-        )
+        rows.append(BiasRow(s=float(s), estimator=estimator, ratio_mean=statistics.fmean(ratios),
+                            ratio_std=statistics.pstdev(ratios), depth_error_mean=statistics.fmean(errors),
+                            f1=_score(matched, n_pred, n_truth).f1))
     return rows
 
 
@@ -337,30 +328,23 @@ def run_mixed_pool_experiment(
     The agnostic estimator fits one canonical focal on the mixture and so
     recovers depth with per-cluster ratio f_assumed / f_cluster; the aware
     estimator is exact for every cluster.  Returns (f_assumed, rows).
+    Raises CamGeomError for an unknown estimator or ``f_mode`` and BelowMinimum
+    for an empty scene list.
     """
-    if not scenes:
-        raise ValueError("scenes must be non-empty")
-    clusters = sorted({scene.camera_index for scene in scenes})
+    estimators = _estimators(estimators)
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
+    clusters: dict[int, list[SyntheticScene]] = {}
+    for scene in scenes:
+        clusters.setdefault(scene.camera_index, []).append(scene)
     rows = []
     for estimator in estimators:
-        for cluster in clusters:
-            members = [s for s in scenes if s.camera_index == cluster]
+        for cluster in sorted(clusters):
+            members = clusters[cluster]
             cluster_focal = members[0].camera.fy
-            ratios = []
-            for scene in members:
-                for obj in scene.objects:
-                    z_hat, _ = _predict(obj, scene.camera, estimator, f_assumed)
-                    ratios.append(z_hat / obj.depth)
+            ratios = [_estimate(obj, scene.camera, estimator, f_assumed)[0] / obj.depth
+                      for scene in members for obj in scene.objects]
             expected = f_assumed / cluster_focal if estimator == "agnostic" else 1.0
-            rows.append(
-                ClusterRow(
-                    cluster_focal=cluster_focal,
-                    estimator=estimator,
-                    ratio_mean=statistics.fmean(ratios),
-                    ratio_std=statistics.pstdev(ratios),
-                    expected_ratio=expected,
-                    n_objects=len(ratios),
-                )
-            )
+            rows.append(ClusterRow(cluster_focal=cluster_focal, estimator=estimator,
+                                   ratio_mean=statistics.fmean(ratios), ratio_std=statistics.pstdev(ratios),
+                                   expected_ratio=expected, n_objects=len(ratios)))
     return f_assumed, rows

@@ -28,7 +28,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _number, _positive
+from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _factors, _number
 from .evaluation import Detection
 from .rays import _frozen_copy
 from .transforms import PixelTransform, apply_transform
@@ -103,7 +103,7 @@ class AugmentationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = (_positive("scale_range", v, CamGeomError) for v in self.scale_range)
+        lo, hi = _factors("scale_range", self.scale_range, ("scale_range lo", "scale_range hi"), CamGeomError)
         if lo > hi:
             raise CamGeomError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
         object.__setattr__(self, "scale_range", (lo, hi))

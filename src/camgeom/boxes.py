@@ -212,15 +212,20 @@ def _aligned_overlap(a: OrientedBox3, b: OrientedBox3, frame: np.ndarray | None 
     offset = [cb - ca for ca, cb in zip(a.center, b.center)]
     if not all(map(math.isfinite, offset)):  # overflowed: too far apart for finite boxes to meet
         return 0.0
+    size_a, size_b, unit = a.size, b.size, 1.0
     if frame is not None:
+        if abs(offset[0]) + abs(offset[1]) + abs(offset[2]) == math.inf:
+            # the frame product could overflow: measure in half lengths, exact above the subnormal range
+            offset, size_a, size_b = ([x / 2 for x in v] for v in (offset, a.size, b.size))
+            unit = 8.0
         offset = (frame.T @ offset).tolist()
     volume = 1.0
-    for sa, d, sb in zip(a.size, offset, b.size):
+    for sa, d, sb in zip(size_a, offset, size_b):
         side = min(sa / 2, d + sb / 2) - max(-sa / 2, d - sb / 2)
         if side <= 0:
             return 0.0
         volume *= side
-    return volume
+    return volume * unit
 
 
 def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:

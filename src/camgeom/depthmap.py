@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, unproject_array
-from .errors import BadDimension, ExtentMismatch, NonPositiveInput, _positive
+from .errors import BadDimension, ExtentMismatch, NonPositiveInput, _count, _positive
 from .rays import EmbeddingGrid, TokenGridSpec, _check_grid_extent, _frozen_copy, sinusoid_features, token_centers
 
 __all__ = [
@@ -138,6 +138,7 @@ def embed_points(
     Each coordinate receives dim/3 features; invalid tokens emit all-zero
     vectors.  Deterministic given identical inputs and config.
     """
+    dim = _count("geometric embedding dim", dim, BadDimension)
     if dim < 6 or dim % 6:
         raise BadDimension(f"geometric embedding dim must be a multiple of 6, got {dim}")
     per_scalar = dim // 3

@@ -6,8 +6,8 @@ can catch toolkit validation failures with a single except clause.
 A number taken from a caller is an int or a float (``np.float64`` is one),
 never a bool or text, and finite: NaN, +-inf and ints too large for a float
 are not.  A count is an int or an integral float.  :func:`_number`,
-:func:`_positive` and :func:`_count` apply this rule for every value type and
-checker, raising the error class their caller names.
+:func:`_positive`, :func:`_factors` and :func:`_count` apply this rule for
+every value type and checker, raising the error class their caller names.
 """
 
 _LARGEST = 1.7976931348623157e308
@@ -31,6 +31,13 @@ def _positive(what: str, value, error: type) -> float:
     if not _number(what, value, error) > 0:
         raise error(f"{what}: must be > 0, got {value!r}")
     return float(value)
+
+
+def _factors(what: str, values, names: tuple[str, ...], error: type) -> tuple[float, ...]:
+    """``values``, a tuple or list with one entry > 0 (:func:`_positive`) for each of ``names``."""
+    if not isinstance(values, (tuple, list)) or len(values) != len(names):
+        raise error(f"{what}: must be {len(names)} numbers {names}, got {values!r}")
+    return tuple(_positive(n, v, error) for n, v in zip(names, values))
 
 
 def _count(what: str, value, error: type, minimum: int = 1) -> int:

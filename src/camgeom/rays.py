@@ -156,6 +156,7 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
     ``dim`` is the per-scalar feature width and must be even.  Output shape
     is ``x.shape + (dim,)`` with every value in [-1, 1].
     """
+    dim = _count("per-scalar feature width", dim, BadDimension)
     if dim < 2 or dim % 2:
         raise BadDimension(f"per-scalar feature width must be even and >= 2, got {dim}")
     _positive("base period", period, CamGeomError)
@@ -183,6 +184,7 @@ def embed(
     (hundreds to thousands) would alias the sinusoids.  The result is a
     deterministic function of geometry only, independent of image content.
     """
+    dim = _count("camera embedding dim", dim, BadDimension)
     if dim < 8 or dim % 8:
         raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
     _positive("focal reference", focal_reference, CamGeomError)

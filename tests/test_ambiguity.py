@@ -1,5 +1,6 @@
 """Equivalence witnesses and the synthetic depth-bias experiments."""
 
+import dataclasses
 import statistics
 
 import numpy as np
@@ -170,3 +171,76 @@ class TestMixedPool:
         for row in rows:
             assert row.ratio_mean == pytest.approx(1.0, abs=1e-9)
             assert row.expected_ratio == 1.0
+
+
+class TestRowBits:
+    """Every field of every row, as float.hex, for a seeded two-camera corpus with noisy priors."""
+
+    BIAS = [
+        ("0x1.999999999999ap-1", "agnostic", "0x1.58f08b42fa809p+0", "0x1.7a8a01447c316p-2",
+         "0x1.86241093781eap-2", "0x1.2000000000000p+5"),
+        ("0x1.0000000000000p+0", "agnostic", "0x1.13f3a29bfb9a1p+0", "0x1.2ed4cdd0635abp-2",
+         "0x1.1a50859c77df3p-2", "0x1.3800000000000p+4"),
+        ("0x1.4000000000000p+0", "agnostic", "0x1.b985d0f992901p-1", "0x1.e487afb3d22abp-3",
+         "0x1.d76d49638210ap-3", "0x1.1c00000000000p+5"),
+        ("0x1.999999999999ap-1", "aware", "0x1.018a4c2b56effp+0", "0x1.8d2094eea84c7p-4",
+         "0x1.2b60073dd4679p-4", "0x1.0800000000000p+6"),
+        ("0x1.0000000000000p+0", "aware", "0x1.018a4c2b56effp+0", "0x1.8d2094eea84c7p-4",
+         "0x1.2b60073dd467ap-4", "0x1.0800000000000p+6"),
+        ("0x1.4000000000000p+0", "aware", "0x1.018a4c2b56effp+0", "0x1.8d2094eea84c6p-4",
+         "0x1.2b60073dd4679p-4", "0x1.0800000000000p+6"),
+    ]
+    F_ASSUMED = "0x1.8c40000000000p+9"
+    CLUSTERS = [
+        ("0x1.2480000000000p+9", "agnostic", "0x1.5a452d84cd080p+0", "0x1.17d587a31d324p-3",
+         "0x1.5acdacdacdacep+0", 100),
+        ("0x1.f400000000000p+9", "agnostic", "0x1.9b442f6654581p-1", "0x1.2b81c9f94f5a0p-4",
+         "0x1.95c28f5c28f5cp-1", 100),
+        ("0x1.2480000000000p+9", "aware", "0x1.ff367bbb2d14cp-1", "0x1.9d216687d3e2cp-4",
+         "0x1.0000000000000p+0", 100),
+        ("0x1.f400000000000p+9", "aware", "0x1.03795a7917557p+0", "0x1.79ed42b14cb57p-4",
+         "0x1.0000000000000p+0", 100),
+    ]
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        priors = {"chair": SizePrior(0.85, 0.1), "table": SizePrior(0.75, 0.1), "door": SizePrior(2.0, 0.1)}
+        return generate_scenes(40, [_camera(585.0), _camera(1000.0)], size_priors=priors, seed=12)
+
+    @staticmethod
+    def _hexed(row) -> tuple:
+        return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+
+    def test_bias_rows(self, scenes):
+        rows = [row for estimator in ("agnostic", "aware")
+                for row in run_bias_experiment(scenes, [0.8, 1.0, 1.25], estimator=estimator)]
+        assert [self._hexed(row) for row in rows] == self.BIAS
+
+    def test_cluster_rows(self, scenes):
+        f_assumed, rows = run_mixed_pool_experiment(scenes)
+        assert f_assumed.hex() == self.F_ASSUMED
+        assert [self._hexed(row) for row in rows] == self.CLUSTERS
+
+
+class TestExperimentInputs:
+    SCENES = generate_scenes(4, [_camera(580), _camera(1160)], seed=13)
+
+    @pytest.mark.parametrize("factors", [[1.0], []])
+    def test_bias_rejects_an_unknown_estimator(self, factors):
+        with pytest.raises(CamGeomError, match="estimator"):
+            run_bias_experiment(self.SCENES, factors, estimator="oracle")
+
+    @pytest.mark.parametrize("estimators", [("oracle",), ("agnostic", "oracle")])
+    def test_mixed_pool_rejects_an_unknown_estimator(self, estimators):
+        with pytest.raises(CamGeomError, match="estimator"):
+            run_mixed_pool_experiment(self.SCENES, estimators)
+
+    @pytest.mark.parametrize("run", [lambda: run_bias_experiment([], [1.0]), lambda: run_mixed_pool_experiment([]),
+                                     lambda: fit_canonical_focal([]), lambda: fit_canonical_focal([], mode="median")])
+    def test_an_empty_scene_list_is_below_minimum(self, run):
+        with pytest.raises(BelowMinimum, match="scenes"):
+            run()
+
+    def test_estimators_may_be_any_iterable(self):
+        _, rows = run_mixed_pool_experiment(self.SCENES, iter(["aware"]))
+        assert [row.estimator for row in rows] == ["aware", "aware"]

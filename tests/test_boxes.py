@@ -10,6 +10,7 @@ import pytest
 
 from camgeom import OrientedBox3, aabb_iou, box_corners, iou3d
 from camgeom.boxes import (
+    _aligned_overlap,
     box_face_polygons,
     clipped_intersection_volume,
     intersection_volume,
@@ -180,6 +181,25 @@ class TestIoU3d:
         a = OrientedBox3((-1e308, -1e308, -1e308), (1, 1, 1), 0.3, 0.2, 0.1)
         b = dataclasses.replace(a, center=(1e308, 1e308, 1e308))
         assert intersection_volume(a, b) == iou3d(a, b) == 0.0
+
+    def test_equal_attitudes_whose_frame_product_would_overflow_are_disjoint(self):
+        # b - a = (1.7e308, 1.7e308, 0) is finite, but not once turned into the box frame
+        a = OrientedBox3((-0.85e308, 0, 0), (1, 1, 1), 0.7, 0, 0)
+        b = OrientedBox3((0.85e308, 1.7e308, 0), (1, 1, 1), 0.7, 0, 0)
+        assert iou3d(a, b) == 0.0
+
+    def test_offsets_whose_sum_overflows_are_measured_in_half_lengths_exactly(self):
+        # the frame maps (x, x, 0) onto (x, 0, 0), so these far boxes meet; the overlap must be
+        # that of the same pair shrunk by 2**-10, which takes the plain path, scaled back exactly
+        frame = np.array([[0.5, -0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+        def pair(unit):
+            size = (1.5e308 * unit, unit, unit)
+            return (OrientedBox3((-0.6e308 * unit, -0.6e308 * unit, 0), size, 0, 0, 0),
+                    OrientedBox3((0.6e308 * unit, 0.6e308 * unit, 0), size, 0, 0, 0))
+
+        far = _aligned_overlap(*pair(1.0), frame)
+        assert far > 0 and far == 2.0**30 * _aligned_overlap(*pair(2.0**-10), frame)
 
 
 class TestGeometryKeptOnTheBox:

@@ -19,6 +19,7 @@ from camgeom.boxes import OrientedBox3
 from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
 from camgeom.depthmap import DepthMap, aware_depth_estimate, biased_depth_estimate, embed_points, token_point_grid
 from camgeom.errors import (
+    BadDimension,
     BadThreshold,
     BelowMinimum,
     CamGeomError,
@@ -66,6 +67,9 @@ SITES = {
     "embed": (lambda a: embed(RAYS, K, 16, *a), [10000.0, 1000.0],
               {0: (POSITIVE, CamGeomError), 1: (POSITIVE, CamGeomError)}),
     "embed_points": (lambda a: embed_points(POINTS, 12, *a), [100.0], {0: (POSITIVE, CamGeomError)}),
+    "sinusoid_features.dim": (lambda a: sinusoid_features(np.zeros(3), a[0], 100.0), [4], {0: (COUNT, BadDimension)}),
+    "embed.dim": (lambda a: embed(RAYS, K, a[0]), [16], {0: (COUNT, BadDimension)}),
+    "embed_points.dim": (lambda a: embed_points(POINTS, a[0]), [12], {0: (COUNT, BadDimension)}),
     "AugmentationPolicy": (lambda a: AugmentationPolicy((a[0], a[1]), a[2], "pad", a[3]), [0.7, 1.4, 0.15, 7],
                            {0: (POSITIVE, CamGeomError), 1: (POSITIVE, CamGeomError), 2: (NUMBER, CamGeomError),
                             3: (COUNT, CamGeomError)}),
@@ -130,6 +134,8 @@ REJECTED = {
     "grid-text-patch": (lambda: TokenGridSpec(3, 4, "14"), BelowMinimum),
     "policy-bool-seed": (lambda: AugmentationPolicy(seed=True), CamGeomError),
     "policy-text-scale-range": (lambda: AugmentationPolicy(scale_range=("0.7", "1.4")), CamGeomError),
+    "policy-three-entry-scale-range": (lambda: AugmentationPolicy(scale_range=(1.0, 2.0, 3.0)), CamGeomError),
+    "policy-scalar-scale-range": (lambda: AugmentationPolicy(scale_range=1.0), CamGeomError),
     "projected-height-bool": (lambda: projected_height(True, 2.0, K), NonPositiveSize),
     "witness-bool-base": (lambda: make_witness((500.0, True, 2.0), "focal_depth", 2), NonPositiveFactor),
     "witness-coupled-scalar-factor": (lambda: make_witness((500.0, 2.0, 4.0), "coupled", 2.0), NonPositiveFactor),
@@ -188,6 +194,12 @@ def test_valid_numbers_are_stored_as_the_same_floats(case):
     build, read, _ = STORED[name]
     stored = read(build(value))
     assert type(stored) is float and stored.hex() == float(value).hex()
+
+
+def test_integral_float_dims_are_counts():
+    assert np.array_equal(sinusoid_features(np.zeros(3), 4.0, 100.0), sinusoid_features(np.zeros(3), 4, 100.0))
+    assert np.array_equal(embed(RAYS, K, dim=8.0).data, embed(RAYS, K, dim=8).data)
+    assert np.array_equal(embed_points(POINTS, dim=6.0).data, embed_points(POINTS, dim=6).data)
 
 
 @pytest.mark.parametrize("value", [7, 7.0, np.float64(7.0)])
