@@ -28,9 +28,9 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _factors, _number
+from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _factors, _number
 from .evaluation import Detection
-from .rays import _frozen_copy
+from .rays import _adopt, _held, _hold
 from .transforms import PixelTransform, apply_transform
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """H x W x C raster, uint8 or float32, row-major."""
+    """H x W x C raster, uint8 or float32, row-major; a caller's data is copied, the library's adopted."""
 
     data: np.ndarray
 
@@ -59,19 +59,10 @@ class RasterImage:
         if data.ndim == 2:
             data = data[:, :, None]
         if data.ndim != 3 or data.shape[2] not in (1, 3):
-            raise ValueError(f"raster must be H x W x (1|3), got shape {data.shape}")
+            raise BadDimension(f"raster must be H x W x (1|3), got shape {data.shape}")
         if data.dtype not in (np.uint8, np.float32):
-            raise ValueError(f"raster dtype must be uint8 or float32, got {data.dtype}")
-        object.__setattr__(self, "data", data if adopt else _frozen_copy(data))
-        self.data.setflags(write=False)
-
-    @classmethod
-    def _adopt(cls, data: np.ndarray) -> RasterImage:
-        """A raster keeping ``data``, a new C-order array no one else holds, frozen in place, not copied."""
-        image = object.__new__(cls)
-        object.__setattr__(image, "data", data)
-        image.__post_init__(adopt=True)
-        return image
+            raise BadDimension(f"raster dtype must be uint8 or float32, got {data.dtype}")
+        _hold(self, data=_held(data, adopt=adopt))
 
     @property
     def height(self) -> int:
@@ -211,7 +202,7 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
         if src.dtype == np.uint8:
             np.clip(np.rint(out, out=out), 0, 255, out=out)
         result[r] = out
-    return RasterImage._adopt(result)
+    return _adopt(RasterImage, result)
 
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
@@ -223,7 +214,7 @@ def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     inside_j = (jj >= 0) & (jj < depth.width)
     sel = np.ix_(np.clip(ii, 0, depth.height - 1), np.clip(jj, 0, depth.width - 1))
     valid = inside_i[:, None] & inside_j[None, :] & depth.valid[sel]
-    return DepthMap(depth.values[sel], valid)
+    return _adopt(DepthMap, depth.values[sel], valid)
 
 
 def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Generator) -> PixelTransform:

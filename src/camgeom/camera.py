@@ -183,8 +183,7 @@ def ray_components(u: np.ndarray, v: np.ndarray, k: Intrinsics) -> tuple[np.ndar
 
 def ray_directions(u: np.ndarray, v: np.ndarray, k: Intrinsics) -> np.ndarray:
     """Unit ray directions for pixel arrays, shape (..., 3)."""
-    rx, ry = ray_components(u, v, k)
-    d = np.stack([rx, ry, np.ones_like(rx)], axis=-1)
+    d = unproject_array(u, v, 1.0, k)
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
@@ -196,4 +195,8 @@ def unproject_array(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: Intrinsics) 
     """
     rx, ry = ray_components(u, v, k)
     z = np.asarray(z, dtype=np.float64)
-    return np.stack(np.broadcast_arrays(rx * z, ry * z, z), axis=-1)
+    points = np.empty(np.broadcast_shapes(rx.shape, ry.shape, z.shape) + (3,), dtype=np.float64)
+    np.multiply(rx, z, out=points[..., 0])
+    np.multiply(ry, z, out=points[..., 1])
+    points[..., 2] = z
+    return points

@@ -51,7 +51,7 @@ from .fileio import (
     write_ppm,
     write_sidecar,
 )
-from .rays import TokenGridSpec, embed, ray_grid
+from .rays import TokenGridSpec, _adopt, embed, ray_grid
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -161,9 +161,9 @@ def _camera_from_pool_entry(entry, where: str) -> Intrinsics:
 
 def _load_raster(path: Path) -> RasterImage:
     if path.suffix == ".ppm":
-        return RasterImage._adopt(read_ppm(path))  # each reader returns a new array: the raster keeps it
+        return _adopt(RasterImage, read_ppm(path))  # each reader returns a new array: the raster keeps it
     if path.suffix == ".cgem":
-        return RasterImage._adopt(read_cgem(path))  # already float32
+        return _adopt(RasterImage, read_cgem(path))  # already float32
     raise CamGeomError(f"{path}: unsupported image format (use .ppm or .cgem)")
 
 

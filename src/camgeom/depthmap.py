@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, unproject_array
-from .errors import BadDimension, ExtentMismatch, NonPositiveInput, _count, _positive
-from .rays import EmbeddingGrid, TokenGridSpec, _check_grid_extent, _frozen_copy, sinusoid_features, token_centers
+from .errors import BadDimension, ExtentMismatch, NonPositiveDepth, NonPositiveInput, _count, _positive
+from .rays import EmbeddingGrid, TokenGridSpec, _adopt, _check_grid_extent, _held, _hold
+from .rays import sinusoid_features, token_centers
 
 __all__ = [
     "DepthMap",
@@ -43,29 +44,26 @@ GEO_CHANNEL_LAYOUT = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
-    """height x width metric depths, finite and > 0 where ``valid``; an invalid pixel holds NaN."""
+    """height x width metric depths, finite and > 0 where ``valid``; an invalid pixel holds NaN.
+    A caller's arrays are copied; the library's (``from_array``, ``resample_depth``) are adopted."""
 
     values: np.ndarray
     valid: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        valid = _frozen_copy(self.valid, bool)
+    def __post_init__(self, adopt: bool = False):
+        values, valid = _held(self.values, np.float64, adopt), _held(self.valid, bool, adopt)
         if values.ndim != 2 or valid.shape != values.shape:
-            raise ValueError(f"values/valid must share a 2-D shape, got {values.shape} and {valid.shape}")
+            raise BadDimension(f"values/valid must share a 2-D shape, got {values.shape} and {valid.shape}")
         if np.any(valid & ~((values > 0) & (values < np.inf))):
-            raise ValueError("valid depths must be finite and > 0")
-        values = np.where(valid, values, np.nan)  # the map's one copy, C-order like valid
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
+            raise NonPositiveDepth("valid depths must be finite and > 0")
+        np.copyto(values, np.nan, where=~valid)
+        _hold(self, values=values, valid=valid)
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "DepthMap":
         """Derive the mask: NaN/inf and non-positive entries are invalid."""
-        values = np.asarray(values, dtype=np.float64)
-        valid = np.isfinite(values) & (values > 0)
-        return cls(values, valid)
+        values = np.array(values, dtype=np.float64, order="C")  # the one copy, which takes the NaNs
+        return _adopt(cls, values, np.isfinite(values) & (values > 0))
 
     @property
     def height(self) -> int:
@@ -78,18 +76,17 @@ class DepthMap:
 
 @dataclass(frozen=True, eq=False)
 class PointGrid:
-    """Token-resolution camera-frame points (rows x cols x 3) with validity."""
+    """Token-resolution camera-frame points (rows x cols x 3) with validity.
+    A caller's arrays are copied; those of :func:`token_point_grid` are adopted."""
 
     points: np.ndarray
     valid: np.ndarray
 
-    def __post_init__(self):
-        points = _frozen_copy(self.points, np.float64)
-        valid = _frozen_copy(self.valid, bool)
+    def __post_init__(self, adopt: bool = False):
+        points, valid = _held(self.points, np.float64, adopt), _held(self.valid, bool, adopt)
         if points.ndim != 3 or points.shape[2] != 3 or valid.shape != points.shape[:2]:
-            raise ValueError(f"points must be rows x cols x 3 with matching mask, got {points.shape}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "valid", valid)
+            raise BadDimension(f"points must be rows x cols x 3 with matching mask, got {points.shape}")
+        _hold(self, points=points, valid=valid)
 
 
 def _check_extent(depth: DepthMap, k: Intrinsics) -> None:
@@ -106,8 +103,7 @@ def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     carry NaN.  Raises ExtentMismatch if the map does not match ``k``.
     """
     _check_extent(depth, k)
-    u = np.arange(depth.width, dtype=np.float64) + 0.5
-    v = np.arange(depth.height, dtype=np.float64) + 0.5
+    u, v = token_centers(TokenGridSpec(depth.height, depth.width, 1))  # pixel centers: one-pixel tokens
     return unproject_array(u[None, :], v[:, None], depth.values, k), depth.valid.copy()
 
 
@@ -125,7 +121,7 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
     cols = np.clip(np.floor(u_c).astype(int), 0, depth.width - 1)
     rows = np.clip(np.floor(v_c).astype(int), 0, depth.height - 1)
     sel = np.ix_(rows, cols)
-    return PointGrid(unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
+    return _adopt(PointGrid, unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
 
 
 def embed_points(
@@ -136,18 +132,16 @@ def embed_points(
     """Sinusoidal geometric embedding of token points (x, y, z in meters, raw scale).
 
     Each coordinate receives dim/3 features; invalid tokens emit all-zero
-    vectors.  Deterministic given identical inputs and config.
+    vectors.  One sinusoid call embeds each value once, bit-identical to
+    embedding token by token.  Deterministic given identical inputs and config.
     """
     dim = _count("geometric embedding dim", dim, BadDimension)
     if dim < 6 or dim % 6:
         raise BadDimension(f"geometric embedding dim must be a multiple of 6, got {dim}")
-    per_scalar = dim // 3
-    coords = np.where(grid.valid[..., None], grid.points, 0.0)
-    blocks = [sinusoid_features(coords[..., i], per_scalar, base_period) for i in range(3)]
-    data = np.concatenate(blocks, axis=-1)
+    coords = np.where(grid.valid[..., None], grid.points, 0.0)  # sin warns at a caller's +-inf
+    data = sinusoid_features(coords, dim // 3, base_period).reshape(grid.valid.shape + (dim,))
     data[~grid.valid] = 0.0
-    meta = {"base_period": base_period}
-    return EmbeddingGrid(data, dim, GEO_CHANNEL_LAYOUT, base_period, meta)
+    return _adopt(EmbeddingGrid, data, dim, GEO_CHANNEL_LAYOUT, base_period, {"base_period": base_period})
 
 
 def biased_depth_estimate(h_proj: float, height_prior: float, f_assumed: float) -> float:

@@ -89,7 +89,11 @@ class GridExceedsImage(CamGeomError):
 
 
 class BadDimension(CamGeomError):
-    """Embedding dimension incompatible with the channel layout."""
+    """An array shape or dtype, or an embedding dimension, that does not fit its value type or channel layout."""
+
+
+class InvalidValue(CamGeomError):
+    """A value no narrower class covers that a type cannot hold: an empty label, a non-finite ray component."""
 
 
 class ExtentMismatch(CamGeomError):

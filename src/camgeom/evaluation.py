@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .boxes import OrientedBox3, _check_order, aabb_iou, iou3d
-from .errors import BadThreshold, DegenerateBox, NoParsableJson, _positive
+from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _positive
 
 __all__ = [
     "Detection",
@@ -50,7 +50,7 @@ class Detection:
     def __post_init__(self):
         label = normalize_label(self.label)
         if not label:
-            raise ValueError("detection label must be non-empty")
+            raise InvalidValue("detection label must be non-empty")
         object.__setattr__(self, "label", label)
 
 

@@ -14,12 +14,12 @@ Channel layout of the output (documented so consumers can slice):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .camera import Intrinsics, ray_components
-from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, _count, _number, _positive
+from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, InvalidValue, _count, _number, _positive
 
 __all__ = [
     "TokenGridSpec",
@@ -61,11 +61,24 @@ class TokenGridSpec:
         return cls(math.ceil(k.height / patch), math.ceil(k.width / patch), patch)
 
 
-def _frozen_copy(array, dtype=None) -> np.ndarray:
-    """A read-only, C-order copy of ``array``: the buffer a value type holds in place of its argument."""
-    out = np.array(array, dtype=dtype, order="C")
-    out.setflags(write=False)
-    return out
+def _held(array, dtype=None, adopt: bool = False) -> np.ndarray:
+    """``array`` as a C-order buffer for a value type to hold: a copy, or with ``adopt`` the array itself."""
+    return np.asarray(array, dtype, order="C") if adopt else np.array(array, dtype, order="C")
+
+
+def _hold(value, **arrays) -> None:
+    """Set each of ``arrays`` on the frozen dataclass ``value``, read-only."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(value, name, array)
+
+
+def _adopt(cls, *values):
+    """A ``cls`` of ``values`` whose arrays the library made for it alone: checked, then frozen in place, not copied."""
+    value = object.__new__(cls)
+    vars(value).update(zip((f.name for f in fields(cls)), values))
+    value.__post_init__(adopt=True)
+    return value
 
 
 def _check_patch(patch: float) -> float:
@@ -76,19 +89,18 @@ def _check_patch(patch: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RayGrid:
-    """Per-token normalized ray components (u-cx)/fx and (v-cy)/fy."""
+    """Per-token normalized ray components (u-cx)/fx and (v-cy)/fy, held as read-only copies."""
 
     rx: np.ndarray
     ry: np.ndarray
 
     def __post_init__(self):
-        rx, ry = _frozen_copy(self.rx, np.float64), _frozen_copy(self.ry, np.float64)
+        rx, ry = _held(self.rx, np.float64), _held(self.ry, np.float64)
         if rx.shape != ry.shape or rx.ndim != 2:
-            raise ValueError(f"rx/ry must share a 2-D shape, got {rx.shape} and {ry.shape}")
+            raise BadDimension(f"rx/ry must share a 2-D shape, got {rx.shape} and {ry.shape}")
         if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))):
-            raise ValueError("ray grid contains non-finite values")
-        object.__setattr__(self, "rx", rx)
-        object.__setattr__(self, "ry", ry)
+            raise InvalidValue("ray grid contains non-finite values")
+        _hold(self, rx=rx, ry=ry)
 
     @property
     def rows(self) -> int:
@@ -101,7 +113,7 @@ class RayGrid:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingGrid:
-    """rows x cols x dim grid of sinusoidal features plus its provenance."""
+    """rows x cols x dim sinusoidal features plus provenance; a caller's data is copied, the library's adopted."""
 
     data: np.ndarray
     dim: int
@@ -109,11 +121,11 @@ class EmbeddingGrid:
     base_period: float
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        data = _frozen_copy(self.data, np.float64)
+    def __post_init__(self, adopt: bool = False):
+        data = _held(self.data, np.float64, adopt)
         if data.ndim != 3 or data.shape[2] != self.dim:
-            raise ValueError(f"embedding data must be rows x cols x {self.dim}, got {data.shape}")
-        object.__setattr__(self, "data", data)
+            raise BadDimension(f"embedding data must be rows x cols x {self.dim}, got {data.shape}")
+        _hold(self, data=data)
 
 
 def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +176,8 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
     m = np.arange(dim // 2, dtype=np.float64)
     angles = x[..., None] / period ** (2.0 * m / dim)
     out = np.empty(x.shape + (dim,), dtype=np.float64)
-    out[..., 0::2] = np.sin(angles)
-    out[..., 1::2] = np.cos(angles)
+    np.sin(angles, out=out[..., 0::2])
+    np.cos(angles, out=out[..., 1::2])
     return out
 
 
@@ -183,25 +195,20 @@ def embed(
     ``focal_reference`` so their magnitudes stay O(1); raw pixel focals
     (hundreds to thousands) would alias the sinusoids.  The result is a
     deterministic function of geometry only, independent of image content.
+    Each distinct value of a channel (by its bits: -0.0 is not 0.0) is
+    embedded once, bit-identical to embedding token by token.
     """
     dim = _count("camera embedding dim", dim, BadDimension)
     if dim < 8 or dim % 8:
         raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
     _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
-    log_fx = math.log(k.fx / focal_reference)
-    log_fy = math.log(k.fy / focal_reference)
-    shape = grid.rx.shape
-    blocks = [
-        sinusoid_features(grid.rx, per_scalar, base_period),
-        sinusoid_features(grid.ry, per_scalar, base_period),
-        np.broadcast_to(sinusoid_features(np.float64(log_fx), per_scalar, base_period), shape + (per_scalar,)),
-        np.broadcast_to(sinusoid_features(np.float64(log_fy), per_scalar, base_period), shape + (per_scalar,)),
-    ]
-    data = np.concatenate(blocks, axis=-1)
-    meta = {
-        "base_period": base_period,
-        "focal_reference": focal_reference,
-        "intrinsics": k.to_dict(),
-    }
-    return EmbeddingGrid(data, dim, CAMERA_CHANNEL_LAYOUT, base_period, meta)
+    log_focals = [np.float64(math.log(f / focal_reference)) for f in (k.fx, k.fy)]
+    data = np.empty(grid.rx.shape + (dim,), dtype=np.float64)
+    blocks = data.reshape(grid.rx.shape + (4, per_scalar))
+    for c, values in enumerate((grid.rx, grid.ry, *log_focals)):
+        distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+        features = sinusoid_features(distinct.view(np.float64), per_scalar, base_period)
+        blocks[:, :, c] = features[inverse].reshape(values.shape + (per_scalar,))
+    meta = {"base_period": base_period, "focal_reference": focal_reference, "intrinsics": k.to_dict()}
+    return _adopt(EmbeddingGrid, data, dim, CAMERA_CHANNEL_LAYOUT, base_period, meta)

@@ -24,7 +24,8 @@ from camgeom import (
     resample_depth,
 )
 from camgeom.augment import draw_transform
-from camgeom.errors import BelowMinimum, CropOutOfBounds
+from camgeom.errors import BadDimension, BelowMinimum, CropOutOfBounds
+from camgeom.rays import _adopt
 from camgeom.transforms import apply_transform, compose, invert
 
 
@@ -50,9 +51,9 @@ class TestResample:
 
     def test_adopted_array_is_kept_frozen_and_checked(self):
         data = np.zeros((4, 5, 3), dtype=np.uint8)
-        assert RasterImage._adopt(data).data is data and not data.flags.writeable
-        with pytest.raises(ValueError):
-            RasterImage._adopt(np.zeros((4, 5, 2), dtype=np.uint8))
+        assert _adopt(RasterImage, data).data is data and not data.flags.writeable
+        with pytest.raises(BadDimension):
+            _adopt(RasterImage, np.zeros((4, 5, 2), dtype=np.uint8))
 
     def test_up_then_down_on_gradient(self):
         # crop mode clamps at the half-pixel border ring instead of mixing in

@@ -3,7 +3,9 @@
 A number is an int or a float (np.float64 included), never a bool or text,
 and finite; a count is an int or an integral float.  Each site raises its
 own CamGeomError class for a value that breaks the rule, and stores valid
-numbers as the same floats (counts as the same ints) it always has.
+numbers as the same floats (counts as the same ints) it always has.  The
+array value types raise theirs for a shape, dtype or content they cannot
+hold, whether a caller builds them or the library adopts its own arrays.
 """
 
 import math
@@ -14,10 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camgeom.ambiguity import SizePrior, generate_scenes, make_witness
-from camgeom.augment import AugmentationPolicy
+from camgeom.augment import AugmentationPolicy, RasterImage
 from camgeom.boxes import OrientedBox3
 from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
-from camgeom.depthmap import DepthMap, aware_depth_estimate, biased_depth_estimate, embed_points, token_point_grid
+from camgeom.depthmap import (
+    DepthMap,
+    PointGrid,
+    aware_depth_estimate,
+    biased_depth_estimate,
+    embed_points,
+    token_point_grid,
+)
 from camgeom.errors import (
     BadDimension,
     BadThreshold,
@@ -25,14 +34,15 @@ from camgeom.errors import (
     CamGeomError,
     DegenerateBox,
     IntrinsicsError,
+    InvalidValue,
     NonPositiveDepth,
     NonPositiveFactor,
     NonPositiveInput,
     NonPositiveScale,
     NonPositiveSize,
 )
-from camgeom.evaluation import match_and_score
-from camgeom.rays import TokenGridSpec, embed, ray_grid, sinusoid_features
+from camgeom.evaluation import Detection, match_and_score
+from camgeom.rays import EmbeddingGrid, RayGrid, TokenGridSpec, _adopt, embed, ray_grid, sinusoid_features
 from camgeom.transforms import PixelTransform
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
@@ -149,6 +159,23 @@ REJECTED = {
     "scenes-fractional-count": (lambda: generate_scenes(2.5, [K]), BelowMinimum),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
+    "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),
+    "raster-float64": (lambda: RasterImage(np.zeros((4, 4, 3))), BadDimension),
+    "depth-mask-shape": (lambda: DepthMap(np.ones((2, 2)), np.ones((2, 3), bool)), BadDimension),
+    "depth-valid-zero": (lambda: DepthMap(np.array([[1.0, 0.0]]), np.array([[True, True]])), NonPositiveDepth),
+    "points-two-coordinates": (lambda: PointGrid(np.zeros((2, 2, 2)), np.ones((2, 2), bool)), BadDimension),
+    "rays-shape": (lambda: RayGrid(np.zeros((2, 2)), np.zeros((2, 3))), BadDimension),
+    "rays-nan": (lambda: RayGrid(np.array([[np.nan]]), np.zeros((1, 1))), InvalidValue),
+    "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), 8, ("a",), 100.0), BadDimension),
+    "detection-blank-label": (lambda: Detection("  ", OrientedBox3((0, 0, 1), (1, 1, 1), 0, 0, 0)), InvalidValue),
+    # the library's own arrays go through the same checks
+    "adopted-raster-two-channels": (lambda: _adopt(RasterImage, np.zeros((4, 4, 2), np.uint8)), BadDimension),
+    "adopted-depth-mask-shape": (lambda: _adopt(DepthMap, np.ones((2, 2)), np.ones((2, 3), bool)), BadDimension),
+    "adopted-depth-valid-inf": (lambda: _adopt(DepthMap, np.array([[np.inf]]), np.array([[True]])), NonPositiveDepth),
+    "adopted-points-two-coordinates": (lambda: _adopt(PointGrid, np.zeros((2, 2, 2)), np.ones((2, 2), bool)),
+                                       BadDimension),
+    "adopted-embedding-dim": (lambda: _adopt(EmbeddingGrid, np.zeros((2, 2, 4)), 8, ("a",), 100.0, {}),
+                              BadDimension),
 }
 
 

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
 from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
-from camgeom.depthmap import DepthMap
+from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points
 from camgeom.errors import CamGeomError
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm
+from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
 from oracles import bilinear_oracle, nearest_depth_oracle, whole_frame_resample
 
@@ -162,6 +163,58 @@ def test_banded_resample_equals_whole_frame_formula(case):
     expected = whole_frame_resample(image.data, t, mode)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+# the embeddings evaluate each distinct value once; the references below embed token by token
+_EMBED_SETTINGS = settings(SETTINGS, max_examples=60)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ray_grid_cases(draw):
+    """A caller-built ray grid whose entries come from a small pool, so values repeat, and signed zeros."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | _FINITE, min_size=1, max_size=6))
+
+    def channel():
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols)),
+                        dtype=np.float64).reshape(rows, cols)
+
+    return RayGrid(channel(), channel()), draw(intrinsics()), draw(st.sampled_from([8, 16, 64]))
+
+
+@_EMBED_SETTINGS
+@given(ray_grid_cases())
+@example((RayGrid([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.0, 0.0]]), Intrinsics(1000, 1000, 0, 0, 2, 2), 8))
+def test_embed_equals_the_per_token_reference(case):
+    grid, k, dim = case
+    per_scalar, period = dim // 4, DEFAULT_BASE_PERIOD
+    focals = [math.log(f / DEFAULT_FOCAL_REFERENCE) for f in (k.fx, k.fy)]
+    expected = np.array([[np.concatenate([sinusoid_features(x, per_scalar, period) for x in (rx, ry, *focals)])
+                          for rx, ry in zip(row_x, row_y)] for row_x, row_y in zip(grid.rx, grid.ry)])
+    assert embed(grid, k, dim=dim).data.tobytes() == expected.tobytes()
+
+
+@st.composite
+def point_grid_cases(draw):
+    """Token points with finite coordinates at valid tokens and anything, +-inf and NaN too, at invalid ones."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    coords = [draw(_FINITE if ok else st.floats()) for ok in valid.ravel() for _ in range(3)]
+    return PointGrid(np.array(coords).reshape(rows, cols, 3), valid), draw(st.sampled_from([6, 12, 60]))
+
+
+@_EMBED_SETTINGS
+@given(point_grid_cases())
+@example((PointGrid([[[0.0, 0.0, math.inf], [math.nan, -math.inf, 1.0]]], [[False, False]]), 6))
+def test_embed_points_equals_the_per_token_reference(case):
+    grid, dim = case
+    data = embed_points(grid, dim=dim).data
+    for (i, j), ok in np.ndenumerate(grid.valid):
+        expected = np.zeros(dim)
+        if ok:
+            expected = np.concatenate([sinusoid_features(x, dim // 3, DEFAULT_GEO_PERIOD) for x in grid.points[i, j]])
+        assert data[i, j].tobytes() == expected.tobytes()
 
 
 _ANGLE = _floats(-math.pi, math.pi)

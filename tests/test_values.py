@@ -1,4 +1,5 @@
-"""The array value types: each holds its own read-only, C-order copy of what it is given."""
+"""The array value types: each holds a read-only, C-order copy of what a caller gives it, and the
+library's own functions hand over the arrays they make, frozen in place and aliasing nothing."""
 
 import hashlib
 
@@ -45,8 +46,8 @@ def _held_arrays(value) -> dict:
             if hasattr(value, name)}
 
 
-def _library_values():
-    """One value of each type as the library's own functions return them."""
+def _library_calls():
+    """One value of each type as the library's own functions return them, with the arrays it was made from."""
     rng = np.random.default_rng(3)
     values = rng.uniform(1, 5, (48, 64))
     values[::7, ::5] = np.nan
@@ -55,16 +56,23 @@ def _library_values():
     grid = TokenGridSpec.cover(K, 14.0)
     points = token_point_grid(depth, K, grid)
     rays = ray_grid(K, grid)
+    uint8 = RasterImage(rng.integers(0, 256, (48, 64, 3), dtype=np.uint8))
+    float32 = RasterImage(rng.random((48, 64, 3), dtype=np.float32))
     return {
-        "resample-uint8": resample(RasterImage(rng.integers(0, 256, (48, 64, 3), dtype=np.uint8)), t),
-        "resample-float32": resample(RasterImage(rng.random((48, 64, 3), dtype=np.float32)), t, mode="pad"),
-        "resample_depth": resample_depth(depth, t),
-        "DepthMap.from_array": depth,
-        "token_point_grid": points,
-        "ray_grid": rays,
-        "embed": embed(rays, K, dim=16),
-        "embed_points": embed_points(points, dim=12),
+        "resample-uint8": (resample(uint8, t), [uint8.data]),
+        "resample-float32": (resample(float32, t, mode="pad"), [float32.data]),
+        "resample_depth": (resample_depth(depth, t), [depth.values, depth.valid]),
+        "DepthMap.from_array": (depth, [values]),
+        "token_point_grid": (points, [depth.values, depth.valid]),
+        "ray_grid": (rays, []),
+        "embed": (embed(rays, K, dim=16), [rays.rx, rays.ry]),
+        "embed_points": (embed_points(points, dim=12), [points.points, points.valid]),
     }
+
+
+def _library_values():
+    """One value of each type as the library's own functions return them."""
+    return {name: value for name, (value, _) in _library_calls().items()}
 
 
 class TestValueTypes:
@@ -93,6 +101,35 @@ class TestValueTypes:
         for key, array in _held_arrays(_library_values()[name]).items():
             assert not array.flags.writeable, key
             assert array.flags.c_contiguous, key
+
+
+class TestAdoptedArrays:
+    """The library hands the arrays it makes to its values without a copy; none may alias an input or each other."""
+
+    @pytest.mark.parametrize("name", sorted(_library_calls()))
+    def test_returned_arrays_share_no_memory_with_their_inputs(self, name):
+        value, inputs = _library_calls()[name]
+        held = list(_held_arrays(value).values())
+        for i, array in enumerate(held):
+            for other in inputs + held[:i]:
+                assert not np.shares_memory(array, other), name
+
+    def test_read_depth_holds_its_own_read_only_c_order_arrays(self, tmp_path):
+        written = DepthMap.from_array(EDGE_DEPTHS)
+        write_depth(tmp_path / "d.cgem", written)
+        depth, _ = read_depth(tmp_path / "d.cgem")
+        assert not np.shares_memory(depth.values, depth.valid)
+        for array in (depth.values, depth.valid):
+            assert not array.flags.writeable and array.flags.c_contiguous
+            assert not np.shares_memory(array, written.values) and not np.shares_memory(array, written.valid)
+
+    def test_from_array_leaves_the_callers_array_unchanged(self):
+        values = EDGE_DEPTHS.copy()  # C-order float64, so a conversion would need no copy
+        assert values.flags.c_contiguous and values.dtype == np.float64
+        before = values.tobytes()
+        depth = DepthMap.from_array(values)
+        assert values.tobytes() == before and values.flags.writeable
+        assert not np.shares_memory(depth.values, values)
 
 
 class TestDepthNaNRule:
