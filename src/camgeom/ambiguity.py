@@ -28,7 +28,8 @@ import numpy as np
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, CamGeomError, NonPositiveFactor, _count, _factors, _number, _positive
+from .errors import BelowMinimum, CamGeomError, NonPositiveDepth, NonPositiveFactor
+from .errors import _count, _factors, _number, _positive
 from .evaluation import Detection, _score, match_and_score
 from .transforms import scale
 
@@ -146,8 +147,9 @@ class SyntheticScene:
 def _as_prior(value) -> SizePrior:
     if isinstance(value, SizePrior):
         return value
-    mean, spread = value
-    return SizePrior(mean, spread)
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise CamGeomError(f"size prior: must be a SizePrior or (mean, spread), got {value!r}")
+    return SizePrior(*value)
 
 
 def generate_scenes(
@@ -163,13 +165,17 @@ def generate_scenes(
     Cameras are assigned round-robin from the pool so every pool entry
     (focal cluster) receives the same number of scenes.  Object centers are
     placed on random rays inside the central 60% of the frame; the GT box
-    sits at the true depth along that ray with a square footprint.
+    sits at the true depth along that ray with a square footprint.  Depths are
+    drawn from ``depth_range``, a (near, far) pair with 0 < near <= far.
     """
     n = _count("n", n, BelowMinimum)
     objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
     seed = _count("seed", seed, BelowMinimum, minimum=0)
     if not camera_pool:
         raise BelowMinimum("camera_pool must be non-empty")
+    near, far = _factors("depth_range", depth_range, ("near", "far"), NonPositiveDepth)
+    if near > far:
+        raise CamGeomError(f"depth_range: near must be <= far, got {depth_range!r}")
     priors = {label: _as_prior(p) for label, p in (size_priors or DEFAULT_SIZE_PRIORS).items()}
     labels = sorted(priors)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
@@ -185,7 +191,7 @@ def generate_scenes(
                 prior.spread * float(rng.standard_normal())
             )
             width = height * float(rng.uniform(0.4, 1.2))
-            depth = float(rng.uniform(*depth_range))
+            depth = float(rng.uniform(near, far))
             u = float(rng.uniform(0.2 * k.width, 0.8 * k.width))
             v = float(rng.uniform(0.2 * k.height, 0.8 * k.height))
             ray_x = (u - k.cx) / k.fx

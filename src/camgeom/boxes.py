@@ -12,11 +12,13 @@ one box's face polygons are clipped against the other's six half-spaces
 and the volume of the clipped polytope follows from the divergence theorem
 as a signed tetrahedron sum over its outward-wound faces.  This is the
 clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al., 2020)
-and the Objectron IoU (Ahmadyan et al., CVPR 2021).  Each box computes its
-rotation, corners, bounding box and face planes once per rotation order and
-keeps them.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed form
-in the box frame, measured from the first box's center; all per-pair work is
-on plain floats but that frame product.
+and the Objectron IoU (Ahmadyan et al., CVPR 2021).  The clip runs in the
+first box's frame, where its half-spaces are +-x[k] <= h[k], with both boxes
+scaled by the power of two that puts the largest size in [1/2, 1): that is
+exact, so IoU depends on neither the pair's place nor its unit, and no triple
+product overflows.  Each box keeps its rotation and bounding box per rotation
+order.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed form in
+the box frame, measured from the first box's center.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ class OrientedBox3:
     roll: float
 
     def __post_init__(self):
-        center = tuple(_number("box center", c, DegenerateBox) for c in self.center)
-        size = tuple(_positive("box size", s, DegenerateBox) for s in self.size)
+        try:
+            center = tuple(_number("box center", c, DegenerateBox) for c in self.center)
+            size = tuple(_positive("box size", s, DegenerateBox) for s in self.size)
+        except TypeError:  # a center or size that is not iterable, such as a scalar or None
+            center = size = ()
         if len(center) != 3 or len(size) != 3:
-            raise DegenerateBox("center and size must have 3 components each")
+            raise DegenerateBox(f"center and size must have 3 components each, got {self.center!r}, {self.size!r}")
         if not 0.0 < size[0] * size[1] * size[2] < math.inf:
             raise DegenerateBox(f"box sizes must be > 0 with a finite, non-zero volume, got {size}")
         object.__setattr__(self, "center", center)
@@ -138,44 +143,32 @@ def polytope_volume(faces: Sequence[Sequence]) -> float:
 
 
 def _geometry(box: OrientedBox3, order: str) -> tuple:
-    """Face polygons, AABB low and high corner, max |coordinate| and face planes
-    (normal, offset, e1, e2) of ``box``, on floats: normal . x <= offset inside,
-    (e1, e2, normal) right-handed.  Kept on the box, outside its fields.
-    """
+    """Rotation and AABB low and high corner of ``box``, kept on the box outside its fields."""
     cache = box.__dict__.setdefault("_geometry", {})
     if order not in cache:
         rot = box.rotation(order)
         corners = _corners(box, rot)
-        points = [tuple(c) for c in corners.tolist()]
-        axes = rot.T.tolist()
-        planes = []
-        for k in range(3):
-            e1, e2 = axes[(k + 1) % 3], axes[(k + 2) % 3]  # axes k+1, k+2, k are right-handed
-            for normal, basis in ((rot[:, k], (e1, e2)), (-rot[:, k], (e2, e1))):
-                planes.append((normal.tolist(), float(normal @ box.center + box.size[k] / 2.0), *basis))
-        cache[order] = ([[points[i] for i in face] for face in _FACES], corners.min(axis=0).tolist(),
-                        corners.max(axis=0).tolist(), float(np.abs(corners).max()), planes)
+        cache[order] = (rot, corners.min(axis=0).tolist(), corners.max(axis=0).tolist())
     return cache[order]
 
 
-def _clip_faces(faces: list[list[tuple]], plane: tuple, eps: float) -> list[list[tuple]]:
-    """Clip a face-polygon polytope against one of :func:`_geometry`'s planes.
+def _clip_faces(faces: list[list], k: int, sign: float, bound: float, eps: float) -> list[list]:
+    """Clip a face-polygon polytope against the half-space ``sign * x[k] <= bound``.
 
     Keeps the inside parts of every face and closes the cut with a cap
-    polygon (wound so its outward normal is the plane's normal).
+    polygon (wound so its outward normal is ``sign`` times axis k).
     """
-    (nx, ny, nz), offset, (ax, ay, az), (bx, by, bz) = plane
-    kept: list[list[tuple]] = []
+    kept: list[list] = []
     crossings: list[tuple] = []
     for poly in faces:
-        dist = [nx * x + ny * y + nz * z - offset for x, y, z in poly]
+        dist = [sign * p[k] - bound for p in poly]
         inside = [d <= eps for d in dist]
         if all(inside):
             kept.append(poly)
             continue
         if not any(inside):
             continue
-        out: list[tuple] = []
+        out: list = []
         m = len(poly)
         for i in range(m):
             j = (i + 1) % m
@@ -189,12 +182,13 @@ def _clip_faces(faces: list[list[tuple]], plane: tuple, eps: float) -> list[list
         if len(out) >= 3:
             kept.append(out)
     if len(crossings) >= 3:
-        # ascending angle about the centroid in the (e1, e2) plane = CCW seen
-        # from +normal, giving the cap an outward winding
-        uv = [(ax * x + ay * y + az * z, bx * x + by * y + bz * z) for x, y, z in crossings]
-        cu = sum(u for u, _ in uv) / len(uv)
-        cv = sum(v for _, v in uv) / len(uv)
-        angles = [math.atan2(v - cv, u - cu) for u, v in uv]
+        # ascending angle about the centroid in axes (k+1, k+2), swapped for -axis k, is CCW from outside;
+        # each axis is divided by its span (keeping the order) lest a flat cap's angles meet within an ulp
+        i, j = ((k + 1) % 3, (k + 2) % 3) if sign > 0 else ((k + 2) % 3, (k + 1) % 3)
+        us, vs = [p[i] for p in crossings], [p[j] for p in crossings]
+        cu, cv = sum(us) / len(us), sum(vs) / len(vs)
+        su, sv = (max(us) - min(us)) or 1.0, (max(vs) - min(vs)) or 1.0
+        angles = [math.atan2((v - cv) / sv, (u - cu) / su) for u, v in zip(us, vs)]
         kept.append([p for _, p in sorted(zip(angles, crossings))])
     return kept
 
@@ -235,16 +229,21 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
     differ; it stays callable directly so tests can pit the clipper against
     closed forms on inputs the fast path would otherwise intercept.
     """
-    faces, lo_a, hi_a, reach_a, _ = _geometry(a, order)
-    _, lo_b, hi_b, reach_b, planes_b = _geometry(b, order)
+    rot_a, lo_a, hi_a = _geometry(a, order)
+    rot_b, lo_b, hi_b = _geometry(b, order)
     if any(h <= lo for h, lo in zip(hi_a, lo_b)) or any(h <= lo for h, lo in zip(hi_b, lo_a)):
         return 0.0
-    eps = 1e-9 * max(1.0, reach_a, reach_b)
-    for plane in planes_b:
-        faces = _clip_faces(faces, plane, eps)
-        if not faces:
-            return 0.0
-    return max(polytope_volume(faces), 0.0)
+    exp = math.frexp(max(*a.size, *b.size))[1]
+    offset = rot_a.T @ [math.ldexp(cb, -exp) - math.ldexp(ca, -exp) for ca, cb in zip(a.center, b.center)]
+    corners = (_SIGNS * np.ldexp(b.size, -exp - 1)) @ (rot_a.T @ rot_b).T + offset
+    faces = corners[_FACES].tolist()
+    for k in range(3):
+        bound = math.ldexp(a.size[k], -exp - 1)
+        for sign in (1.0, -1.0):
+            faces = _clip_faces(faces, k, sign, bound, 1e-9 * bound)
+            if not faces:
+                return 0.0
+    return math.ldexp(max(polytope_volume(faces), 0.0), 3 * exp)
 
 
 def _iou(vi: float, va: float, vb: float) -> float:

@@ -88,12 +88,12 @@ def read_cgem(path: str | Path) -> np.ndarray:
     magic, rows, cols, dim = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise MalformedFile(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    expected = rows * cols * dim * 4
-    body = raw[_HEADER.size :]
-    if len(body) != expected:
-        raise MalformedFile(f"{path}: payload is {len(body)} bytes, expected {expected}")
+    count = rows * cols * dim
+    if len(raw) - _HEADER.size != 4 * count:
+        raise MalformedFile(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {4 * count}")
     try:
-        return np.frombuffer(body, dtype="<f4").reshape(rows, cols, dim).astype(np.float32)
+        payload = np.frombuffer(raw, "<f4", count=count, offset=_HEADER.size)  # a view: astype makes the one copy
+        return payload.reshape(rows, cols, dim).astype(np.float32)
     except ValueError:  # an empty tensor whose other two extents overflow numpy's size limit
         raise MalformedFile(f"{path}: shape {rows}x{cols}x{dim} is too large") from None
 

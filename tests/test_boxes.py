@@ -330,23 +330,56 @@ def _bit_pairs(n: int = 200) -> list[tuple[OrientedBox3, OrientedBox3]]:
     return pairs
 
 
-# SHA-256 of the float64 bits of iou3d and intersection_volume (zyx, xyz) over
-# _bit_pairs(), taken before the equal-attitude closed form moved to plain floats
-PINNED_ORIENTED_SHA256 = "43baada551dcf6399957c412fc93c9cf40f864f442a8df627db13d73fbdd0290"
-# the same of aabb_iou, taken once it measured from the first box's center
+# SHA-256 of the float64 bits of iou3d and intersection_volume (zyx, xyz) over the zero- and
+# equal-attitude pairs of _bit_pairs(), taken before the clipper moved into the first box's frame
+PINNED_SAME_ATTITUDE_SHA256 = "dbb0776c7697e0fc4373c1722342a82e9019d574b21a24bfddf5c202b6ffddc8"
+# the same over the differing-attitude pairs, taken once the clipper ran in the first box's frame
+PINNED_DIFFERING_ATTITUDE_SHA256 = "b4a5ef531668fa9a372af430c79c0a1de1eed67bc4495e34471ae89abeca182b"
+# the same of aabb_iou over all of _bit_pairs(), taken once it measured from the first box's center
 PINNED_AABB_SHA256 = "13ea555d2e680d16089fc312b7766f43e928e5114ffb3ee00da4fdb89ac82280"
 
 
+def _overlap_digest(pairs) -> str:
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        digest.update(struct.pack("<3d", iou3d(a, b), intersection_volume(a, b, "zyx"),
+                                  intersection_volume(a, b, "xyz")))
+    return digest.hexdigest()
+
+
 class TestPinnedOverlapBits:
-    def test_results_are_bit_identical(self):
-        digest = hashlib.sha256()
-        for a, b in _bit_pairs():
-            digest.update(struct.pack("<3d", iou3d(a, b), intersection_volume(a, b, "zyx"),
-                                      intersection_volume(a, b, "xyz")))
-        assert digest.hexdigest() == PINNED_ORIENTED_SHA256
+    def test_equal_attitude_results_are_bit_identical(self):
+        assert _overlap_digest(_bit_pairs()[:400]) == PINNED_SAME_ATTITUDE_SHA256
+
+    def test_differing_attitude_results_are_bit_identical(self):
+        assert _overlap_digest(_bit_pairs()[400:]) == PINNED_DIFFERING_ATTITUDE_SHA256
 
     def test_aabb_results_are_bit_identical(self):
         digest = hashlib.sha256()
         for a, b in _bit_pairs():
             digest.update(struct.pack("<d", aabb_iou(a, b)))
         assert digest.hexdigest() == PINNED_AABB_SHA256
+
+
+class TestIoUDependsOnTheBoxesAlone:
+    """Neither where a pair sits nor the unit of its coordinates changes its IoU.
+
+    The world-frame clipper scored these pairs 1.0 or 0.3685 where the same pair
+    at the origin and in meters scores 0.4933, and scored (a, b) and (b, a) apart.
+    """
+
+    @pytest.mark.parametrize("x", [2.0**27, 2.0**30, 2.0**40])
+    def test_pair_far_from_the_origin(self, x):
+        a = OrientedBox3((0, 0, 0), (1, 1, 1), 0, 0, 0)
+        b = OrientedBox3((0.25, 0, 0), (1, 1, 1), 0.5, 0, 0)
+        far_a, far_b = (dataclasses.replace(box, center=(box.center[0] + x, 0, 0)) for box in (a, b))
+        assert iou3d(far_a, far_b).hex() == iou3d(a, b).hex()
+        assert iou3d(far_b, far_a).hex() == iou3d(b, a).hex()
+        assert abs(iou3d(far_a, far_b) - iou3d(far_b, far_a)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [2.0**-66, 2.0**66, 2.0**511])
+    def test_flat_pair_in_any_unit(self, s):
+        def pair(s):
+            return (OrientedBox3((0, 0, 0), (s, s, 1), 0, 0, 0), OrientedBox3((0.3 * s, 0, 0), (s, s, 1), 0.5, 0, 0))
+
+        assert abs(iou3d(*pair(s)) - iou3d(*pair(1.0))) <= 1e-12

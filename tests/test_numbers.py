@@ -155,8 +155,14 @@ REJECTED = {
     "witness-four-entry-base": (lambda: make_witness((500.0, 2.0, 4.0, 1.0), "focal_depth", 2.0), NonPositiveFactor),
     "box-text-center": (lambda: OrientedBox3(("0", 0, 0), (1, 1, 1), 0, 0, 0), DegenerateBox),
     "box-list-of-text": (lambda: OrientedBox3.from_list(["1"] * 9), DegenerateBox),
+    "box-scalar-center": (lambda: OrientedBox3(1.0, (1, 1, 1), 0, 0, 0), DegenerateBox),
+    "box-none-center": (lambda: OrientedBox3(None, (1, 1, 1), 0, 0, 0), DegenerateBox),
     "size-prior-text-spread": (lambda: SizePrior(1.0, "0.1"), CamGeomError),
     "scenes-fractional-count": (lambda: generate_scenes(2.5, [K]), BelowMinimum),
+    "scenes-reversed-depth-range": (lambda: generate_scenes(1, [K], depth_range=(5.0, 1.0)), CamGeomError),
+    "scenes-negative-near-depth": (lambda: generate_scenes(1, [K], depth_range=(-1e-3, 8.0)), NonPositiveDepth),
+    "scenes-one-entry-prior": (lambda: generate_scenes(1, [K], size_priors={"car": (1.0,)}), CamGeomError),
+    "scenes-scalar-prior": (lambda: generate_scenes(1, [K], size_priors={"car": 1.0}), CamGeomError),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),

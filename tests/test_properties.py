@@ -1,7 +1,8 @@
 """Property tests: the pinhole core (unprojection, the resize rule, ray
 preservation), resampling against per-pixel oracles and banded resampling
 against the whole-frame formula, oriented-box IoU (symmetry, rigid
-invariance, the clipper against the closed form, aabb_iou on zero angles)
+invariance, bit-for-bit invariance under exact translation and power-of-two
+scaling, the clipper against the closed form, aabb_iou on zero angles)
 and the input parsers (every input parses or raises CamGeomError, nothing
 else).
 
@@ -277,6 +278,53 @@ def test_coincident_boxes_with_nearly_equal_attitudes(pair, deltas):
     a = pair[0]
     b = OrientedBox3(a.center, a.size, a.yaw + deltas[0], a.pitch + deltas[1], a.roll + deltas[2])
     assert iou3d(a, b) >= 1 - 1e-9
+
+
+# regression cases: a unit cube against itself moved 0.25 in x and yawed 0.5 (IoU 0.548), which the
+# world-frame clipper scored 1.0 at x = 2**30 and at scale 2**-66; and the flat (2**511, 2**511, 1) pair
+# moved 0.3 of its width, scored 0.3685 (a, b) and 0.4348 (b, a) where its unit-scale twin scores 0.4933
+_CUBES = (OrientedBox3((0, 0, 0), (1, 1, 1), 0, 0, 0), OrientedBox3((0.25, 0, 0), (1, 1, 1), 0.5, 0, 0))
+_FLAT = (OrientedBox3((0, 0, 0), (2.0**511, 2.0**511, 1), 0, 0, 0),
+         OrientedBox3((0.3 * 2.0**511, 0, 0), (2.0**511, 2.0**511, 1), 0.5, 0, 0))
+_INVARIANCE_SETTINGS = settings(SETTINGS, max_examples=150)
+
+
+@st.composite
+def grid_pairs(draw):
+    """:func:`box_pairs` with centers on a 2**-12 grid, so a shift by k * 2**30 (|k| < 1000) is exact."""
+    return tuple(_moved(box, [round(c * 4096) / 4096 for c in box.center]) for box in draw(box_pairs()))
+
+
+@_INVARIANCE_SETTINGS
+@given(grid_pairs(), st.tuples(*[st.integers(-999, 999)] * 3))
+@example(_CUBES, (1, 0, 0))
+@example(_CUBES, (-999, 999, 0))
+def test_iou_is_bit_identical_under_translation_by_multiples_of_2_30(pair, multiples):
+    moved = [_moved(box, np.add(box.center, np.multiply(multiples, 2.0**30))) for box in pair]
+    assert iou3d(*moved).hex() == iou3d(*pair).hex()
+    assert iou3d(*moved[::-1]).hex() == iou3d(*pair[::-1]).hex()
+
+
+def _scaled(box, p):
+    return OrientedBox3(np.ldexp(box.center, p), np.ldexp(box.size, p), box.yaw, box.pitch, box.roll)
+
+
+@_INVARIANCE_SETTINGS
+@given(box_pairs(), st.integers(-300, 300))
+@example(_CUBES, -66)
+@example(_CUBES, 66)
+@example(_CUBES, 300)
+def test_iou_is_bit_identical_under_scaling_by_powers_of_two(pair, p):
+    assert iou3d(*(_scaled(box, p) for box in pair)).hex() == iou3d(*pair).hex()
+
+
+@_INVARIANCE_SETTINGS
+@given(box_pairs(), st.integers(-300, 300), _floats(-1e300, 1e300))
+@example(_FLAT, 0, 0.0)
+@example(_CUBES, 0, 1e9)
+def test_iou_lies_in_the_unit_interval(pair, p, x):
+    a, b = (_moved(box, np.add(box.center, (x, 0.0, 0.0))) for box in (_scaled(box, p) for box in pair))
+    assert 0.0 <= iou3d(a, b) <= 1.0 and 0.0 <= iou3d(b, a) <= 1.0
 
 
 @st.composite
