@@ -83,8 +83,9 @@ def make_witness(
 
     kind "focal_depth" maps to (lam*f, H, lam*Z), "size_depth" to
     (f, lam*H, lam*Z), and "coupled" takes (alpha, beta) giving
-    (alpha*f, beta*H, alpha*beta*Z).  The equal projected heights are
-    verified at construction (1e-9 relative).
+    (alpha*f, beta*H, alpha*beta*Z).  Each variant entry and the projected
+    height f*H/Z must be a finite, normal float > 0, and the variant's height
+    equal to 1e-9 relative; NonPositiveFactor otherwise.
     """
     f, height, depth = _factors("base", base, ("f", "H", "Z"), NonPositiveFactor)
     if kind == "focal_depth":
@@ -98,12 +99,12 @@ def make_witness(
         variant = (alpha * f, beta * height, alpha * beta * depth)
     else:
         raise CamGeomError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
-    h_base = f * height / depth
-    h_variant = variant[0] * variant[1] / variant[2]
-    if abs(h_variant - h_base) > 1e-9 * abs(h_base):
-        raise AssertionError(
-            f"witness violated: {h_base} != {h_variant} for base={base}, kind={kind}, factor={factor}"
-        )
+    h_base, h_variant = f * height / depth, variant[0] * variant[1] / variant[2]
+    for name, value in zip(("variant f", "variant H", "variant Z", "projected height f*H/Z"), (*variant, h_base)):
+        if not 2.0**-1022 <= value < math.inf:  # a subnormal has too few bits for the 1e-9 check
+            raise NonPositiveFactor(f"{name}: must be a finite, normal float > 0, got {value!r}")
+    if not abs(h_variant - h_base) <= 1e-9 * h_base:  # only when a product leaves the float range
+        raise NonPositiveFactor(f"witness: f*H/Z is {h_base!r} but {h_variant!r} for the variant {variant}")
     return EquivalenceWitness((f, height, depth), variant, kind, h_base)
 
 
@@ -166,7 +167,8 @@ def generate_scenes(
     (focal cluster) receives the same number of scenes.  Object centers are
     placed on random rays inside the central 60% of the frame; the GT box
     sits at the true depth along that ray with a square footprint.  Depths are
-    drawn from ``depth_range``, a (near, far) pair with 0 < near <= far.
+    drawn from ``depth_range``, a (near, far) pair with 0 < near <= far, and
+    heights from ``size_priors``, a non-empty mapping (None: the defaults).
     """
     n = _count("n", n, BelowMinimum)
     objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
@@ -176,7 +178,10 @@ def generate_scenes(
     near, far = _factors("depth_range", depth_range, ("near", "far"), NonPositiveDepth)
     if near > far:
         raise CamGeomError(f"depth_range: near must be <= far, got {depth_range!r}")
-    priors = {label: _as_prior(p) for label, p in (size_priors or DEFAULT_SIZE_PRIORS).items()}
+    priors = DEFAULT_SIZE_PRIORS if size_priors is None else size_priors
+    if not isinstance(priors, Mapping) or not priors:
+        raise CamGeomError(f"size_priors: must be a non-empty mapping of label to prior, got {size_priors!r}")
+    priors = {label: _as_prior(p) for label, p in priors.items()}
     labels = sorted(priors)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
     scenes = []
@@ -187,9 +192,10 @@ def generate_scenes(
         for _ in range(objects_per_scene):
             label = labels[int(rng.integers(len(labels)))]
             prior = priors[label]
-            height = prior.mean if prior.spread == 0 else prior.mean * math.exp(
-                prior.spread * float(rng.standard_normal())
-            )
+            try:  # a wide spread can draw a height past the float range
+                height = prior.mean * (math.exp(prior.spread * float(rng.standard_normal())) if prior.spread else 1.0)
+            except OverflowError:
+                raise CamGeomError(f"size prior {label!r}: spread {prior.spread!r} is too wide for floats") from None
             width = height * float(rng.uniform(0.4, 1.2))
             depth = float(rng.uniform(near, far))
             u = float(rng.uniform(0.2 * k.width, 0.8 * k.width))

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import CamGeomError, IntrinsicsError, NonPositiveDepth, NonPositiveSize, _count, _number, _positive
+from .errors import CamGeomError, IntrinsicsError, NonPositiveDepth, NonPositiveSize, _count, _json, _number, _positive
 
 __all__ = [
     "Intrinsics",
@@ -82,11 +82,7 @@ class Intrinsics:
 
     @classmethod
     def from_json(cls, text: str, where: str = "intrinsics") -> "Intrinsics":
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise IntrinsicsError(f"{where}: invalid JSON ({exc})") from None
-        return cls.from_mapping(obj, where=where)
+        return cls.from_mapping(_json(where, text, IntrinsicsError), where=where)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .ambiguity import (
 from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, batch_augment
 from .camera import Intrinsics
 from .depthmap import token_point_grid, embed_points, unproject
-from .errors import CamGeomError
+from .errors import CamGeomError, _json, _number
 from .evaluation import match_and_score, parse_detections
 from .fileio import (
     _open_atomic,
@@ -97,8 +97,10 @@ def _merge(default, value, path: str):
         for item in value:
             if not (default is DEFAULTS["ambiguity"]["camera_pool"] and isinstance(item, dict)):
                 _merge(default[0], item, path)
-    elif not (type(value) is type(default) or (type(default), type(value)) == (float, int)):
-        raise CamGeomError(f"{path[:-1]}: expected {type(default).__name__}, got {value!r}")
+    elif type(value) is not type(default):
+        if (type(default), type(value)) != (float, int):
+            raise CamGeomError(f"{path[:-1]}: expected {type(default).__name__}, got {value!r}")
+        _number(path[:-1], value, CamGeomError)  # an int for a float must be one a float can hold
     return value
 
 
@@ -173,10 +175,7 @@ def _load_manifest(path: Path) -> list[dict]:
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise CamGeomError(f"{path}:{line_no}: invalid JSON ({exc})") from None
+        obj = _json(f"{path}:{line_no}", line, CamGeomError)
         if not isinstance(obj, dict) or "image" not in obj or "intrinsics" not in obj or "id" not in obj:
             raise CamGeomError(f"{path}:{line_no}: manifest entries need id, image and intrinsics")
         entries.append(obj)
@@ -553,12 +552,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except CamGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    except (CamGeomError, OSError) as exc:  # one line, even where the input put a line break in the message
+        invalid = isinstance(exc, CamGeomError)
+        print(f"{'error' if invalid else 'i/o error'}: {exc}".replace("\n", "\\n"), file=sys.stderr)
+        return 2 if invalid else 1
 
 
 if __name__ == "__main__":

@@ -118,8 +118,8 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
     _check_extent(depth, k)
     _check_grid_extent(k, grid)
     u_c, v_c = token_centers(grid)
-    cols = np.clip(np.floor(u_c).astype(int), 0, depth.width - 1)
-    rows = np.clip(np.floor(v_c).astype(int), 0, depth.height - 1)
+    cols = np.clip(np.floor(u_c), 0, depth.width - 1).astype(int)  # clipped as floats: a far center fits no int
+    rows = np.clip(np.floor(v_c), 0, depth.height - 1).astype(int)
     sel = np.ix_(rows, cols)
     return _adopt(PointGrid, unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
 

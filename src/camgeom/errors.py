@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its one rule for numbers.
+"""Exception types shared across the toolkit, and its one rule each for numbers and JSON.
 
 Everything derives from :class:`CamGeomError` (a ``ValueError``) so callers
 can catch toolkit validation failures with a single except clause.
@@ -8,7 +8,11 @@ never a bool or text, and finite: NaN, +-inf and ints too large for a float
 are not.  A count is an int or an integral float.  :func:`_number`,
 :func:`_positive`, :func:`_factors` and :func:`_count` apply this rule for
 every value type and checker, raising the error class their caller names.
+JSON from outside is decoded by :func:`_json` alone: text that is not JSON,
+nests too deep or holds an over-long integer raises its reader's class.
 """
+
+import json
 
 _LARGEST = 1.7976931348623157e308
 
@@ -46,6 +50,14 @@ def _count(what: str, value, error: type, minimum: int = 1) -> int:
     if not minimum <= number <= _LARGEST or number != int(number):
         raise error(f"{what}: must be an integer >= {minimum}, got {value!r}")
     return int(number)
+
+
+def _json(what: str, text: str, error: type):
+    """The JSON value in ``text``; ``error`` naming ``what`` if it cannot be decoded."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: not JSON or an over-long int; RecursionError: too deep
+        raise error(f"{what}: invalid JSON ({exc})") from None
 
 
 class CamGeomError(ValueError):

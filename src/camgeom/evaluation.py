@@ -15,14 +15,13 @@ average is reported alongside.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .boxes import OrientedBox3, _check_order, aabb_iou, iou3d
-from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _positive
+from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _json, _positive
 
 __all__ = [
     "Detection",
@@ -96,16 +95,14 @@ def _decode_candidates(text: str) -> tuple[list, bool]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        # ValueError includes over-long integers, RecursionError too-deep nesting
         try:
-            value = json.loads(chunk)
-        except (ValueError, RecursionError):
-            salvaged = _balanced_objects(chunk)
-            for span in salvaged:
+            value = _json("transcript", chunk, NoParsableJson)
+        except NoParsableJson:
+            for span in _balanced_objects(chunk):
                 try:
-                    entries.append(json.loads(span))
+                    entries.append(_json("transcript", span, NoParsableJson))
                     parsed_any = True
-                except (ValueError, RecursionError):
+                except NoParsableJson:
                     logger.warning("skipping unparsable object: %.80s", span)
             continue
         parsed_any = True

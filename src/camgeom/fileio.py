@@ -24,7 +24,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap
-from .errors import MalformedFile
+from .errors import MalformedFile, _json
 
 __all__ = [
     "write_cgem",
@@ -108,10 +108,7 @@ def _read_text(path: str | Path) -> str:
 
 def _read_json(path: str | Path) -> Any:
     """The JSON value in a UTF-8 file; text that is not JSON raises MalformedFile naming the file."""
-    try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise MalformedFile(f"{path}: invalid JSON ({exc})") from None
+    return _json(str(path), _read_text(path), MalformedFile)
 
 
 def sidecar_path(path: str | Path) -> Path:

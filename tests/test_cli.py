@@ -34,6 +34,7 @@ def workspace(tmp_path):
 GT = '[{"label": "chair", "bbox_3d": [0, 0, 2, 1, 1, 1, 0, 0, 0]}]'
 # sidecars that are JSON but not an object
 BAD_SIDECARS = {"null": "null", "number": "5", "string": '"intrinsics"', "list": "[1]"}
+LONG_INT = '{"fx": ' + "1" * 5000 + "}"  # an integer past Python's 4,300-digit conversion limit
 
 
 class TestVersion:
@@ -134,15 +135,17 @@ class TestAugmentCommand:
         assert report["load_failures"][0][2].startswith("MalformedFile: ")
 
     def test_depth_sidecar_that_is_not_json_is_a_load_failure_naming_it(self, workspace):
-        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
-        entries[1]["depth"] = _depth_with_sidecar(workspace, "{nope")
-        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
-        out = workspace / "out"
-        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["n_ok"] == 2
-        assert [f[:2] for f in report["load_failures"]] == [[1, "img1"]]
-        assert report["load_failures"][0][2].startswith(f"MalformedFile: {workspace / 'bad.cgem.json'}: invalid JSON")
+        for case, sidecar in enumerate(["{nope", LONG_INT]):
+            entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+            entries[1]["depth"] = _depth_with_sidecar(workspace, sidecar)
+            (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+            out = workspace / f"out{case}"
+            assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["n_ok"] == 2
+            assert [f[:2] for f in report["load_failures"]] == [[1, "img1"]]
+            named = f"MalformedFile: {workspace / 'bad.cgem.json'}: invalid JSON"
+            assert report["load_failures"][0][2].startswith(named)
 
     def test_write_failure_is_a_failure_record(self, workspace):
         # the id passes the file-name check, but its output name is longer than any file system allows
@@ -546,7 +549,7 @@ class TestConfigResolution:
         assert echoed["ambiguity"]["resize_factors"] == [1.0]
 
 
-# Config files that ended in a traceback, or whose misspelt key was ignored:
+# Config files that ended in a traceback, printed more than one line, or whose misspelt key was ignored:
 # (command, file contents, the dotted path the error names).
 CONFIG_CASES = {
     "augment-not-an-object": ("augment", {"augment": 5}, "augment"),
@@ -558,6 +561,10 @@ CONFIG_CASES = {
     "ambiguity-n-scenes-not-a-number": ("ambiguity", {"ambiguity": {"n_scenes": "ten"}}, "ambiguity.n_scenes"),
     "ambiguity-factor-not-a-number": ("ambiguity", {"ambiguity": {"resize_factors": ["a"]}},
                                       "ambiguity.resize_factors"),
+    "embed-focal-reference-past-float": ("embed", {"embed": {"focal_reference": 10**400}}, "embed.focal_reference"),
+    "ambiguity-factor-past-float": ("ambiguity", {"ambiguity": {"resize_factors": [-10**400]}},
+                                    "ambiguity.resize_factors"),
+    "key-with-a-line-break": ("augment", {"augment": {"shift\nfraction": 0.3}}, "augment.shift\\nfraction"),
 }
 COMMAND_ARGS = {
     "augment": ["--manifest", "{ws}/manifest.jsonl", "--out", "{ws}/run"],
@@ -585,7 +592,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("values, named", [({"objects_per_scene": 0}, "objects_per_scene"),
                                                ({"objects_per_scene": -2}, "objects_per_scene"),
-                                               ({"f_mode": "x"}, "mode")])
+                                               ({"f_mode": "x"}, "mode"),
+                                               ({"prior_spread": 2409}, "spread 2409.0 is too wide")])
     def test_bad_ambiguity_value_exit_2(self, workspace, capsys, values, named):
         assert self._run(workspace, "ambiguity", {"ambiguity": {"n_scenes": 4, **values}}) == 2
         err = capsys.readouterr().err
@@ -723,6 +731,17 @@ VALIDATION_CASES = {
                                              "--out", str(ws / "e.cgem")], True),
     "unproject-sidecar-deeply-nested": (lambda ws: ["unproject", "--depth", _depth_with_sidecar(ws, DEEP),
                                                     "--out", str(ws / "p.cgem")], True),
+    "config-long-integer": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
+                                        "--config", _not_json(ws, "conf.json", LONG_INT)], True),
+    "manifest-long-integer": (lambda ws: ["augment", "--manifest", _not_json(ws, "m.jsonl", LONG_INT),
+                                          "--out", str(ws / "o")], True),
+    "intrinsics-long-integer": (lambda ws: ["embed", "--intrinsics", _not_json(ws, "bad_k.json", LONG_INT),
+                                            "--out", str(ws / "e.cgem")], True),
+    "unproject-sidecar-long-integer": (lambda ws: ["unproject", "--depth", _depth_with_sidecar(ws, LONG_INT),
+                                                   "--out", str(ws / "p.cgem")], True),
+    "embed-depth-sidecar-long-integer": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"),
+                                                     "--depth", _depth_with_sidecar(ws, LONG_INT),
+                                                     "--out", str(ws / "e.cgem")], True),
     "config-not-json": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--config", _not_json(ws, "conf.json")],
                         True),
     "unproject-sidecar-not-json": (lambda ws: ["unproject", "--depth", _depth_with_sidecar(ws, "{nope"),
@@ -755,7 +774,7 @@ class TestValidationExits:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-    @pytest.mark.parametrize("case, named", [("config-not-json", "conf.json"),
+    @pytest.mark.parametrize("case, named", [("config-not-json", "conf.json"), ("config-long-integer", "conf.json"),
                                              ("unproject-sidecar-not-json", "bad.cgem.json"),
                                              ("embed-depth-sidecar-not-json", "bad.cgem.json")])
     def test_malformed_json_names_its_file(self, workspace, capsys, case, named):

@@ -141,6 +141,14 @@ class TestTokenPointGrid:
         pg = token_point_grid(resample_depth(depth, t), apply_transform(k, t), TokenGridSpec(2, 3, 16.0))
         np.testing.assert_allclose(pg.points, base.points[1:, 1:], atol=1e-9)
 
+    def test_center_far_past_the_image_pools_its_last_pixel(self):
+        # one token of patch 1e300 reaches less than a patch past the image, so the grid is valid;
+        # its center lies far beyond any int, so it must be clipped before it is cast
+        k = Intrinsics(500, 500, 32, 24, 64, 48)
+        depth = DepthMap.from_array(np.tile(np.arange(1.0, 65.0), (48, 1)))  # z = column + 1
+        pg = token_point_grid(depth, k, TokenGridSpec(1, 1, 1e300))
+        assert pg.valid[0, 0] and pg.points[0, 0, 2] == 64.0
+
     @pytest.mark.parametrize("rows, cols", [(8, 9), (7, 10), (40, 40)])
     def test_grid_exceeding_image_rejected_like_ray_grid(self, rows, cols):
         k = Intrinsics(500, 500, 32, 24, 64, 48)

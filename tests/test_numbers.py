@@ -131,7 +131,8 @@ def test_valid_arguments_pass(site):
     call(valid)
 
 
-# each of these went through, or raised TypeError or a plain ValueError, before the shared rule
+# each of these went through, or raised TypeError, AttributeError, AssertionError or a plain ValueError, before
+# the shared rule
 REJECTED = {
     "transform-bool-extent": (lambda: PixelTransform(1, 1, 0, 0, True, 5), BelowMinimum),
     "transform-text-scale": (lambda: PixelTransform("2", 1, 0, 0, 5, 5), NonPositiveScale),
@@ -153,6 +154,10 @@ REJECTED = {
                                       NonPositiveFactor),
     "witness-two-entry-base": (lambda: make_witness((500.0, 2.0), "focal_depth", 2.0), NonPositiveFactor),
     "witness-four-entry-base": (lambda: make_witness((500.0, 2.0, 4.0, 1.0), "focal_depth", 2.0), NonPositiveFactor),
+    "witness-variant-focal-overflows": (lambda: make_witness((1e10, 1, 1), "focal_depth", 1e300), NonPositiveFactor),
+    "witness-variant-focal-subnormal": (lambda: make_witness((1e-300, 1, 1), "focal_depth", 1e-20),
+                                        NonPositiveFactor),
+    "witness-variant-depth-overflows": (lambda: make_witness((1, 1, 1), "coupled", (1e200, 1e200)), NonPositiveFactor),
     "box-text-center": (lambda: OrientedBox3(("0", 0, 0), (1, 1, 1), 0, 0, 0), DegenerateBox),
     "box-list-of-text": (lambda: OrientedBox3.from_list(["1"] * 9), DegenerateBox),
     "box-scalar-center": (lambda: OrientedBox3(1.0, (1, 1, 1), 0, 0, 0), DegenerateBox),
@@ -163,6 +168,8 @@ REJECTED = {
     "scenes-negative-near-depth": (lambda: generate_scenes(1, [K], depth_range=(-1e-3, 8.0)), NonPositiveDepth),
     "scenes-one-entry-prior": (lambda: generate_scenes(1, [K], size_priors={"car": (1.0,)}), CamGeomError),
     "scenes-scalar-prior": (lambda: generate_scenes(1, [K], size_priors={"car": 1.0}), CamGeomError),
+    "scenes-empty-priors": (lambda: generate_scenes(1, [K], size_priors={}), CamGeomError),
+    "scenes-list-of-priors": (lambda: generate_scenes(1, [K], size_priors=[("car", (1.0, 0.0))]), CamGeomError),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),

@@ -2,17 +2,22 @@
 preservation), resampling against per-pixel oracles and banded resampling
 against the whole-frame formula, oriented-box IoU (symmetry, rigid
 invariance, bit-for-bit invariance under exact translation and power-of-two
-scaling, the clipper against the closed form, aabb_iou on zero angles)
-and the input parsers (every input parses or raises CamGeomError, nothing
-else).
+scaling, the clipper against the closed form, aabb_iou on zero angles),
+the input parsers (every input parses or raises CamGeomError, nothing
+else) and the CLI's error contract (every command, one input corrupted).
 
 Derandomized with no example database, so every run draws the same cases;
 ``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
 """
 
+import contextlib
+import functools
+import io
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +27,11 @@ from hypothesis import strategies as st
 from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
 from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
+from camgeom.cli import DEFAULTS, main
 from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points
 from camgeom.errors import CamGeomError
 from camgeom.evaluation import parse_detections
-from camgeom.fileio import read_cgem, read_ppm
+from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
 from oracles import bilinear_oracle, nearest_depth_oracle, whole_frame_resample
@@ -457,3 +463,142 @@ def test_read_ppm_parses_or_raises_camgeom_error(scratch_file, raw):
     except CamGeomError:
         return
     assert image.ndim == 3 and image.shape[2] == 3 and min(image.shape) >= 1
+
+
+# -- the CLI contract --------------------------------------------------------
+# Every command, run on a small valid workspace with one input corrupted, exits 0, 1 or 2; a
+# non-zero exit prints one line and no traceback; nothing appears outside the output location;
+# and in augment a bad sample leaves the others written.
+
+_K = Intrinsics(500.0, 500.0, 32.0, 24.0, 64, 48)
+_LONG_INT = '{"fx": ' + "1" * 5000 + "}"  # past Python's 4,300-digit limit for int conversion
+_GT = '[{"label": "chair", "bbox_3d": [0, 0, 2, 1, 1, 1, 0.3, 0, 0]}]'
+_MANIFEST = [
+    {"id": "img0", "image": "img0.ppm", "intrinsics": _K.to_dict()},
+    {"id": "img1", "image": "img1.ppm", "intrinsics": "k.json", "depth": "depth.cgem"},
+    {"id": "img2", "image": "img2.cgem", "intrinsics": "k2.json"},
+]
+_OUT = ("--out", "{root}/out")
+# command -> (argv, the files it reads); flags pin every setting that sizes the work
+_COMMANDS = {
+    "augment": (["augment", "--manifest", "{root}/manifest.jsonl", *_OUT, "--workers", "1",
+                 "--scale-min", "0.5", "--scale-max", "1.5"],
+                ["manifest.jsonl", "k.json", "img1.ppm", "depth.cgem", "depth.cgem.json"]),
+    "embed": (["embed", "--intrinsics", "{root}/k.json", "--out", "{root}/out/e.cgem", "--rows", "3", "--cols", "4",
+               "--dim", "8"], ["k.json"]),
+    "embed --depth": (["embed", "--intrinsics", "{root}/k.json", "--depth", "{root}/depth.cgem",
+                       "--out", "{root}/out/e.cgem", "--rows", "1", "--cols", "1", "--geo-dim", "6"],
+                      ["k.json", "depth.cgem", "depth.cgem.json"]),
+    "unproject": (["unproject", "--depth", "{root}/depth.cgem", "--out", "{root}/out/p.cgem"],
+                  ["depth.cgem", "depth.cgem.json"]),
+    "eval": (["eval", "--preds", "{root}/preds.txt", "--truths", "{root}/gt.json", *_OUT], ["preds.txt", "gt.json"]),
+    "ambiguity": (["ambiguity", *_OUT, "--n-scenes", "2"], []),
+}
+_PER_SAMPLE = {"k.json", "img1.ppm", "depth.cgem", "depth.cgem.json"}  # read by augment for img1 alone
+
+
+def _workspace(root: Path) -> None:
+    rng = np.random.default_rng(3)
+    save_intrinsics(root / "k.json", _K)
+    save_intrinsics(root / "k2.json", _K)
+    write_ppm(root / "img0.ppm", rng.integers(0, 256, (48, 64, 3), dtype=np.uint8))
+    write_ppm(root / "img1.ppm", rng.integers(0, 256, (48, 64, 3), dtype=np.uint8))
+    write_cgem(root / "img2.cgem", rng.uniform(0, 1, (48, 64, 3)).astype(np.float32))
+    write_depth(root / "depth.cgem", DepthMap.from_array(rng.uniform(1, 5, (48, 64))), _K)
+    (root / "manifest.jsonl").write_text("".join(json.dumps(entry) + "\n" for entry in _MANIFEST))
+    (root / "preds.txt").write_text(f"```json\n{_GT}\n```")
+    (root / "gt.json").write_text(_GT)
+    (root / "config.json").write_text("{}")
+
+
+def _leaves(node, path=()):
+    for key, value in node.items():
+        yield from _leaves(value, path + (key,)) if isinstance(value, dict) else [path + (key,)]
+
+
+# every config key but objects_per_scene, which no flag pins: a huge value is a run that does not end
+_CONFIG_KEYS = [path for path in _leaves(DEFAULTS) if path != ("ambiguity", "objects_per_scene")] + [("bogus",)]
+_JSON_TEXT = st.one_of(st.text(max_size=40), _JSON.map(_dumps), st.sampled_from([_LONG_INT, "1" * 5000, "[" * 100_000]))
+_MAPPINGS = st.one_of(
+    st.fixed_dictionaries({key: st.one_of(_NUMBERS, _JSON) for key in _INTRINSICS_KEYS}),
+    intrinsics().map(Intrinsics.to_dict),
+)
+_PATH_OR_NOT = st.one_of(st.sampled_from(["img0.ppm", "img2.cgem", "depth.cgem", "k.json", "missing.ppm"]),
+                         _JSON.filter(lambda value: not isinstance(value, str)))  # no text: it could name any file
+
+
+@st.composite
+def manifest_bytes(draw):
+    """The workspace manifest with one line replaced by, or followed by, a bad one."""
+    lines = [json.dumps(entry) for entry in _MANIFEST]
+    bad = draw(st.one_of(_JSON_TEXT, st.fixed_dictionaries(
+        {"id": st.one_of(st.sampled_from(["img0", "new", "", "..", "a/b"]), _JSON), "image": _PATH_OR_NOT,
+         "intrinsics": st.one_of(st.just("k.json"), _PATH_OR_NOT, _MAPPINGS)},
+        optional={"depth": _PATH_OR_NOT, "boxes": st.sampled_from(["gt.json", "preds.txt", "img0.ppm"])},
+    ).map(_dumps)))
+    index = draw(st.integers(0, len(lines) - 1))
+    lines[index:index + 1] = [bad] if draw(st.booleans()) else [lines[index], bad]
+    return "\n".join(lines).encode()
+
+
+_TEXT_BYTES = st.one_of(_JSON_TEXT.map(str.encode), st.binary(max_size=16))
+_CONTENTS = {
+    "manifest.jsonl": st.one_of(manifest_bytes(), _TEXT_BYTES),
+    "k.json": st.one_of(_TEXT_BYTES, _MAPPINGS.map(_dumps).map(str.encode)),
+    "img1.ppm": st.one_of(ppm_bytes(), st.binary(max_size=64)),
+    "depth.cgem": cgem_bytes(),
+    "depth.cgem.json": st.one_of(_TEXT_BYTES,
+                                 st.fixed_dictionaries({"intrinsics": _MAPPINGS}).map(_dumps).map(str.encode)),
+    "config.json": st.one_of(_TEXT_BYTES, st.builds(
+        lambda path, value: _dumps(functools.reduce(lambda inner, key: {key: inner}, reversed(path), value)).encode(),
+        st.sampled_from(_CONFIG_KEYS), st.one_of(_NUMBERS, _JSON, st.lists(_NUMBERS, max_size=3)),
+    )),
+    "preds.txt": transcripts().map(str.encode),
+    "gt.json": transcripts().map(str.encode),
+}
+
+
+@st.composite
+def corrupted_runs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    name = draw(st.sampled_from(_COMMANDS[command][1] + ["config.json"]))
+    return command, name, draw(_CONTENTS[name])
+
+
+def _outside(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.relative_to(root).parts[0] != "out")
+
+
+@settings(SETTINGS, max_examples=150)
+@given(corrupted_runs())
+# the over-long integer measured to end in a traceback: in a manifest, an intrinsics file and a config
+@example(("augment", "manifest.jsonl", _LONG_INT.encode()))
+@example(("embed", "k.json", _LONG_INT.encode()))
+@example(("eval", "config.json", _LONG_INT.encode()))
+@example(("unproject", "depth.cgem.json", _LONG_INT.encode()))
+@example(("augment", "depth.cgem.json", _LONG_INT.encode()))
+# one token whose center lies far past any int: it pools the last pixel, with no cast warning
+@example(("embed --depth", "config.json", b'{"embed": {"patch": 1e300}}'))
+# found by this test: a line break in a key, an int no float can hold, a spread whose heights overflow
+@example(("ambiguity", "config.json", b'{"\\n": null}'))
+@example(("embed", "config.json", b'{"embed": {"focal_reference": 1' + b"0" * 400 + b"}}"))
+@example(("ambiguity", "config.json", b'{"ambiguity": {"prior_spread": 2409}}'))
+def test_every_command_keeps_the_error_contract(run):
+    command, name, content = run
+    with tempfile.TemporaryDirectory(prefix="camgeom-contract-") as tmp:
+        root = Path(tmp)
+        _workspace(root)
+        (root / name).write_bytes(content)
+        before = _outside(root)
+        argv = [arg.format(root=root) for arg in _COMMANDS[command][0]] + ["--config", str(root / "config.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        err = err.getvalue()
+        if code:
+            assert err.startswith("error: " if code == 2 else "i/o error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert _outside(root) == before
+        if command == "augment" and name in _PER_SAMPLE:
+            assert code == 0 and (root / "out" / "img0.ppm").exists() and (root / "out" / "img2.cgem").exists()
