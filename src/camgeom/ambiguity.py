@@ -83,9 +83,9 @@ def make_witness(
 
     kind "focal_depth" maps to (lam*f, H, lam*Z), "size_depth" to
     (f, lam*H, lam*Z), and "coupled" takes (alpha, beta) giving
-    (alpha*f, beta*H, alpha*beta*Z).  Each variant entry and the projected
-    height f*H/Z must be a finite, normal float > 0, and the variant's height
-    equal to 1e-9 relative; NonPositiveFactor otherwise.
+    (alpha*f, beta*H, alpha*beta*Z).  Each variant entry, both products f*H
+    and the projected height f*H/Z must be a finite, normal float > 0, and the
+    variant's height equal to 1e-9 relative; NonPositiveFactor otherwise.
     """
     f, height, depth = _factors("base", base, ("f", "H", "Z"), NonPositiveFactor)
     if kind == "focal_depth":
@@ -100,7 +100,8 @@ def make_witness(
     else:
         raise CamGeomError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
     h_base, h_variant = f * height / depth, variant[0] * variant[1] / variant[2]
-    for name, value in zip(("variant f", "variant H", "variant Z", "projected height f*H/Z"), (*variant, h_base)):
+    names = ("variant f", "variant H", "variant Z", "f*H", "variant f*H", "projected height f*H/Z")
+    for name, value in zip(names, (*variant, f * height, variant[0] * variant[1], h_base)):
         if not 2.0**-1022 <= value < math.inf:  # a subnormal has too few bits for the 1e-9 check
             raise NonPositiveFactor(f"{name}: must be a finite, normal float > 0, got {value!r}")
     if not abs(h_variant - h_base) <= 1e-9 * h_base:  # only when a product leaves the float range

@@ -27,10 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .camera import Intrinsics
-from .depthmap import DepthMap
-from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, ExtentMismatch, _count, _factors, _number
+from .depthmap import DepthMap, _check_extent
+from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, _count, _factors, _number
 from .evaluation import Detection
-from .rays import _adopt, _held, _hold
+from .rays import TokenGridSpec, _adopt, _held, _hold, _pixel_index, token_centers
 from .transforms import PixelTransform, apply_transform
 
 __all__ = [
@@ -145,17 +145,18 @@ _BAND_ROWS = 16  # output rows per band of resample: 16 float64 rows of a 640 x 
 def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
     """Per-axis bilinear taps ``((i0, w0), (i1, w1))`` for source pixel-center coordinates.
 
-    In pad mode a tap outside the source weighs 0; in both modes its index
-    is then clamped to the edge, so every index is safe to gather.
+    In pad mode a tap outside the source weighs 0; in both modes its index is
+    clamped to the edge by :func:`~camgeom.rays._pixel_index`, safe to gather.
     """
-    x = coords - 0.5
-    i0 = np.floor(x).astype(np.int64)
+    x = np.clip(coords - 0.5, -1.0, size)  # both taps of a farther x are outside too; its weights stay finite
+    i0 = np.floor(x)
     f = x - i0
     taps = []
-    for index, weight in ((i0, 1 - f), (i0 + 1, f)):
+    for floored, weight in ((i0, 1 - f), (i0 + 1, f)):
+        index, inside = _pixel_index(floored, size)
         if mode == "pad":
-            weight = np.where((index >= 0) & (index < size), weight, 0.0)
-        taps.append((np.clip(index, 0, size - 1), weight))
+            weight = np.where(inside, weight, 0.0)
+        taps.append((index, weight))
     return taps
 
 
@@ -186,7 +187,7 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
                 f"{t.dv:.3f}..{t.dv + t.out_height:.3f}) exceeds scaled source "
                 f"{t.sx * image.width:.3f}x{t.sy * image.height:.3f}"
             )
-    u_src, v_src = t.source_coords(np.arange(t.out_width) + 0.5, np.arange(t.out_height) + 0.5)
+    u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
     (iy0, wy0), (iy1, wy1) = _bilinear_taps(v_src, image.height, mode)
     (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode)
     src = image.data  # uint8 or float32 rows times float64 weights promote: no full-frame cast
@@ -207,12 +208,10 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     """Nearest-neighbor depth resample; out-of-source samples become invalid."""
-    u_src, v_src = t.source_coords(np.arange(t.out_width) + 0.5, np.arange(t.out_height) + 0.5)
-    ii = np.floor(v_src).astype(np.int64)
-    jj = np.floor(u_src).astype(np.int64)
-    inside_i = (ii >= 0) & (ii < depth.height)
-    inside_j = (jj >= 0) & (jj < depth.width)
-    sel = np.ix_(np.clip(ii, 0, depth.height - 1), np.clip(jj, 0, depth.width - 1))
+    u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
+    rows, inside_i = _pixel_index(np.floor(v_src), depth.height)
+    cols, inside_j = _pixel_index(np.floor(u_src), depth.width)
+    sel = np.ix_(rows, cols)
     valid = inside_i[:, None] & inside_j[None, :] & depth.valid[sel]
     return _adopt(DepthMap, depth.values[sel], valid)
 
@@ -248,12 +247,9 @@ def augment(
     """Transform one sample consistently; deterministic given the rng state."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence([int(rng), index]))
-    k = sample.intrinsics
-    for name, grid in (("image", sample.image), ("depth", sample.depth)):
-        if grid is not None and (grid.height, grid.width) != (k.height, k.width):
-            raise ExtentMismatch(
-                f"{sample.id}: {name} extent {grid.width}x{grid.height} != intrinsics extent {k.width}x{k.height}"
-            )
+    _check_extent(sample.image, sample.intrinsics, f"{sample.id}: image")
+    if sample.depth is not None:
+        _check_extent(sample.depth, sample.intrinsics, f"{sample.id}: depth")
     t = draw_transform(sample.intrinsics, policy, rng)
     image = resample(sample.image, t, mode=policy.mode)
     intrinsics = apply_transform(sample.intrinsics, t)

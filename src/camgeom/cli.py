@@ -40,6 +40,7 @@ from .fileio import (
     _open_atomic,
     _read_json,
     _read_text,
+    _utf8,
     load_intrinsics,
     read_cgem,
     read_depth,
@@ -163,7 +164,7 @@ def _camera_from_pool_entry(entry, where: str) -> Intrinsics:
 
 def _load_raster(path: Path) -> RasterImage:
     if path.suffix == ".ppm":
-        return _adopt(RasterImage, read_ppm(path))  # each reader returns a new array: the raster keeps it
+        return _adopt(RasterImage, read_ppm(path))  # each reader views bytes it read, held nowhere else: kept as is
     if path.suffix == ".cgem":
         return _adopt(RasterImage, read_cgem(path))  # already float32
     raise CamGeomError(f"{path}: unsupported image format (use .ppm or .cgem)")
@@ -246,7 +247,7 @@ class _ManifestSamples(Sequence):
                 depth, _ = read_depth(root / entry["depth"])
             if entry.get("boxes"):
                 raw = (root / entry["boxes"]).read_bytes()
-                parse_detections(raw.decode("utf-8"))  # validate, but pass bytes through
+                parse_detections(_utf8(root / entry["boxes"], raw))  # validate, but pass the bytes read through
                 self.box_bytes[entry["id"]] = raw
             return Sample(entry["id"], image, k, depth=depth)
         except (OSError, CamGeomError, ValueError) as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .camera import Intrinsics, unproject_array
 from .errors import BadDimension, ExtentMismatch, NonPositiveDepth, NonPositiveInput, _count, _positive
-from .rays import EmbeddingGrid, TokenGridSpec, _adopt, _check_grid_extent, _held, _hold
+from .rays import EmbeddingGrid, TokenGridSpec, _adopt, _check_grid_extent, _held, _hold, _pixel_index
 from .rays import sinusoid_features, token_centers
 
 __all__ = [
@@ -89,11 +89,10 @@ class PointGrid:
         _hold(self, points=points, valid=valid)
 
 
-def _check_extent(depth: DepthMap, k: Intrinsics) -> None:
-    if (depth.height, depth.width) != (k.height, k.width):
-        raise ExtentMismatch(
-            f"depth extent {depth.width}x{depth.height} != intrinsics extent {k.width}x{k.height}"
-        )
+def _check_extent(grid, k: Intrinsics, what: str) -> None:
+    """``grid`` (a raster or a depth map) spans the intrinsics extent; ExtentMismatch naming ``what`` otherwise."""
+    if (grid.height, grid.width) != (k.height, k.width):
+        raise ExtentMismatch(f"{what} extent {grid.width}x{grid.height} != intrinsics extent {k.width}x{k.height}")
 
 
 def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +101,7 @@ def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     Returns (points, valid) with points shaped (H, W, 3); invalid pixels
     carry NaN.  Raises ExtentMismatch if the map does not match ``k``.
     """
-    _check_extent(depth, k)
+    _check_extent(depth, k, "depth")
     u, v = token_centers(TokenGridSpec(depth.height, depth.width, 1))  # pixel centers: one-pixel tokens
     return unproject_array(u[None, :], v[:, None], depth.values, k), depth.valid.copy()
 
@@ -115,11 +114,11 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
     point reprojects exactly onto the token center.  Raises GridExceedsImage
     for a grid that :func:`~camgeom.rays.ray_grid` would reject.
     """
-    _check_extent(depth, k)
+    _check_extent(depth, k, "depth")
     _check_grid_extent(k, grid)
     u_c, v_c = token_centers(grid)
-    cols = np.clip(np.floor(u_c), 0, depth.width - 1).astype(int)  # clipped as floats: a far center fits no int
-    rows = np.clip(np.floor(v_c), 0, depth.height - 1).astype(int)
+    rows, _ = _pixel_index(np.floor(v_c), depth.height)  # a grid past the image pools its edge pixels
+    cols, _ = _pixel_index(np.floor(u_c), depth.width)
     sel = np.ix_(rows, cols)
     return _adopt(PointGrid, unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
 

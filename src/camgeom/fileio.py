@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,6 +44,7 @@ __all__ = [
 
 MAGIC = b"CGEM"
 _HEADER = struct.Struct("<4sIII")
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)*(\S*)" * 3)  # each field after whitespace and comment lines
 
 
 @contextmanager
@@ -81,7 +83,7 @@ def write_cgem(path: str | Path, data: np.ndarray) -> None:
 
 
 def read_cgem(path: str | Path) -> np.ndarray:
-    """Read a CGEM tensor as float32, shape (rows, cols, dim)."""
+    """Read a CGEM tensor as float32, shape (rows, cols, dim): a read-only view of the bytes read, not a copy."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise MalformedFile(f"{path}: truncated CGEM header")
@@ -92,18 +94,22 @@ def read_cgem(path: str | Path) -> np.ndarray:
     if len(raw) - _HEADER.size != 4 * count:
         raise MalformedFile(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {4 * count}")
     try:
-        payload = np.frombuffer(raw, "<f4", count=count, offset=_HEADER.size)  # a view: astype makes the one copy
-        return payload.reshape(rows, cols, dim).astype(np.float32)
+        return np.frombuffer(raw, "<f4", count=count, offset=_HEADER.size).reshape(rows, cols, dim)
     except ValueError:  # an empty tensor whose other two extents overflow numpy's size limit
         raise MalformedFile(f"{path}: shape {rows}x{cols}x{dim} is too large") from None
 
 
-def _read_text(path: str | Path) -> str:
-    """The UTF-8 text of a file; bytes that are not UTF-8 raise MalformedFile naming the file."""
+def _utf8(path: str | Path, raw: bytes) -> str:
+    """``raw``, the bytes read from ``path``, as UTF-8 text; bytes that are not UTF-8 raise MalformedFile naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file (:func:`_utf8`), each line ending read as ``\\n``."""
+    return _utf8(path, Path(path).read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_json(path: str | Path) -> Any:
@@ -142,7 +148,7 @@ def write_depth(path: str | Path, depth: DepthMap, k: Intrinsics | None = None) 
 
 
 def read_depth(path: str | Path) -> tuple[DepthMap, Intrinsics | None]:
-    """Read a depth CGEM; returns the map and the sidecar intrinsics if present."""
+    """Read a depth CGEM; returns the map, ``DepthMap.from_array``'s one float64 copy, and any sidecar intrinsics."""
     data = read_cgem(path)
     if data.shape[2] != 1:
         raise MalformedFile(f"{path}: depth tensors must have dim = 1, got {data.shape[2]}")
@@ -167,34 +173,23 @@ def write_ppm(path: str | Path, data: np.ndarray) -> None:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary PPM as uint8, shape (H, W, 3): a read-only view of the bytes read, not a copy."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P6"):
         raise MalformedFile(f"{path}: not a binary PPM (P6) file")
-    fields: list[bytes] = []
-    pos = 2
+    header = _PPM_HEADER.match(raw)
     try:
-        while len(fields) < 3:
-            while pos < len(raw) and raw[pos : pos + 1].isspace():
-                pos += 1
-            if raw[pos : pos + 1] == b"#":  # comment line
-                pos = raw.index(b"\n", pos) + 1
-                continue
-            start = pos
-            while pos < len(raw) and not raw[pos : pos + 1].isspace():
-                pos += 1
-            fields.append(raw[start:pos])
-        width, height, maxval = (int(f) for f in fields)
+        width, height, maxval = (int(field) for field in header.groups())
     except ValueError:
         raise MalformedFile(f"{path}: malformed PPM header") from None
     if width < 1 or height < 1:
         raise MalformedFile(f"{path}: PPM extent must be at least 1x1, got {width}x{height}")
     if maxval != 255:
         raise MalformedFile(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    body = raw[pos : pos + width * height * 3]
-    if len(body) != width * height * 3:
+    pos = header.end() + 1  # single whitespace after maxval
+    if len(raw) - pos < width * height * 3:
         raise MalformedFile(f"{path}: truncated pixel data")
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
+    return np.frombuffer(raw, np.uint8, count=width * height * 3, offset=pos).reshape(height, width, 3)
 
 
 def load_intrinsics(path: str | Path) -> Intrinsics:

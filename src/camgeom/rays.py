@@ -145,6 +145,12 @@ def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarr
     return u, v
 
 
+def _pixel_index(floored: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel of each floored coordinate on an axis of ``size`` pixels, clamped to the edge as a float
+    before the int cast (a far coordinate, or +-inf, fits no int), and which coordinates are inside."""
+    return np.clip(floored, 0, size - 1).astype(np.int64), (floored >= 0) & (floored < size)
+
+
 def _check_grid_extent(k: Intrinsics, grid: TokenGridSpec) -> None:
     """A token grid may reach past the image by at most one patch on each axis."""
     if grid.rows * grid.patch > k.height + grid.patch or grid.cols * grid.patch > k.width + grid.patch:

@@ -69,9 +69,10 @@ class PixelTransform:
                self.sy * np.asarray(v, dtype=np.float64) - self.dv
 
     def source_coords(self, u_out, v_out):
-        """Map output pixel coordinates back to source coordinates."""
-        return (np.asarray(u_out, dtype=np.float64) + self.du) / self.sx, \
-               (np.asarray(v_out, dtype=np.float64) + self.dv) / self.sy
+        """Map output pixel coordinates back to source coordinates; one past the float range is +-inf."""
+        with np.errstate(over="ignore"):
+            return (np.asarray(u_out, dtype=np.float64) + self.du) / self.sx, \
+                   (np.asarray(v_out, dtype=np.float64) + self.dv) / self.sy
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -211,7 +212,8 @@ class TestAugmentCommand:
         assert [f[0] for f in report["failures"]] == [3, 8, 9, 15]
 
     def test_depth_and_boxes_travel_through(self, workspace):
-        (workspace / "boxes.json").write_text(GT)
+        raw = GT.replace(", ", ",\r\n").encode()  # CRLF line ends: the bytes pass through untranslated
+        (workspace / "boxes.json").write_bytes(raw)
         manifest = workspace / "full.jsonl"
         manifest.write_text(json.dumps({
             "id": "img0", "image": "img0.ppm", "intrinsics": "k.json",
@@ -221,7 +223,34 @@ class TestAugmentCommand:
         assert main(["augment", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert (out / "img0.depth.cgem").exists()
         # ground-truth invariance: annotation bytes unchanged
-        assert (out / "img0.boxes.json").read_text() == GT
+        assert (out / "img0.boxes.json").read_bytes() == raw
+
+    def test_boxes_file_that_is_not_utf8_is_a_load_failure_naming_it(self, workspace):
+        (workspace / "boxes.json").write_bytes(b"{\xff}")
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+        entries[1]["boxes"] = "boxes.json"
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_ok"] == 2
+        assert report["load_failures"] == [
+            [1, "img1", f"MalformedFile: {workspace / 'boxes.json'}: not UTF-8 text (invalid start byte at byte 1)"]
+        ]
+
+    def test_tiny_scale_augments_without_a_warning(self, workspace, capsys):
+        # at scale 1e-300 the one output pixel's center lies about 1e300 px into the source: past any int
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json", "depth": "depth.cgem"}
+                   for i in range(3)]
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out),
+                         "--scale-min", "1e-300", "--scale-max", "1e-300"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["n_ok"], report["n_failed"]) == (3, 0)
+        assert capsys.readouterr().err == ""
 
 
 class TestManifestIds:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from camgeom import DepthMap, Intrinsics
+from camgeom.augment import RasterImage
 from camgeom.errors import MalformedFile
 from camgeom.fileio import (
     _open_atomic,
@@ -23,6 +24,7 @@ from camgeom.fileio import (
     write_ppm,
     write_sidecar,
 )
+from camgeom.rays import _adopt
 
 
 class TestCgem:
@@ -58,6 +60,14 @@ class TestCgem:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match="payload"):
             read_cgem(path)
+
+    def test_read_is_a_read_only_view_that_a_raster_keeps(self, tmp_path):
+        data = np.random.default_rng(3).random((4, 5, 3), dtype=np.float32)
+        write_cgem(tmp_path / "img.cgem", data)
+        read = read_cgem(tmp_path / "img.cgem")
+        assert read.dtype == np.float32 and not read.flags.writeable
+        np.testing.assert_array_equal(read, data)
+        assert np.shares_memory(_adopt(RasterImage, read).data, read)  # as the CLI loads a .cgem image
 
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "g.cgem"
@@ -105,6 +115,24 @@ class TestPpm:
         image = read_ppm(path)
         assert image.shape == (2, 3, 3)
         assert image.tobytes() == body
+
+    def test_read_is_a_read_only_view_that_a_raster_keeps(self, tmp_path):
+        image = np.random.default_rng(4).integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+        write_ppm(tmp_path / "img.ppm", image)
+        read = read_ppm(tmp_path / "img.ppm")
+        assert read.dtype == np.uint8 and not read.flags.writeable
+        np.testing.assert_array_equal(read, image)
+        assert np.shares_memory(_adopt(RasterImage, read).data, read)  # as the CLI loads a .ppm image
+
+    @pytest.mark.parametrize("raw", [b"P6\n3 2\n255\n" + bytes(17), b"P6\n1 1\n255", b"P6 1 1 255\n"])
+    def test_truncated_pixel_data_rejected(self, tmp_path, raw):
+        (tmp_path / "img.ppm").write_bytes(raw)
+        with pytest.raises(MalformedFile, match="truncated pixel data"):
+            read_ppm(tmp_path / "img.ppm")
+
+    def test_bytes_past_the_pixel_data_are_ignored(self, tmp_path):
+        (tmp_path / "img.ppm").write_bytes(b"P6\n1 1\n255\n" + bytes([1, 2, 3, 4]))
+        assert read_ppm(tmp_path / "img.ppm").tolist() == [[[1, 2, 3]]]
 
     def test_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):

@@ -158,6 +158,8 @@ REJECTED = {
     "witness-variant-focal-subnormal": (lambda: make_witness((1e-300, 1, 1), "focal_depth", 1e-20),
                                         NonPositiveFactor),
     "witness-variant-depth-overflows": (lambda: make_witness((1, 1, 1), "coupled", (1e200, 1e200)), NonPositiveFactor),
+    # f*H = 1e-320 is subnormal before the division, so f*H/Z came out 9.99988867182683e-221
+    "witness-product-subnormal": (lambda: make_witness((1e-160, 1e-160, 1e-100), "focal_depth", 3), NonPositiveFactor),
     "box-text-center": (lambda: OrientedBox3(("0", 0, 0), (1, 1, 1), 0, 0, 0), DegenerateBox),
     "box-list-of-text": (lambda: OrientedBox3.from_list(["1"] * 9), DegenerateBox),
     "box-scalar-center": (lambda: OrientedBox3(1.0, (1, 1, 1), 0, 0, 0), DegenerateBox),

@@ -1,6 +1,6 @@
 """Property tests: the pinhole core (unprojection, the resize rule, ray
-preservation), resampling against per-pixel oracles and banded resampling
-against the whole-frame formula, oriented-box IoU (symmetry, rigid
+preservation), resampling against per-pixel oracles, at the ends of the float
+range and banded against the whole-frame formula, oriented-box IoU (symmetry, rigid
 invariance, bit-for-bit invariance under exact translation and power-of-two
 scaling, the clipper against the closed form, aabb_iou on zero angles),
 the input parsers (every input parses or raises CamGeomError, nothing
@@ -17,6 +17,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,48 @@ def test_resample_depth_matches_per_pixel_oracle(case):
     values, valid = nearest_depth_oracle(depth.values, depth.valid, t)
     np.testing.assert_array_equal(out.valid, valid)
     np.testing.assert_array_equal(out.values, values)  # NaN where invalid, on both sides
+
+
+@st.composite
+def extreme_transforms(draw):
+    """A small source with no zero pixel and every depth valid, and a transform at the ends of the
+    float range: scales 2^+-1000 and shifts up to +-1e300, so a source coordinate may pass any int."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = RasterImage(rng.integers(1, 256, size=(height, width, 3), dtype=np.uint8))
+    depth = DepthMap.from_array(rng.uniform(0.5, 20.0, size=(height, width)))
+    scales = st.integers(-1000, 1000).map(lambda p: 2.0**p)
+    shifts = st.floats(-1e300, 1e300, allow_nan=False)
+    t = PixelTransform(draw(scales), draw(scales), draw(shifts), draw(shifts),
+                       draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    return image, depth, t
+
+
+_FAR = (RasterImage(np.full((2, 3, 3), 9, np.uint8)), DepthMap.from_array(np.ones((2, 3))),
+        PixelTransform(2.0**-1000, 2.0**1000, 1e300, -1e300, 4, 4))
+
+
+@SETTINGS
+@given(extreme_transforms())
+@example(_FAR)
+@example((_FAR[0], _FAR[1], PixelTransform(2.0**-1000, 2.0**-1000, -1e300, 0.0, 4, 4)))
+def test_pad_resample_at_the_ends_of_the_float_range(case):
+    image, depth, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = resample(image, t).data
+        out_depth = resample_depth(depth, t)
+    with np.errstate(over="ignore"):  # a center's source coordinate may be +-inf
+        u = (np.arange(t.out_width) + 0.5 + t.du) / t.sx
+        v = (np.arange(t.out_height) + 0.5 + t.dv) / t.sy
+    assert out.shape == (t.out_height, t.out_width, 3)
+    assert out_depth.values.shape == (t.out_height, t.out_width)
+    # more than half a pixel outside, both bilinear taps are outside: only the pad value
+    assert not out[:, (u < -0.5) | (u >= image.width + 0.5)].any()
+    assert not out[(v < -0.5) | (v >= image.height + 0.5)].any()
+    # a depth pixel is valid exactly where its center falls inside the (all-valid) source
+    inside = ((v >= 0) & (v < depth.height))[:, None] & ((u >= 0) & (u < depth.width))[None, :]
+    np.testing.assert_array_equal(out_depth.valid, inside)
 
 
 @st.composite
