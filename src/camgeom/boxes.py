@@ -7,18 +7,19 @@ the composition order is a parameter because annotation sources disagree
 and axis-aligned results do not depend on it.
 
 The intersection of two boxes is computed exactly (up to float rounding):
-one box's face polygons are clipped against the other's six half-spaces
-(Sutherland-Hodgman per face, plus a cap polygon where each plane cuts),
-and the volume of the clipped polytope follows from the divergence theorem
-as a signed tetrahedron sum over its outward-wound faces.  This is the
-clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al., 2020)
-and the Objectron IoU (Ahmadyan et al., CVPR 2021).  The clip runs in the
-first box's frame, where its half-spaces are +-x[k] <= h[k], with both boxes
-scaled by the power of two that puts the largest size in [1/2, 1): that is
-exact, so IoU depends on neither the pair's place nor its unit, and no triple
-product overflows.  Each box keeps its rotation and bounding box per rotation
-order.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed form in
-the box frame, measured from the first box's center.
+the second box, one mesh of shared vertices and index faces, is clipped
+against the first's six half-spaces; each cut edge's crossing is made once,
+shared by its two faces, and each cap is walked from the cut faces, not sorted
+by angle.  The volume of the clipped polytope follows from the divergence
+theorem as a signed tetrahedron sum over its outward-wound faces.  This is
+the clip-and-volume method of PyTorch3D's ``box3d_overlap`` (Ravi et al.,
+2020) and the Objectron IoU (Ahmadyan et al., CVPR 2021).  The clip runs in
+the first box's frame, where its half-spaces are +-x[k] <= h[k], with both
+boxes scaled by the power of two that puts the largest size in [1/2, 1): that
+is exact, so IoU depends on neither the pair's place nor its unit, and no
+triple product overflows.  Each box keeps its rotation and bounding box per
+rotation order.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed
+form in the box frame, measured from the first box's center.
 """
 
 from __future__ import annotations
@@ -152,44 +153,52 @@ def _geometry(box: OrientedBox3, order: str) -> tuple:
     return cache[order]
 
 
-def _clip_faces(faces: list[list], k: int, sign: float, bound: float, eps: float) -> list[list]:
-    """Clip a face-polygon polytope against the half-space ``sign * x[k] <= bound``.
+def _clip(verts: list, faces: list[list[int]], k: int, sign: float, bound: float, eps: float) -> list[list[int]]:
+    """Clip the closed mesh ``faces``, index cycles into ``verts``, against ``sign * x[k] <= bound``.
 
-    Keeps the inside parts of every face and closes the cut with a cap
-    polygon (wound so its outward normal is ``sign`` times axis k).
+    A cut edge's crossing is made once, from its inside end, and appended to
+    ``verts``.  Each cut face maps the crossing where it re-enters to the one
+    where it left: a permutation, whose cycles of three or more are the caps.
     """
-    kept: list[list] = []
-    crossings: list[tuple] = []
-    for poly in faces:
-        dist = [sign * p[k] - bound for p in poly]
-        inside = [d <= eps for d in dist]
-        if all(inside):
-            kept.append(poly)
+    dist = [sign * v[k] - bound for v in verts]
+    outside = {i for i, d in enumerate(dist) if not d <= eps}
+    kept, made, cap = [], {}, {}
+    for face in faces:
+        if outside.isdisjoint(face):
+            kept.append(face)
             continue
-        if not any(inside):
+        if outside.issuperset(face):
             continue
-        out: list = []
-        m = len(poly)
-        for i in range(m):
-            j = (i + 1) % m
-            if inside[i]:
-                out.append(poly[i])
-            if inside[i] != inside[j]:
-                t = min(max(dist[i] / (dist[i] - dist[j]), 0.0), 1.0)
-                p = tuple(u + t * (v - u) for u, v in zip(poly[i], poly[j]))
-                out.append(p)
-                crossings.append(p)
-        if len(out) >= 3:
-            kept.append(out)
-    if len(crossings) >= 3:
-        # ascending angle about the centroid in axes (k+1, k+2), swapped for -axis k, is CCW from outside;
-        # each axis is divided by its span (keeping the order) lest a flat cap's angles meet within an ulp
-        i, j = ((k + 1) % 3, (k + 2) % 3) if sign > 0 else ((k + 2) % 3, (k + 1) % 3)
-        us, vs = [p[i] for p in crossings], [p[j] for p in crossings]
-        cu, cv = sum(us) / len(us), sum(vs) / len(vs)
-        su, sv = (max(us) - min(us)) or 1.0, (max(vs) - min(vs)) or 1.0
-        angles = [math.atan2((v - cv) / sv, (u - cu) / su) for u, v in zip(us, vs)]
-        kept.append([p for _, p in sorted(zip(angles, crossings))])
+        out, left, first = [], None, None
+        for i, j in zip(face, face[1:] + face[:1]):
+            inside_i = i not in outside
+            if inside_i:
+                out.append(i)
+            if inside_i == (j not in outside):  # both ends on one side: no crossing
+                continue
+            p, q = edge = (i, j) if inside_i else (j, i)
+            c = made.get(edge)
+            if c is None:
+                t = min(max(dist[p] / (dist[p] - dist[q]), 0.0), 1.0)
+                (x, y, z), (u, v, w) = verts[p], verts[q]
+                c = made[edge] = len(verts)
+                verts.append((x + t * (u - x), y + t * (v - y), z + t * (w - z)))
+            out.append(c)
+            if inside_i:
+                left = c
+            elif left is None:  # the walk began outside: its first re-entry pairs with its last exit
+                first = c
+            else:
+                cap[c] = left
+        if first is not None:
+            cap[first] = left
+        kept.append(out)
+    while cap:
+        cycle = list(cap.popitem())
+        while (nxt := cap.pop(cycle[-1])) != cycle[0]:
+            cycle.append(nxt)
+        if len(cycle) >= 3:
+            kept.append(cycle)
     return kept
 
 
@@ -236,14 +245,14 @@ def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "
     exp = math.frexp(max(*a.size, *b.size))[1]
     offset = rot_a.T @ [math.ldexp(cb, -exp) - math.ldexp(ca, -exp) for ca, cb in zip(a.center, b.center)]
     corners = (_SIGNS * np.ldexp(b.size, -exp - 1)) @ (rot_a.T @ rot_b).T + offset
-    faces = corners[_FACES].tolist()
+    verts, faces = corners.tolist(), _FACES
     for k in range(3):
         bound = math.ldexp(a.size[k], -exp - 1)
         for sign in (1.0, -1.0):
-            faces = _clip_faces(faces, k, sign, bound, 1e-9 * bound)
+            faces = _clip(verts, faces, k, sign, bound, 1e-9 * bound)
             if not faces:
                 return 0.0
-    return math.ldexp(max(polytope_volume(faces), 0.0), 3 * exp)
+    return math.ldexp(max(polytope_volume([[verts[i] for i in face] for face in faces]), 0.0), 3 * exp)
 
 
 def _iou(vi: float, va: float, vb: float) -> float:

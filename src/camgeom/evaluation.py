@@ -36,7 +36,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _BOX_KEYS = ("bbox_3d", "box_3d")
-_FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_+-]*)\n(.*?)```", re.DOTALL)
+_FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_+-]*)(?:\r\n|\r|\n)(.*?)```", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,12 @@ def match_and_score(
     axis_aligned: bool = False,
     rotation_order: str = "zyx",
 ) -> EvalReport:
-    """Greedy class-wise matching and P/R/F1 at the given IoU threshold."""
+    """Greedy class-wise matching and P/R/F1 at the given IoU threshold.
+
+    A ``str`` for ``classes`` raises InvalidValue: it would filter by letters.
+    """
+    if isinstance(classes, str):
+        raise InvalidValue(f"classes must be a collection of labels, not the string {classes!r}")
     if _positive("IoU threshold", threshold, BadThreshold) > 1.0:
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
     _check_order(rotation_order)  # also when no pair reaches rotation_matrix

@@ -5,7 +5,8 @@ membership is a direct frame-change test and volumes come from uniform
 sampling, so they can arbitrate the analytic IoU.  The per-pixel resampling
 oracles loop over output pixels and read only a transform's fields, so they
 can arbitrate the vectorized resamplers; the whole-frame one pins the banded
-resampler to the formula it replaced.
+resampler to the formula it replaced.  The face-list clipper pins the
+shared-vertex mesh clipper to the clipper it replaced.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from camgeom import OrientedBox3, box_corners
+from camgeom.boxes import _FACES, _SIGNS, polytope_volume
 
 
 def random_box(rng, center_span=2.0, size_range=(0.3, 2.5)) -> OrientedBox3:
@@ -127,3 +129,64 @@ def nearest_depth_oracle(values: np.ndarray, valid: np.ndarray, t) -> tuple[np.n
                 out[r, q] = values[i, j]
                 out_valid[r, q] = True
     return out, out_valid
+
+
+def _clip_faces(faces: list[list], k: int, sign: float, bound: float, eps: float) -> list[list]:
+    """Clip face polygons, each on its own, against the half-space ``sign * x[k] <= bound``.
+
+    Each face makes its own crossings, so the two faces of a cut edge make
+    it in opposite directions, and the cap is the crossings sorted by angle.
+    """
+    kept: list[list] = []
+    crossings: list[tuple] = []
+    for poly in faces:
+        dist = [sign * p[k] - bound for p in poly]
+        inside = [d <= eps for d in dist]
+        if all(inside):
+            kept.append(poly)
+            continue
+        if not any(inside):
+            continue
+        out: list = []
+        m = len(poly)
+        for i in range(m):
+            j = (i + 1) % m
+            if inside[i]:
+                out.append(poly[i])
+            if inside[i] != inside[j]:
+                t = min(max(dist[i] / (dist[i] - dist[j]), 0.0), 1.0)
+                p = tuple(u + t * (v - u) for u, v in zip(poly[i], poly[j]))
+                out.append(p)
+                crossings.append(p)
+        if len(out) >= 3:
+            kept.append(out)
+    if len(crossings) >= 3:
+        # ascending angle about the centroid in axes (k+1, k+2), swapped for -axis k, is CCW from outside;
+        # each axis is divided by its span (keeping the order) lest a flat cap's angles meet within an ulp
+        i, j = ((k + 1) % 3, (k + 2) % 3) if sign > 0 else ((k + 2) % 3, (k + 1) % 3)
+        us, vs = [p[i] for p in crossings], [p[j] for p in crossings]
+        cu, cv = sum(us) / len(us), sum(vs) / len(vs)
+        su, sv = (max(us) - min(us)) or 1.0, (max(vs) - min(vs)) or 1.0
+        angles = [math.atan2((v - cv) / sv, (u - cu) / su) for u, v in zip(us, vs)]
+        kept.append([p for _, p in sorted(zip(angles, crossings))])
+    return kept
+
+
+def face_list_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
+    """Intersection volume by the face-list clipper, in the library's frame, rescale and ``eps``."""
+    corners_a, corners_b = box_corners(a, order), box_corners(b, order)
+    lo_a, hi_a, lo_b, hi_b = corners_a.min(axis=0), corners_a.max(axis=0), corners_b.min(axis=0), corners_b.max(axis=0)
+    if np.any(hi_a <= lo_b) or np.any(hi_b <= lo_a):
+        return 0.0
+    rot_a, rot_b = a.rotation(order), b.rotation(order)
+    exp = math.frexp(max(*a.size, *b.size))[1]
+    offset = rot_a.T @ [math.ldexp(cb, -exp) - math.ldexp(ca, -exp) for ca, cb in zip(a.center, b.center)]
+    corners = (_SIGNS * np.ldexp(b.size, -exp - 1)) @ (rot_a.T @ rot_b).T + offset
+    faces = corners[_FACES].tolist()
+    for k in range(3):
+        bound = math.ldexp(a.size[k], -exp - 1)
+        for sign in (1.0, -1.0):
+            faces = _clip_faces(faces, k, sign, bound, 1e-9 * bound)
+            if not faces:
+                return 0.0
+    return math.ldexp(max(polytope_volume(faces), 0.0), 3 * exp)

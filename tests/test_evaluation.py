@@ -6,7 +6,7 @@ import random
 import pytest
 
 from camgeom import Detection, OrientedBox3, match_and_score, parse_detections
-from camgeom.errors import BadThreshold, NoParsableJson
+from camgeom.errors import BadThreshold, InvalidValue, NoParsableJson
 from camgeom.evaluation import f1_score
 
 # The kind of transcript a detection-prompted model emits: fenced JSON with
@@ -46,6 +46,14 @@ class TestParse:
     def test_empty_list_is_not_an_error(self):
         assert parse_detections("[]") == []
         assert parse_detections("```json\n[]\n```") == []
+
+    def test_fence_read_with_any_line_end(self, caplog):
+        # braces in the prose must not be salvaged: only the fenced block is read
+        text = 'text {a}\n```json\n[{"label": "cup", "bbox_3d": [0,0,2,1,1,1,0,0,0]}]\n```\nend {b}\n'
+        with caplog.at_level(logging.WARNING, logger="camgeom.evaluation"):
+            parsed = [parse_detections(text.replace("\n", end)) for end in ("\n", "\r\n", "\r")]
+        assert parsed[0] == parsed[1] == parsed[2] and [d.label for d in parsed[0]] == ["cup"]
+        assert not caplog.records
 
     def test_bad_arity_skipped_siblings_kept(self, caplog):
         text = (
@@ -152,6 +160,10 @@ class TestMatchAndScore:
         assert set(report.per_class) == {"chair"}
         assert report.micro.n_pred == 1 and report.micro.n_truth == 1
         assert report.matches[0][1] == 1 and report.matches[0][2] == 1  # original positions
+
+    def test_class_filter_given_as_one_string_is_rejected(self):
+        with pytest.raises(InvalidValue, match="'chair'"):
+            match_and_score([_box_at(0.0)], [_box_at(0.0)], classes="chair")
 
     def test_micro_vs_macro(self):
         truths = [_box_at(0.0, "a"), _box_at(10.0, "b"), _box_at(20.0, "b")]

@@ -2,7 +2,8 @@
 preservation), resampling against per-pixel oracles, at the ends of the float
 range and banded against the whole-frame formula, oriented-box IoU (symmetry, rigid
 invariance, bit-for-bit invariance under exact translation and power-of-two
-scaling, the clipper against the closed form, aabb_iou on zero angles),
+scaling, the clipper against the closed form, a closed mesh after every clip,
+aabb_iou on zero angles),
 the input parsers (every input parses or raises CamGeomError, nothing
 else) and the CLI's error contract (every command, one input corrupted).
 
@@ -11,6 +12,7 @@ Derandomized with no example database, so every run draws the same cases;
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -18,13 +20,16 @@ import math
 import struct
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from camgeom import boxes
 from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
 from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
@@ -35,7 +40,7 @@ from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
-from oracles import bilinear_oracle, nearest_depth_oracle, whole_frame_resample
+from oracles import bilinear_oracle, nearest_depth_oracle, random_box, whole_frame_resample
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
@@ -374,6 +379,50 @@ def test_iou_is_bit_identical_under_scaling_by_powers_of_two(pair, p):
 def test_iou_lies_in_the_unit_interval(pair, p, x):
     a, b = (_moved(box, np.add(box.center, (x, 0.0, 0.0))) for box in (_scaled(box, p) for box in pair))
     assert 0.0 <= iou3d(a, b) <= 1.0 and 0.0 <= iou3d(b, a) <= 1.0
+
+
+def _clipped_meshes(a, b, order):
+    """The index faces of every mesh ``boxes._clip`` returns while clipping b against a."""
+    clip, meshes = boxes._clip, []
+
+    def record(*args):
+        meshes.append(clip(*args))
+        return meshes[-1]
+
+    with mock.patch.object(boxes, "_clip", record):
+        clipped_intersection_volume(a, b, order)
+    return meshes
+
+
+def _near_equal_pair(seed):
+    rng = np.random.default_rng(seed)
+    a = random_box(rng)
+    return a, OrientedBox3(np.add(a.center, rng.uniform(-0.3, 0.3, 3)), a.size,
+                           *np.add((a.yaw, a.pitch, a.roll), rng.choice([-1e-15, 1e-15], 3)))
+
+
+def _unit_cube(center, yaw=0.0, pitch=0.0, roll=0.0):
+    return OrientedBox3(center, (1, 1, 1), yaw, pitch, roll)
+
+
+_THIN = (OrientedBox3((0, 0, 0), (1, 1, 1e-6), 0, 0, 0), OrientedBox3((0.2, 0, 0), (1, 1e-6, 1), 0.3, 0, 0))
+
+
+@SETTINGS
+@given(box_pairs())
+@example(_near_equal_pair(1))
+@example(_near_equal_pair(2))
+@example(_near_equal_pair(3))
+@example((_unit_cube((0, 0, 0)), _unit_cube((0.5, 0, 0), yaw=math.pi / 2)))
+@example((_unit_cube((0, 0, 0)), _unit_cube((0.25, 0.5, 0.5), pitch=math.pi / 2, roll=-math.pi / 2)))
+@example(_THIN)
+@example((_THIN[1], dataclasses.replace(_THIN[0], yaw=1e-15)))
+def test_every_clip_leaves_a_closed_mesh(pair):
+    # each directed edge of the kept faces and caps appears once, and reversed exactly once
+    for order in ("zyx", "xyz"):
+        for faces in _clipped_meshes(*pair, order):
+            edges = Counter((face[n - 1], face[n]) for face in faces for n in range(len(face)))
+            assert all(count == 1 and edges[j, i] == 1 for (i, j), count in edges.items()), faces
 
 
 @st.composite
