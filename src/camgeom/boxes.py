@@ -18,8 +18,9 @@ the first box's frame, where its half-spaces are +-x[k] <= h[k], with both
 boxes scaled by the power of two that puts the largest size in [1/2, 1): that
 is exact, so IoU depends on neither the pair's place nor its unit, and no
 triple product overflows.  Each box keeps its rotation and bounding box per
-rotation order.  Equal attitudes skip the clip for :func:`aabb_iou`'s closed
-form in the box frame, measured from the first box's center.
+rotation order, made for many boxes in one array pass that feeds an (n, m)
+AABB broad phase, as in ``box3d_overlap``.  Equal attitudes skip the clip for
+:func:`aabb_iou`'s closed form in the box frame, from the first box's center.
 """
 
 from __future__ import annotations
@@ -92,37 +93,39 @@ class OrientedBox3:
 
 
 def _check_order(order: str) -> None:
-    if sorted(order) != ["x", "y", "z"]:
+    if not isinstance(order, str) or order not in {"xyz", "xzy", "yxz", "yzx", "zxy", "zyx"}:
         raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
 
 
-def rotation_matrix(yaw: float, pitch: float, roll: float, order: str = "zyx") -> np.ndarray:
-    """Compose single-axis rotations in the named order (left to right)."""
+def rotation_matrix(yaw, pitch, roll, order: str = "zyx") -> np.ndarray:
+    """Compose single-axis rotations in the named order (left to right): three floats give (3, 3), three
+    arrays of shape (n,) give (n, 3, 3), each row bit for bit its floats' (3, 3); zero angles give np.eye(3)."""
     _check_order(order)
-    if yaw == 0.0 and pitch == 0.0 and roll == 0.0:
+    if not isinstance(yaw, np.ndarray) and yaw == 0.0 and pitch == 0.0 and roll == 0.0:
         return np.eye(3)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
+    angles = np.array([yaw, pitch, roll], dtype=np.float64)
+    (cy, cp, cr), (sy, sp, sr) = np.cos(angles), np.sin(angles)
+    zero, one = np.zeros(angles.shape[1:]), np.ones(angles.shape[1:])
     single = {
-        "z": np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]]),
-        "y": np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]),
-        "x": np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]),
+        "z": [[cy, -sy, zero], [sy, cy, zero], [zero, zero, one]],
+        "y": [[cp, zero, sp], [zero, one, zero], [-sp, zero, cp]],
+        "x": [[one, zero, zero], [zero, cr, -sr], [zero, sr, cr]],
     }
     out = np.eye(3)
-    for axis in order:
-        out = out @ single[axis]
+    for axis in order:  # C-ordered (..., 3, 3) operands: each row takes the kernel, and bits, of a float call
+        out = out @ np.ascontiguousarray(np.moveaxis(single[axis], (0, 1), (-2, -1)))
     return out
 
 
-def _corners(box: OrientedBox3, rot: np.ndarray) -> np.ndarray:
-    half = np.asarray(box.size, dtype=np.float64) / 2.0
-    return _SIGNS * half @ rot.T + np.asarray(box.center, dtype=np.float64)
+def _corners(size, rot: np.ndarray, center) -> np.ndarray:
+    """Corners (..., 8, 3) of boxes of sizes and centers (..., 3) under rotations (..., 3, 3)."""
+    half = np.asarray(size, dtype=np.float64) / 2.0
+    return _SIGNS * half[..., None, :] @ np.swapaxes(rot, -1, -2) + np.asarray(center, dtype=np.float64)[..., None, :]
 
 
 def box_corners(box: OrientedBox3, order: str = "zyx") -> np.ndarray:
     """The 8 corners, shape (8, 3), sign pattern (---, --+, -+-, ... +++)."""
-    return _corners(box, box.rotation(order))
+    return _corners(box.size, box.rotation(order), box.center)
 
 
 def box_face_polygons(box: OrientedBox3, order: str = "zyx") -> list[np.ndarray]:
@@ -143,14 +146,24 @@ def polytope_volume(faces: Sequence[Sequence]) -> float:
     return float(total) / 6.0
 
 
+def _geometry_pass(boxes: Sequence[OrientedBox3], order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations, corners and world AABBs of ``boxes`` in one array pass; each box keeps its rotation and
+    AABB per order for the clipper.  Returns the attitudes and AABB low and high corners, each (n, 3)."""
+    attitude = np.array([(box.yaw, box.pitch, box.roll) for box in boxes])
+    rot = rotation_matrix(*attitude.T, order=order)
+    with np.errstate(over="ignore"):  # a corner past the float range is inf, and rejects like one
+        corners = _corners([box.size for box in boxes], rot, [box.center for box in boxes])
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    for box, r, low, high in zip(boxes, rot, lo.tolist(), hi.tolist()):
+        box.__dict__.setdefault("_geometry", {})[order] = (r, low, high)
+    return attitude, lo, hi
+
+
 def _geometry(box: OrientedBox3, order: str) -> tuple:
     """Rotation and AABB low and high corner of ``box``, kept on the box outside its fields."""
-    cache = box.__dict__.setdefault("_geometry", {})
-    if order not in cache:
-        rot = box.rotation(order)
-        corners = _corners(box, rot)
-        cache[order] = (rot, corners.min(axis=0).tolist(), corners.max(axis=0).tolist())
-    return cache[order]
+    if order not in box.__dict__.get("_geometry", ()):
+        _geometry_pass([box], order)
+    return box.__dict__["_geometry"][order]
 
 
 def _clip(verts: list, faces: list[list[int]], k: int, sign: float, bound: float, eps: float) -> list[list[int]]:

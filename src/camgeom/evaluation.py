@@ -8,8 +8,9 @@ recoverable JSON at all raises :class:`NoParsableJson`.
 
 Matching is class-wise greedy by descending IoU (ties broken by lower pred
 index, then lower truth index), each prediction and truth matched at most
-once.  The aggregate row micro-averages over the class filter; a macro
-average is reported alongside.
+once; pairs of differing attitude whose world AABBs, made in one array pass,
+do not meet would score 0 and skip :func:`iou3d`.  The aggregate row
+micro-averages over the class filter; a macro average is reported alongside.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import functools
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Sequence
 
-from .boxes import OrientedBox3, _check_order, aabb_iou, iou3d
+from .boxes import OrientedBox3, _check_order, _geometry_pass, aabb_iou, iou3d
 from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _json, _positive
 
 __all__ = [
@@ -191,6 +193,17 @@ def _score(matched: int, n_pred: int, n_truth: int) -> ClassScore:
     return ClassScore(precision, recall, f1_score(precision, recall), matched, n_pred, n_truth)
 
 
+def _broad_phase(preds: dict[int, Detection], truths: dict[int, Detection], order: str):
+    """A filter of one label's (pred, truth) index pairs: those of equal attitude, and those whose world AABBs
+    meet on every axis, the clipper's own reject on the same floats, from one (preds, truths) block."""
+    attitude, lo, hi = _geometry_pass([d.box for d in (*preds.values(), *truths.values())], order)
+    n, rows_p, rows_t = len(preds), list(preds), list(truths)
+    meet = ((hi[:n, None] > lo[n:]) & (hi[n:] > lo[:n, None])).all(axis=2)
+    meet |= (attitude[:n, None] == attitude[n:]).all(axis=2)
+    kept = {(rows_p[p], rows_t[t]) for p, t in zip(*meet.nonzero())}
+    return lambda pred_idx, truth_idx: [pair for pair in product(pred_idx, truth_idx) if pair in kept]
+
+
 def match_and_score(
     preds: Sequence[Detection],
     truths: Sequence[Detection],
@@ -211,13 +224,14 @@ def match_and_score(
     class_filter = None if classes is None else {normalize_label(c) for c in classes}
     iou = aabb_iou if axis_aligned else functools.partial(iou3d, order=rotation_order)
 
-    def keep(d: Detection) -> bool:
-        return class_filter is None or d.label in class_filter
-
     # match-pair indices refer to the caller's original lists
-    preds = {i: d for i, d in enumerate(preds) if keep(d)}
-    truths = {j: d for j, d in enumerate(truths) if keep(d)}
-    labels = sorted({d.label for d in preds.values()} | {d.label for d in truths.values()})
+    preds = {i: d for i, d in enumerate(preds) if class_filter is None or d.label in class_filter}
+    truths = {j: d for j, d in enumerate(truths) if class_filter is None or d.label in class_filter}
+    kept = (*preds.values(), *truths.values())
+    labels = sorted({d.label for d in kept})
+    pairs = product  # every pair, unless attitudes differ and one geometry pass can drop some
+    if not axis_aligned and len({(d.box.yaw, d.box.pitch, d.box.roll) for d in kept}) > 1:
+        pairs = _broad_phase(preds, truths, rotation_order)
 
     per_class: dict[str, ClassScore] = {}
     matches: list[tuple[str, int, int, float]] = []
@@ -226,11 +240,10 @@ def match_and_score(
         pred_idx = [i for i, d in preds.items() if d.label == label]
         truth_idx = [j for j, d in truths.items() if d.label == label]
         candidates = []
-        for i in pred_idx:
-            for j in truth_idx:
-                overlap = iou(preds[i].box, truths[j].box)
-                if overlap >= threshold:
-                    candidates.append((-overlap, i, j))
+        for i, j in pairs(pred_idx, truth_idx):
+            overlap = iou(preds[i].box, truths[j].box)
+            if overlap >= threshold:
+                candidates.append((-overlap, i, j))
         candidates.sort()
         used_pred: set[int] = set()
         used_truth: set[int] = set()

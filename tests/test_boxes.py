@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 
@@ -11,10 +12,13 @@ import pytest
 from camgeom import OrientedBox3, aabb_iou, box_corners, iou3d
 from camgeom.boxes import (
     _aligned_overlap,
+    _geometry,
+    _geometry_pass,
     box_face_polygons,
     clipped_intersection_volume,
     intersection_volume,
     polytope_volume,
+    rotation_matrix,
 )
 from camgeom.errors import DegenerateBox
 from oracles import face_list_intersection_volume, monte_carlo_iou, random_box
@@ -222,6 +226,53 @@ class TestGeometryKeptOnTheBox:
         moved = dataclasses.replace(a, center=(0.2, -0.1, 0.3), yaw=0.4)
         assert moved != a
         assert iou3d(moved, b) == iou3d(OrientedBox3((0.2, -0.1, 0.3), a.size, 0.4, a.pitch, a.roll), b)
+
+
+ORDERS = ["".join(p) for p in itertools.permutations("xyz")]
+SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 3 * math.pi / 2, 1e-9, 1e-300, 5e-324]
+
+
+def _attitudes() -> np.ndarray:
+    """Seeded draws in +-pi and +-1e3, then every triple of special angles, all-zero and mixed rows among them."""
+    rng = np.random.default_rng(47)
+    drawn = [rng.uniform(-math.pi, math.pi, (300, 3)), rng.uniform(-1e3, 1e3, (300, 3))]
+    return np.concatenate([*drawn, list(itertools.product(SPECIAL_ANGLES, repeat=3))])
+
+
+class TestRotationsOnArrays:
+    """One rotation_matrix serves floats and arrays; the arrays' rows are the floats' bits."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_each_row_is_the_scalar_rotation_bit_for_bit(self, order):
+        attitudes = _attitudes()
+        batch = rotation_matrix(*attitudes.T, order=order)
+        assert batch.shape == (len(attitudes), 3, 3)
+        off = [tuple(row) for row, rot in zip(attitudes.tolist(), batch)
+               if rot.tobytes() != rotation_matrix(*row, order=order).tobytes()]
+        assert not off, off[:5]
+
+    def test_zero_rows_are_the_identity_with_positive_zeros(self):
+        rows = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 1e-300, 0.0]])
+        for order in ORDERS:
+            batch = rotation_matrix(*rows.T, order=order)
+            assert batch[0].tobytes() == batch[2].tobytes() == np.eye(3).tobytes()
+            assert batch[1].tobytes() != np.eye(3).tobytes()
+
+    @pytest.mark.parametrize("order", ["zyx", "xzy"])
+    def test_the_pass_writes_what_one_box_gets(self, order):
+        rng = np.random.default_rng(53)
+        boxes = [random_box(rng, center_span=50.0) for _ in range(30)]
+        boxes += [dataclasses.replace(box, yaw=0.0, pitch=0.0, roll=0.0) for box in boxes[:5]]
+        boxes += [dataclasses.replace(box, yaw=0.0, roll=0.0) for box in boxes[5:10]]
+        attitude, lo, hi = _geometry_pass(boxes, order)
+        for k, box in enumerate(boxes):
+            rot, low, high = box.__dict__["_geometry"][order]
+            alone = dataclasses.replace(box)
+            corners = box_corners(alone, order)
+            assert rot.tobytes() == alone.rotation(order).tobytes() == _geometry(alone, order)[0].tobytes()
+            assert repr((low, high)) == repr((corners.min(axis=0).tolist(), corners.max(axis=0).tolist()))
+            assert repr((low, high)) == repr(_geometry(alone, order)[1:]) == repr((lo[k].tolist(), hi[k].tolist()))
+            assert attitude[k].tolist() == [box.yaw, box.pitch, box.roll]
 
 
 class TestAabbIoU:

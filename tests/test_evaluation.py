@@ -1,11 +1,18 @@
 """Detection transcript parsing and P/R/F1 scoring."""
 
+import dataclasses
+import functools
+import itertools
 import logging
+import math
 import random
 
+import numpy as np
 import pytest
 
-from camgeom import Detection, OrientedBox3, match_and_score, parse_detections
+from camgeom import Detection, OrientedBox3, aabb_iou, iou3d, match_and_score, parse_detections
+from camgeom import evaluation
+from camgeom.boxes import _geometry
 from camgeom.errors import BadThreshold, InvalidValue, NoParsableJson
 from camgeom.evaluation import f1_score
 
@@ -211,3 +218,111 @@ class TestMatchAndScore:
         assert data["threshold"] == 0.25
         assert data["micro"]["f1"] == 100.0
         assert "chair" in data["per_class"]
+
+
+ORDERS = ["".join(p) for p in itertools.permutations("xyz")]
+
+
+def _seeded_frame(seed: int) -> tuple[list[Detection], list[Detection]]:
+    """Predictions and truths of three labels on a 3 m grid, so neighbouring bounding boxes meet.
+
+    Jittered true positives and near misses differ in attitude from their truth; one pair shares a
+    non-zero attitude and overlaps, one shares it 20 m apart; zero attitudes mix with non-zero ones;
+    three identical predictions tie; and rolled boxes' bounding boxes meet an unrotated one's in x,
+    two exactly (hi == lo, one on each side), one by 0.02.  Built afresh on each call, so no box
+    carries another call's geometry.
+    """
+    rng = np.random.default_rng(seed)
+    preds, truths = [], []
+    for c, label in enumerate(("chair", "lamp", "sofa")):
+        for t in range(4):
+            center = [3.0 * t + rng.uniform(-0.4, 0.4), 3.0 * c + rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)]
+            size = rng.uniform(1.0, 3.0, 3).tolist()
+            attitude = [rng.uniform(-math.pi, math.pi), *rng.uniform(-0.4, 0.4, 2)] if t else [0.0, 0.0, 0.0]
+            truths.append(Detection(label, OrientedBox3(center, size, *attitude)))
+            jitter = rng.uniform(-0.05, 0.05, 3)
+            preds.append(Detection(label, OrientedBox3((center + 3 * jitter).tolist(), size, *(attitude + jitter))))
+            near = [center[0] + 0.9 * size[0], *center[1:]]
+            preds.append(Detection(label, OrientedBox3(near, size, attitude[0] + 0.02, *attitude[1:])))
+    same = truths[5].box
+    preds += [Detection("lamp", dataclasses.replace(same, center=(same.center[0] + 0.2, *same.center[1:]))),
+              Detection("lamp", dataclasses.replace(same, center=(same.center[0] + 20.0, *same.center[1:])))]
+    preds += [preds[2]] * 2  # a tie: three identical predictions of one truth
+    truths.append(Detection("chair", OrientedBox3((100.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 0.0, 0.0)))
+    preds += [Detection("chair", OrientedBox3((x, 0.2, 0.0), (1.0, 1.0, 1.0), 0.0, 0.0, 0.3)) for x in (101.0, 99.0)]
+    preds.append(Detection("chair", OrientedBox3((100.98, 0.0, 0.2), (1.0, 1.0, 1.0), 0.0, 0.0, 0.1)))  # grazes
+    order = rng.permutation(len(preds))
+    return [preds[k] for k in order], truths
+
+
+def _scored_pairs(preds, truths, order) -> int:
+    """Same-label pairs that reach iou3d: equal attitudes, or world AABBs that pass the clipper's reject."""
+    def meet(a, b):
+        (_, lo_a, hi_a), (_, lo_b, hi_b) = _geometry(a, order), _geometry(b, order)
+        return all(h > lo for h, lo in zip(hi_a, lo_b)) and all(h > lo for h, lo in zip(hi_b, lo_a))
+
+    return sum(p.label == t.label and (p.box.to_list()[6:] == t.box.to_list()[6:] or meet(p.box, t.box))
+               for p in preds for t in truths)
+
+
+def _brute_force(preds, truths, threshold, order, axis_aligned) -> list[tuple]:
+    """Greedy matching with every same-label pair scored, the IoUs as float.hex."""
+    score = aabb_iou if axis_aligned else functools.partial(iou3d, order=order)
+    matches = []
+    for label in sorted({d.label for d in [*preds, *truths]}):
+        scored = [(-score(p.box, t.box), i, j) for i, p in enumerate(preds) for j, t in enumerate(truths)
+                  if p.label == t.label == label]
+        used_pred, used_truth = set(), set()
+        for neg_iou, i, j in sorted(c for c in scored if -c[0] >= threshold):
+            if i not in used_pred and j not in used_truth:
+                used_pred.add(i)
+                used_truth.add(j)
+                matches.append((label, i, j, (-neg_iou).hex()))
+    return matches
+
+
+class TestBroadPhaseIsExact:
+    """Pairs dropped by the per-call AABB block would all have scored 0, so matching is unchanged."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("threshold", [1e-12, 0.25])
+    def test_matches_equal_a_brute_force_loop(self, monkeypatch, order, threshold):
+        calls = []
+        monkeypatch.setattr(evaluation, "iou3d", lambda a, b, order: calls.append(1) or iou3d(a, b, order))
+        for seed in range(3):
+            want = _brute_force(*_seeded_frame(seed), threshold, order, axis_aligned=False)
+            preds, truths = _seeded_frame(seed)
+            report = match_and_score(preds, truths, threshold=threshold, rotation_order=order)
+            assert [(label, i, j, iou.hex()) for label, i, j, iou in report.matches] == want
+            assert len(calls) == _scored_pairs(*_seeded_frame(seed), order)
+            assert len(calls) < sum(p.label == t.label for p in preds for t in truths), "the block dropped no pair"
+            calls.clear()
+
+    def test_frames_hold_bounding_boxes_that_meet_exactly(self):
+        preds, truths = _seeded_frame(0)
+        right, left = (next(d.box for d in preds if d.box.center[0] == x) for x in (101.0, 99.0))
+        (_, lo, hi) = _geometry(truths[-1].box, "zyx")
+        assert hi[0] == _geometry(right, "zyx")[1][0] == 100.5 and lo[0] == _geometry(left, "zyx")[2][0] == 99.5
+        assert iou3d(right, truths[-1].box) == iou3d(left, truths[-1].box) == 0.0
+        assert sum(d.box.to_list()[6:] == [0.0, 0.0, 0.0] for d in truths) == 4  # against rotated predictions
+
+    def test_axis_aligned_scores_every_pair_without_the_pass(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_geometry_pass", None)  # calling it would raise
+        for seed in range(3):
+            want = _brute_force(*_seeded_frame(seed), 0.25, "zyx", axis_aligned=True)
+            report = match_and_score(*_seeded_frame(seed), threshold=0.25, axis_aligned=True)
+            assert [(label, i, j, iou.hex()) for label, i, j, iou in report.matches] == want
+
+    def test_one_shared_attitude_skips_the_pass(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_geometry_pass", None)
+        truths = [_box_at(0.0), _box_at(5.0, "table"), _box_at(20.0)]
+        preds = [_box_at(0.1), _box_at(5.5, "table"), _box_at(40.0)]
+        assert len(match_and_score(preds, truths, threshold=0.25).matches) == 2
+
+    @pytest.mark.parametrize("side", ["preds", "truths"])
+    def test_an_empty_side(self, side):
+        preds, truths = _seeded_frame(1)
+        preds, truths = ([], truths) if side == "preds" else (preds, [])
+        report = match_and_score(preds, truths, threshold=0.25)
+        assert report.matches == () and report.micro.matched == 0
+        assert report.micro.n_pred == len(preds) and report.micro.n_truth == len(truths)
