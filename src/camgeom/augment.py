@@ -9,9 +9,10 @@ asymmetry is exactly what makes the augmentation teach camera awareness.
 
 Resampling is separable: a transform is an axis-aligned scale plus a shift,
 so each axis gets its own taps, computed once per transform.  Images are
-resampled bilinearly, band by band of output rows into one array kept without
-a copy; depth maps use nearest-neighbor sampling (one floor index per axis)
-because interpolating across a depth discontinuity fabricates 3D points.
+resampled bilinearly on rows flattened to W * C values, with one column tap per
+value, band by band of output rows into one array kept without a copy; depth
+maps use nearest-neighbor sampling (one floor index per axis, rows gathered
+first) because interpolating across a depth discontinuity fabricates 3D points.
 Batch runs seed each sample independently from (policy.seed, sample index),
 so results do not depend on ordering or worker count.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap, _check_extent
-from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, _count, _factors, _number
+from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, InvalidValue, _count, _factors, _number
 from .evaluation import Detection
 from .rays import TokenGridSpec, _adopt, _held, _hold, _pixel_index, token_centers
 from .transforms import PixelTransform, apply_transform
@@ -48,9 +49,17 @@ __all__ = [
 ]
 
 
+def _finite(data: np.ndarray, where: str) -> np.ndarray:
+    """``data``, unless float32 with a NaN or inf, which bilinear weights would spread to its neighbours."""
+    if data.dtype == np.float32 and not np.isfinite(data).all():
+        raise InvalidValue(f"{where}: every float32 value must be finite")
+    return data
+
+
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """H x W x C raster, uint8 or float32, row-major; a caller's data is copied, the library's adopted."""
+    """H x W x C raster, uint8 or float32, row-major; a caller's data is copied, the library's adopted.
+    A caller's float32 values must be finite (the CLI checks a CGEM file; a resample of finite values is finite)."""
 
     data: np.ndarray
 
@@ -62,6 +71,8 @@ class RasterImage:
             raise BadDimension(f"raster must be H x W x (1|3), got shape {data.shape}")
         if data.dtype not in (np.uint8, np.float32):
             raise BadDimension(f"raster dtype must be uint8 or float32, got {data.dtype}")
+        if not adopt:
+            _finite(data, "raster")
         _hold(self, data=_held(data, adopt=adopt))
 
     @property
@@ -139,14 +150,15 @@ class AugmentedSample:
     boxes: tuple[Detection, ...] | None = None
 
 
-_BAND_ROWS = 16  # output rows per band of resample: 16 float64 rows of a 640 x 3 frame are 240 KiB
+_BAND_ROWS = 16  # output rows per band buffer of resample: 16 flattened float64 rows of a 640 x 3 frame are 240 KiB
 
 
-def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
+def _bilinear_taps(coords: np.ndarray, size: int, mode: str, per: int = 1):
     """Per-axis bilinear taps ``((i0, w0), (i1, w1))`` for source pixel-center coordinates.
 
     In pad mode a tap outside the source weighs 0; in both modes its index is
     clamped to the edge by :func:`~camgeom.rays._pixel_index`, safe to gather.
+    With ``per`` values a pixel, a pixel's tap is one tap per value of the axis flattened to size * per.
     """
     x = np.clip(coords - 0.5, -1.0, size)  # both taps of a farther x are outside too; its weights stay finite
     i0 = np.floor(x)
@@ -156,16 +168,17 @@ def _bilinear_taps(coords: np.ndarray, size: int, mode: str):
         index, inside = _pixel_index(floored, size)
         if mode == "pad":
             weight = np.where(inside, weight, 0.0)
-        taps.append((index, weight))
+        taps.append(((index[:, None] * per + np.arange(per)).ravel(), np.repeat(weight, per)))
     return taps
 
 
 def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> RasterImage:
     """Bilinear resample under the half-integer pixel-center convention.
 
-    It fills one output array in the source dtype ``_BAND_ROWS`` rows at a
-    time, each band through its own float64 row and column passes: a call holds
-    the output plus one band, and every pixel gets a whole-frame pass's float ops.
+    It fills one output array in the source dtype ``_BAND_ROWS`` rows at a time,
+    each band through float64 row and column passes on rows flattened to W * C
+    values, with per-value column taps, in band buffers allocated once per call:
+    a call holds the output plus one band, and every pixel gets a whole-frame pass's float ops.
 
     In pad mode, samples falling outside the source contribute the pad
     value 0 and source-covered pixels are never altered.  In crop mode the
@@ -189,21 +202,24 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
             )
     u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
     (iy0, wy0), (iy1, wy1) = _bilinear_taps(v_src, image.height, mode)
-    (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode)
-    src = image.data  # uint8 or float32 rows times float64 weights promote: no full-frame cast
-    result = np.empty((t.out_height, t.out_width, image.channels), dtype=src.dtype)
-    for start in range(0, t.out_height, _BAND_ROWS):
-        r = slice(start, start + _BAND_ROWS)
-        rows = wy0[r, None, None] * src[iy0[r]]
-        rows += wy1[r, None, None] * src[iy1[r]]
-        out, right = rows[:, ix0], rows[:, ix1]  # products in place: a band's float64 work stays in cache
-        out *= wx0[None, :, None]
-        right *= wx1[None, :, None]
-        out += right
+    (ix0, wx0), (ix1, wx1) = _bilinear_taps(u_src, image.width, mode, image.channels)
+    src = image.data.reshape(image.height, -1)  # uint8 or float32 values times float64 weights promote
+    result = np.empty((t.out_height, t.out_width * image.channels), dtype=src.dtype)
+    band = min(_BAND_ROWS, t.out_height)
+    buffers = np.empty((2, band, src.shape[1])), np.empty((2, band, result.shape[1]))
+    for start in range(0, t.out_height, band):
+        r = slice(start, start + band)
+        (rows, lower), (out, right) = (b[:, : len(result[r])] for b in buffers)
+        np.multiply(wy0[r, None], src[iy0[r]], out=rows)
+        rows += np.multiply(wy1[r, None], src[iy1[r]], out=lower)
+        # every index is in range, so "clip" changes none; unlike "raise" it takes no copy before writing out
+        np.multiply(np.take(rows, ix0, axis=1, out=out, mode="clip"), wx0, out=out)
+        out += np.multiply(np.take(rows, ix1, axis=1, out=right, mode="clip"), wx1, out=right)
         if src.dtype == np.uint8:
-            np.clip(np.rint(out, out=out), 0, 255, out=out)
-        result[r] = out
-    return _adopt(RasterImage, result)
+            np.clip(np.rint(out, out=out), 0, 255, out=result[r], casting="unsafe")
+        else:
+            result[r] = out
+    return _adopt(RasterImage, result.reshape(t.out_height, t.out_width, image.channels))
 
 
 def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
@@ -211,9 +227,10 @@ def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
     rows, inside_i = _pixel_index(np.floor(v_src), depth.height)
     cols, inside_j = _pixel_index(np.floor(u_src), depth.width)
-    sel = np.ix_(rows, cols)
-    valid = inside_i[:, None] & inside_j[None, :] & depth.valid[sel]
-    return _adopt(DepthMap, depth.values[sel], valid)
+    values = np.take(depth.values[rows], cols, axis=1)
+    values[~inside_i] = np.nan
+    values[:, ~inside_j] = np.nan
+    return _adopt(DepthMap, values, ~np.isnan(values))  # a DepthMap holds NaN exactly where invalid
 
 
 def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Generator) -> PixelTransform:

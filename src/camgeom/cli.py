@@ -31,7 +31,7 @@ from .ambiguity import (
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
-from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, batch_augment
+from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, _finite, batch_augment
 from .camera import Intrinsics
 from .depthmap import token_point_grid, embed_points, unproject
 from .errors import CamGeomError, _json, _number
@@ -166,7 +166,7 @@ def _load_raster(path: Path) -> RasterImage:
     if path.suffix == ".ppm":
         return _adopt(RasterImage, read_ppm(path))  # each reader views bytes it read, held nowhere else: kept as is
     if path.suffix == ".cgem":
-        return _adopt(RasterImage, read_cgem(path))  # already float32
+        return _adopt(RasterImage, _finite(read_cgem(path), str(path)))  # already float32
     raise CamGeomError(f"{path}: unsupported image format (use .ppm or .cgem)")
 
 

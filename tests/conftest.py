@@ -1,4 +1,10 @@
-"""Keep Hypothesis's storage out of the checkout, and let a failing property show its example.
+"""Hypothesis profiles, Hypothesis's storage out of the checkout, and a failing property's example shown.
+
+Two settings profiles, each with no example database and no deadline:
+``default`` is derandomized, so every run draws the same cases, whatever
+``--hypothesis-seed`` says; ``sweep`` (``--hypothesis-profile=sweep``) is not,
+so each ``--hypothesis-seed=N`` draws its own cases, for a seed sweep.  The
+properties' settings inherit from the loaded profile.
 
 With ``database=None`` the property tests save no examples, but Hypothesis
 still caches the constants it reads from local source files, at collection
@@ -17,8 +23,12 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import is_hypothesis_test
+from hypothesis import is_hypothesis_test, settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("default", database=None, derandomize=True, deadline=None)
+settings.register_profile("sweep", database=None, derandomize=False, deadline=None)
+settings.load_profile("default")  # before Hypothesis's plugin loads any --hypothesis-profile
 
 _STORAGE = pytest.StashKey[tempfile.TemporaryDirectory]()
 

@@ -5,7 +5,9 @@ membership is a direct frame-change test and volumes come from uniform
 sampling, so they can arbitrate the analytic IoU.  The per-pixel resampling
 oracles loop over output pixels and read only a transform's fields, so they
 can arbitrate the vectorized resamplers; the whole-frame one pins the banded
-resampler to the formula it replaced.  The face-list clipper pins the
+resampler to the formula it replaced, and the (band, W, C) resampler and the
+``np.ix_`` depth gather pin the flattened-row resampler and the one-axis-at-a-time
+depth gather to the code they replaced.  The face-list clipper pins the
 shared-vertex mesh clipper to the clipper it replaced.
 """
 
@@ -14,7 +16,9 @@ import math
 import numpy as np
 
 from camgeom import OrientedBox3, box_corners
+from camgeom.augment import _BAND_ROWS
 from camgeom.boxes import _FACES, _SIGNS, polytope_volume
+from camgeom.rays import TokenGridSpec, _pixel_index, token_centers
 
 
 def random_box(rng, center_span=2.0, size_range=(0.3, 2.5)) -> OrientedBox3:
@@ -114,6 +118,53 @@ def whole_frame_resample(data: np.ndarray, t, mode: str) -> np.ndarray:
     if data.dtype == np.uint8:
         out = np.clip(np.rint(out), 0, 255)
     return out.astype(data.dtype)
+
+
+def _band_taps(coords: np.ndarray, size: int, mode: str):
+    x = np.clip(coords - 0.5, -1.0, size)
+    i0 = np.floor(x)
+    f = x - i0
+    taps = []
+    for floored, weight in ((i0, 1 - f), (i0 + 1, f)):
+        index, inside = _pixel_index(floored, size)
+        if mode == "pad":
+            weight = np.where(inside, weight, 0.0)
+        taps.append((index, weight))
+    return taps
+
+
+def band_resample(data: np.ndarray, t, mode: str) -> np.ndarray:
+    """The resampler that flattened rows replaced: each band of output rows in
+    float64 on a (band, W, C) array, gathering whole pixels for the column pass."""
+    u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
+    (iy0, wy0), (iy1, wy1) = _band_taps(v_src, data.shape[0], mode)
+    (ix0, wx0), (ix1, wx1) = _band_taps(u_src, data.shape[1], mode)
+    result = np.empty((t.out_height, t.out_width, data.shape[2]), dtype=data.dtype)
+    for start in range(0, t.out_height, _BAND_ROWS):
+        r = slice(start, start + _BAND_ROWS)
+        rows = wy0[r, None, None] * data[iy0[r]]
+        rows += wy1[r, None, None] * data[iy1[r]]
+        out, right = rows[:, ix0], rows[:, ix1]
+        out *= wx0[None, :, None]
+        right *= wx1[None, :, None]
+        out += right
+        if data.dtype == np.uint8:
+            np.clip(np.rint(out, out=out), 0, 255, out=out)
+        result[r] = out
+    return result
+
+
+def ix_depth_resample(values: np.ndarray, valid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The depth gather that one axis at a time replaced: values and mask each
+    gathered with ``np.ix_``, then NaN set wherever the mask is False."""
+    u_src, v_src = t.source_coords(*token_centers(TokenGridSpec(t.out_height, t.out_width, 1)))
+    rows, inside_i = _pixel_index(np.floor(v_src), values.shape[0])
+    cols, inside_j = _pixel_index(np.floor(u_src), values.shape[1])
+    sel = np.ix_(rows, cols)
+    out_valid = inside_i[:, None] & inside_j[None, :] & valid[sel]
+    out = values[sel]
+    out[~out_valid] = np.nan
+    return out, out_valid
 
 
 def nearest_depth_oracle(values: np.ndarray, valid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:

@@ -24,9 +24,10 @@ from camgeom import (
     resample_depth,
 )
 from camgeom.augment import draw_transform
-from camgeom.errors import BadDimension, BelowMinimum, CropOutOfBounds
+from camgeom.errors import BadDimension, BelowMinimum, CropOutOfBounds, InvalidValue
 from camgeom.rays import _adopt
 from camgeom.transforms import apply_transform, compose, invert
+from oracles import ix_depth_resample
 
 
 def _gradient_image(width=64, height=48) -> RasterImage:
@@ -109,6 +110,29 @@ class TestResample:
         out = resample_depth(depth, PixelTransform(1, 1, -10.0, 0.0, 64, 48))
         assert not out.valid[:, :10].any()
         assert out.valid[:, 10:].all()
+
+    def test_depth_holds_nan_exactly_where_invalid(self):
+        # output (r, q) reads source (r - 1, q - 1): row 0 and 5 and column 0 and 6 lie outside the
+        # 4 x 5 source, and out-of-source rows and columns clamp onto the holes at (0, 0) and (3, 4)
+        values = np.arange(1.0, 21.0).reshape(4, 5)
+        values[[0, 3, 2], [0, 4, 1]] = np.nan
+        depth = DepthMap.from_array(values)
+        t = PixelTransform(1, 1, -1.0, -1.0, 7, 6)
+        out = resample_depth(depth, t)
+        expected, expected_valid = ix_depth_resample(depth.values, depth.valid, t)
+        assert out.values.tobytes() == expected.tobytes() and out.valid.tobytes() == expected_valid.tobytes()
+        np.testing.assert_array_equal(out.valid, ~np.isnan(out.values))
+        assert not out.valid[[0, 5]].any() and not out.valid[:, [0, 6]].any()
+        inner = np.isnan(out.values[1:5, 1:6])
+        np.testing.assert_array_equal(inner, np.isnan(values))  # the source holes, in place
+        np.testing.assert_array_equal(out.values[1:5, 1:6][~inner], values[~np.isnan(values)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_raster_is_rejected(self, bad):
+        data = np.ones((4, 4, 1), dtype=np.float32)
+        data[:, 0] = bad  # under a shift of du=-2 it would turn both pad columns NaN, not the pad value 0
+        with pytest.raises(InvalidValue, match="raster: every float32 value must be finite"):
+            RasterImage(data)
 
 
 def _digest(*arrays) -> str:

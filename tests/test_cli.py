@@ -148,6 +148,22 @@ class TestAugmentCommand:
             named = f"MalformedFile: {workspace / 'bad.cgem.json'}: invalid JSON"
             assert report["load_failures"][0][2].startswith(named)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_image_is_a_load_failure(self, workspace, bad):
+        data = np.random.default_rng(3).random((48, 64, 3), dtype=np.float32)
+        data[5, 0, 1] = bad  # bilinear weights would spread it to its neighbours, pad columns included
+        write_cgem(workspace / "bad.cgem", data)
+        entries = [{"id": f"img{i}", "image": f"img{i}.ppm", "intrinsics": "k.json"} for i in range(3)]
+        entries[1]["image"] = "bad.cgem"
+        (workspace / "m.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workspace / "out"
+        assert main(["augment", "--manifest", str(workspace / "m.jsonl"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["n_ok"], report["failures"]) == (2, [])
+        assert report["load_failures"] == [
+            [1, "img1", f"InvalidValue: {workspace / 'bad.cgem'}: every float32 value must be finite"]]
+        assert not (out / "img1.cgem").exists()
+
     def test_write_failure_is_a_failure_record(self, workspace):
         # the id passes the file-name check, but its output name is longer than any file system allows
         long_id = "x" * 300

@@ -45,7 +45,7 @@ from camgeom.evaluation import Detection, match_and_score
 from camgeom.rays import EmbeddingGrid, RayGrid, TokenGridSpec, _adopt, embed, ray_grid, sinusoid_features
 from camgeom.transforms import PixelTransform
 
-SETTINGS = settings(database=None, derandomize=True, deadline=None)
+SETTINGS = settings()  # the loaded profile: derandomized unless --hypothesis-profile=sweep (conftest.py)
 
 K = Intrinsics(500.0, 500.0, 32.0, 24.0, 64, 48)
 GRID = TokenGridSpec(3, 4, 16.0)

@@ -7,8 +7,9 @@ aabb_iou on zero angles),
 the input parsers (every input parses or raises CamGeomError, nothing
 else) and the CLI's error contract (every command, one input corrupted).
 
-Derandomized with no example database, so every run draws the same cases;
-``conftest.py`` keeps Hypothesis's remaining cache out of the checkout.
+Derandomized with no example database by default, so every run draws the same
+cases; ``conftest.py`` defines that profile and a ``sweep`` one, and keeps
+Hypothesis's remaining cache out of the checkout.
 """
 
 import contextlib
@@ -40,9 +41,10 @@ from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
 from camgeom.transforms import PixelTransform, ray_preservation_check, scale
-from oracles import bilinear_oracle, nearest_depth_oracle, random_box, whole_frame_resample
+from oracles import band_resample, bilinear_oracle, ix_depth_resample, nearest_depth_oracle, random_box
+from oracles import whole_frame_resample
 
-SETTINGS = settings(database=None, derandomize=True, deadline=None)
+SETTINGS = settings()  # the loaded profile: derandomized unless --hypothesis-profile=sweep (conftest.py)
 
 
 def _floats(lo, hi):
@@ -218,6 +220,68 @@ def test_banded_resample_equals_whole_frame_formula(case):
     expected = whole_frame_resample(image.data, t, mode)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+def _source(height: int, width: int, channels: int, dtype, seed: int) -> tuple[RasterImage, DepthMap]:
+    """A seeded raster and a depth map with NaN holes, of one extent."""
+    rng = np.random.default_rng(seed)
+    shape = (height, width, channels)
+    if dtype == np.uint8:
+        data = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        data = (rng.random(shape, dtype=np.float32) - 0.5) * 2e3
+    depth = rng.uniform(0.5, 20.0, size=(height, width))
+    depth[rng.random((height, width)) < 0.2] = np.nan
+    return RasterImage(data), DepthMap.from_array(depth)
+
+
+@st.composite
+def policy_cases(draw):
+    """A seeded source from 1 x 1 up and a transform whose scale and shift are drawn
+    across the augmentation policy's range (scale 0.7 to 1.4, shift up to 0.15 of
+    the scaled extent) and beyond it, for either mode."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(["pad", "crop"]))
+    image, depth = _source(height, width, draw(st.sampled_from([1, 3])), draw(st.sampled_from([np.uint8, np.float32])),
+                           draw(st.integers(0, 2**32 - 1)))
+    scales = _floats(0.7, 1.4) | _floats(0.05, 6)
+    sx = draw(scales)
+    sy = draw(st.just(sx) | scales)
+    if mode == "pad":
+        shifts = _floats(-0.15, 0.15) | _floats(-1.5, 1.5)
+        t = PixelTransform(sx, sy, draw(shifts) * sx * width, draw(shifts) * sy * height,
+                           draw(st.integers(1, 48)), draw(st.integers(1, 48)))
+    else:
+        sx, sy = max(sx, 1.0 / width), max(sy, 1.0 / height)
+        out_w = draw(st.integers(1, max(1, math.floor(sx * width))))
+        out_h = draw(st.integers(1, max(1, math.floor(sy * height))))
+        t = PixelTransform(sx, sy, draw(_floats(0, 1)) * max(0.0, sx * width - out_w),
+                           draw(_floats(0, 1)) * max(0.0, sy * height - out_h), out_w, out_h)
+    return image, depth, t, mode
+
+
+def _policy_case(height, width, channels, dtype, t, mode):
+    return (*_source(height, width, channels, dtype, 22), t, mode)
+
+
+@SETTINGS
+@given(policy_cases())
+@example(_policy_case(20, 9, 3, np.uint8, PixelTransform(0.8, 0.75, -2.5, 1.25, 11, 15), "pad"))
+@example(_policy_case(20, 9, 1, np.float32, PixelTransform(1.0, 1.0, 0.5, 3.5, 8, 16), "crop"))
+@example(_policy_case(20, 9, 3, np.float32, PixelTransform(1.3, 0.85, 1.75, -2.0, 12, 17), "pad"))
+@example(_policy_case(20, 9, 1, np.uint8, PixelTransform(1.7, 1.7, 0.25, 0.75, 15, 33), "crop"))
+@example(_policy_case(20, 9, 3, np.uint8, PixelTransform(1.7, 1.7, -0.25, -3.0, 15, 33), "pad"))
+@example(_policy_case(1, 1, 3, np.float32, PixelTransform(3.7, 2.2, -1.3, -0.4, 5, 4), "pad"))
+@example(_policy_case(1, 1, 1, np.uint8, PixelTransform(2.5, 2.5, 0.25, 0.5, 2, 2), "crop"))
+def test_resample_equals_the_band_oracle(case):
+    image, depth, t, mode = case
+    out = resample(image, t, mode).data
+    expected = band_resample(image.data, t, mode)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    out_depth = resample_depth(depth, t)
+    values, valid = ix_depth_resample(depth.values, depth.valid, t)
+    assert out_depth.values.tobytes() == values.tobytes() and out_depth.valid.tobytes() == valid.tobytes()
 
 
 # the embeddings evaluate each distinct value once; the references below embed token by token
