@@ -7,7 +7,7 @@ equivalence classes.
 
 The synthetic experiments reproduce the mechanism behind the failure of
 camera-agnostic estimators: objects with known size and depth are rendered
-to exact projected extents, images are "resized" by updating intrinsics,
+through each experiment's camera to exact projected extents, images are "resized" by updating intrinsics,
 and depth is recovered either with a canonical focal baked in from the
 training pool (agnostic) or with the true updated focal (aware).  With
 exact size priors the agnostic estimate satisfies Z_pred = Z/s as an
@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .boxes import OrientedBox3
-from .camera import Intrinsics, projected_height, projected_width
+from .camera import Intrinsics, projected_height, projected_width, ray_components
 from .depthmap import aware_depth_estimate, biased_depth_estimate
 from .errors import BelowMinimum, CamGeomError, NonPositiveDepth, NonPositiveFactor
 from .errors import _count, _factors, _number, _positive
@@ -124,7 +125,11 @@ class SizePrior:
 
 @dataclass(frozen=True)
 class SceneObject:
-    """One rendered object: true geometry, prior, ray, exact 2D extents, GT box."""
+    """One drawn object: true size and depth, class height prior and the ray (x/z, y/z) through its center.
+
+    No image extent is stored: an experiment renders one with ``camera.projected_*`` through the
+    camera it uses.  ``box``, the ground truth, is built on first read.
+    """
 
     label: str
     height: float
@@ -133,9 +138,15 @@ class SceneObject:
     height_prior: float
     ray_x: float
     ray_y: float
-    h_proj: float
-    w_proj: float
-    box: OrientedBox3
+
+    @cached_property
+    def box(self) -> OrientedBox3:
+        return _box_on_ray(self, self.depth, self.width, self.height)
+
+
+def _box_on_ray(obj: SceneObject, depth: float, width: float, height: float) -> OrientedBox3:
+    """Zero-attitude box with a square ``width`` footprint, centered ``depth`` along ``obj``'s ray."""
+    return OrientedBox3((obj.ray_x * depth, obj.ray_y * depth, depth), (width, height, width), 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -162,12 +173,13 @@ def generate_scenes(
     objects_per_scene: int = 5,
     depth_range: tuple[float, float] = (1.5, 8.0),
 ) -> list[SyntheticScene]:
-    """Deterministic synthetic corpus with exact projected annotations.
+    """Deterministic synthetic corpus of objects with known size, depth and ray.
 
     Cameras are assigned round-robin from the pool so every pool entry
     (focal cluster) receives the same number of scenes.  Object centers are
-    placed on random rays inside the central 60% of the frame; the GT box
-    sits at the true depth along that ray with a square footprint.  Depths are
+    placed on random rays inside the central 60% of the frame; the GT box,
+    built on first read of ``SceneObject.box``, sits at the true depth along
+    that ray with a square footprint.  Depths are
     drawn from ``depth_range``, a (near, far) pair with 0 < near <= far, and
     heights from ``size_priors``, a non-empty mapping (None: the defaults).
     """
@@ -189,7 +201,7 @@ def generate_scenes(
     for scene_id in range(n):
         camera_index = scene_id % len(camera_pool)
         k = camera_pool[camera_index]
-        objects = []
+        drawn, us, vs = [], [], []
         for _ in range(objects_per_scene):
             label = labels[int(rng.integers(len(labels)))]
             prior = priors[label]
@@ -199,28 +211,12 @@ def generate_scenes(
                 raise CamGeomError(f"size prior {label!r}: spread {prior.spread!r} is too wide for floats") from None
             width = height * float(rng.uniform(0.4, 1.2))
             depth = float(rng.uniform(near, far))
-            u = float(rng.uniform(0.2 * k.width, 0.8 * k.width))
-            v = float(rng.uniform(0.2 * k.height, 0.8 * k.height))
-            ray_x = (u - k.cx) / k.fx
-            ray_y = (v - k.cy) / k.fy
-            box = OrientedBox3(
-                (ray_x * depth, ray_y * depth, depth), (width, height, width), 0.0, 0.0, 0.0
-            )
-            objects.append(
-                SceneObject(
-                    label=label,
-                    height=height,
-                    width=width,
-                    depth=depth,
-                    height_prior=prior.mean,
-                    ray_x=ray_x,
-                    ray_y=ray_y,
-                    h_proj=projected_height(height, depth, k),
-                    w_proj=projected_width(width, depth, k),
-                    box=box,
-                )
-            )
-        scenes.append(SyntheticScene(k, tuple(objects), camera_index, scene_id))
+            drawn.append((label, height, width, depth, prior.mean))
+            us.append(rng.uniform(0.2 * k.width, 0.8 * k.width))
+            vs.append(rng.uniform(0.2 * k.height, 0.8 * k.height))
+        ray_x, ray_y = ray_components(us, vs, k)
+        objects = tuple(SceneObject(*fields, rx, ry) for fields, rx, ry in zip(drawn, ray_x.tolist(), ray_y.tolist()))
+        scenes.append(SyntheticScene(k, objects, camera_index, scene_id))
     return scenes
 
 
@@ -305,8 +301,7 @@ def run_bias_experiment(
                 # follows from observed extent and its own depth/focal beliefs
                 h_hat = h_obs * z_hat / f_y
                 w_hat = projected_width(obj.width, obj.depth, k) * z_hat / f_x
-                center = (obj.ray_x * z_hat, obj.ray_y * z_hat, z_hat)
-                preds.append(Detection(obj.label, OrientedBox3(center, (w_hat, h_hat, w_hat), 0.0, 0.0, 0.0)))
+                preds.append(Detection(obj.label, _box_on_ray(obj, z_hat, w_hat, h_hat)))
                 ratios.append(z_hat / obj.depth)
                 errors.append(abs(z_hat - obj.depth) / obj.depth)
             report = match_and_score(preds, truth, threshold=iou_threshold)

@@ -216,7 +216,7 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
         np.multiply(np.take(rows, ix0, axis=1, out=out, mode="clip"), wx0, out=out)
         out += np.multiply(np.take(rows, ix1, axis=1, out=right, mode="clip"), wx1, out=right)
         if src.dtype == np.uint8:
-            np.clip(np.rint(out, out=out), 0, 255, out=result[r], casting="unsafe")
+            np.rint(out, out=result[r], casting="unsafe")  # non-negative weights summing to 1 keep it in [0, 255]
         else:
             result[r] = out
     return _adopt(RasterImage, result.reshape(t.out_height, t.out_width, image.channels))
@@ -261,9 +261,15 @@ def augment(
     rng: np.random.Generator | int,
     index: int = 0,
 ) -> AugmentedSample:
-    """Transform one sample consistently; deterministic given the rng state."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(rng), index]))
+    """Transform one sample consistently; deterministic given the rng state.
+
+    An ``rng`` that is not a Generator is a seed, mixed with ``index`` into the sample's own
+    stream.  The seed (an np.integer too) and ``index`` are integers >= 0; CamGeomError otherwise.
+    """
+    index = _count("index", index, CamGeomError, minimum=0)
+    if not isinstance(rng, np.random.Generator):
+        seed = _count("seed", rng.item() if isinstance(rng, np.integer) else rng, CamGeomError, minimum=0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     _check_extent(sample.image, sample.intrinsics, f"{sample.id}: image")
     if sample.depth is not None:
         _check_extent(sample.depth, sample.intrinsics, f"{sample.id}: depth")
@@ -301,9 +307,11 @@ class BatchReport:
         return asdict(self)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
+def _check_workers(workers: int) -> int:
+    """``workers`` as a count >= 1 (:func:`~camgeom.errors._count`); BelowMinimum otherwise."""
+    if workers.__class__ is int and workers < 1:
         raise BelowMinimum(f"workers must be >= 1, got {workers}")
+    return _count("workers", workers, BelowMinimum)
 
 
 def batch_augment(
@@ -319,7 +327,7 @@ def batch_augment(
     sample yields None in the result list and a failure record; the batch
     continues.  A None entry (an input the caller could not load) yields
     None with no failure record, and every other sample keeps its index.
-    A worker count below 1 raises BelowMinimum before any sample runs.
+    A worker count that is not an integer >= 1 raises BelowMinimum before any sample runs.
 
     ``samples[index]`` is read on the pool thread that augments it, so a
     sequence may load each sample there.  With ``on_result``, each result is
@@ -328,7 +336,7 @@ def batch_augment(
     thread then holds one sample at a time, from its load until
     ``on_result`` returns.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
     results: list[AugmentedSample | None] = [None] * len(samples)
     transforms: list[dict | None] = [None] * len(samples)
     failures: list[tuple[int, str, str]] = []

@@ -84,15 +84,9 @@ def scale(k: Intrinsics, s: float) -> Intrinsics:
 
 
 def apply_transform(k: Intrinsics, t: PixelTransform) -> Intrinsics:
-    """Intrinsics for the resampled image: per-axis scale, then offset shift."""
-    return Intrinsics(
-        t.sx * k.fx,
-        t.sy * k.fy,
-        t.sx * k.cx - t.du,
-        t.sy * k.cy - t.dv,
-        t.out_width,
-        t.out_height,
-    )
+    """Intrinsics for the resampled image: focals scaled per axis, principal point mapped by ``t``."""
+    cx, cy = t.apply(k.cx, k.cy)
+    return Intrinsics(t.sx * k.fx, t.sy * k.fy, cx, cy, t.out_width, t.out_height)
 
 
 def compose(a: PixelTransform, b: PixelTransform) -> PixelTransform:
@@ -128,8 +122,10 @@ def ray_preservation_check(
     maps each through ``t`` and back-projects with ``transformed_intrinsics``
     (default: the consistently updated intrinsics, for which the result is
     ~0).  Passing the ORIGINAL intrinsics instead quantifies how far a stale
-    calibration bends every line of sight.
+    calibration bends every line of sight.  ``samples`` per axis is an integer
+    >= 1; BelowMinimum otherwise.
     """
+    samples = _count("samples", samples, BelowMinimum)
     if transformed_intrinsics is None:
         transformed_intrinsics = apply_transform(k, t)
     u = np.linspace(0.5, k.width - 0.5, samples)

@@ -1,6 +1,7 @@
 """Equivalence witnesses and the synthetic depth-bias experiments."""
 
 import dataclasses
+import hashlib
 import statistics
 
 import numpy as np
@@ -11,6 +12,8 @@ from camgeom import (
     SizePrior,
     generate_scenes,
     make_witness,
+    projected_height,
+    projected_width,
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
@@ -72,14 +75,36 @@ class TestScenes:
         scenes = generate_scenes(3, [_camera(585)], seed=1)
         for scene in scenes:
             for obj in scene.objects:
-                assert obj.h_proj == scene.camera.fy * obj.height / obj.depth
-                assert obj.w_proj == scene.camera.fx * obj.width / obj.depth
+                assert projected_height(obj.height, obj.depth, scene.camera) == scene.camera.fy * obj.height / obj.depth
+                assert projected_width(obj.width, obj.depth, scene.camera) == scene.camera.fx * obj.width / obj.depth
                 assert obj.box.center[2] == obj.depth
 
     def test_same_seed_identical_corpora(self):
         a = generate_scenes(5, [_camera(585), _camera(1000)], seed=9)
         b = generate_scenes(5, [_camera(585), _camera(1000)], seed=9)
         assert a == b
+
+    def test_corpus_bits(self):
+        # every drawn field and every truth box, as float.hex, for two seeds of a noisy two-camera corpus
+        priors = {"chair": SizePrior(0.85, 0.15), "table": SizePrior(0.75, 0.15), "door": SizePrior(2.0, 0.15)}
+        digest = hashlib.sha256()
+        for seed in (21, 22):
+            for scene in generate_scenes(30, [_camera(585.0), _camera(1000.0)], size_priors=priors, seed=seed):
+                for obj in scene.objects:
+                    values = [obj.height, obj.width, obj.depth, obj.height_prior, obj.ray_x, obj.ray_y,
+                              *obj.box.to_list()]
+                    digest.update((obj.label + " " + " ".join(float(v).hex() for v in values) + "\n").encode())
+        assert digest.hexdigest() == "db43ddd298a27a68c60acfb9ecfa9c88d4f76493d963893dbcfd1ea4e4322408"
+
+    def test_truth_box_is_built_on_first_read(self):
+        scenes = generate_scenes(2, [_camera(585)], seed=14)
+        run_mixed_pool_experiment(scenes)
+        assert all("box" not in vars(obj) for scene in scenes for obj in scene.objects)
+        scene = scenes[0]
+        obj = scene.objects[0]
+        assert obj.box is obj.box
+        assert obj.box.center == (obj.ray_x * obj.depth, obj.ray_y * obj.depth, obj.depth)
+        assert obj.box.size == (obj.width, obj.height, obj.width)
 
     def test_round_robin_camera_assignment(self):
         scenes = generate_scenes(6, [_camera(585), _camera(1000)], seed=2)
@@ -91,7 +116,7 @@ class TestScenes:
         heights = {0: [], 1: []}
         for scene in scenes:
             for obj in scene.objects:
-                by_cluster[scene.camera_index].append(obj.h_proj)
+                by_cluster[scene.camera_index].append(projected_height(obj.height, obj.depth, scene.camera))
                 heights[scene.camera_index].append(obj.height)
         ratio = statistics.fmean(by_cluster[1]) / statistics.fmean(by_cluster[0])
         assert ratio == pytest.approx(1000 / 580, rel=0.1)

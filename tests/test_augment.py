@@ -27,7 +27,7 @@ from camgeom.augment import draw_transform
 from camgeom.errors import BadDimension, BelowMinimum, CropOutOfBounds, InvalidValue
 from camgeom.rays import _adopt
 from camgeom.transforms import apply_transform, compose, invert
-from oracles import ix_depth_resample
+from oracles import ix_depth_resample, whole_frame_resample
 
 
 def _gradient_image(width=64, height=48) -> RasterImage:
@@ -126,6 +126,19 @@ class TestResample:
         inner = np.isnan(out.values[1:5, 1:6])
         np.testing.assert_array_equal(inner, np.isnan(values))  # the source holes, in place
         np.testing.assert_array_equal(out.values[1:5, 1:6][~inner], values[~np.isnan(values)])
+
+    def test_saturated_uint8_frames_match_the_clipping_oracle(self):
+        # a blend of values in [0, 255] under non-negative weights summing to 1 rounds into [0, 255],
+        # so resample casts without the clip the whole-frame oracle applies
+        checker = np.indices((24, 32, 3)).sum(axis=0) % 2 * 255
+        frames = [np.full((24, 32, 3), 255), np.zeros((24, 32, 3)), checker, 255 - checker]
+        rng = np.random.default_rng(255)
+        for _ in range(40):
+            s = float(rng.uniform(0.2, 4.0))
+            du, dv = (float(d) for d in rng.uniform(-20.0, 20.0, size=2))
+            t = PixelTransform(s, s, du, dv, max(1, round(s * 32)), max(1, round(s * 24)))
+            for data in (f.astype(np.uint8) for f in frames):
+                assert resample(RasterImage(data), t).data.tobytes() == whole_frame_resample(data, t, "pad").tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_float_raster_is_rejected(self, bad):
@@ -322,6 +335,14 @@ class TestAugment:
         np.testing.assert_array_equal(a.image.data, b.image.data)
         assert a.intrinsics == b.intrinsics
         assert a.transform == b.transform
+
+    def test_a_numpy_integer_seed_is_the_same_seed(self):
+        image = _noise_image(np.random.default_rng(9))
+        policy = AugmentationPolicy(seed=21)
+        a = augment(Sample("s", image, K), policy, 21, index=3)
+        for seed in (np.int64(21), np.uint8(21), 21.0):
+            b = augment(Sample("s", image, K), policy, seed, index=3)
+            assert a.image.data.tobytes() == b.image.data.tobytes() and a.transform == b.transform
 
     def test_boxes_pass_through_untouched(self):
         from camgeom import Detection, OrientedBox3

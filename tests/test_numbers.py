@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camgeom.ambiguity import SizePrior, generate_scenes, make_witness
-from camgeom.augment import AugmentationPolicy, RasterImage
+from camgeom.augment import AugmentationPolicy, RasterImage, Sample, augment, batch_augment
 from camgeom.boxes import OrientedBox3
 from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
 from camgeom.depthmap import (
@@ -43,7 +43,7 @@ from camgeom.errors import (
 )
 from camgeom.evaluation import Detection, match_and_score
 from camgeom.rays import EmbeddingGrid, RayGrid, TokenGridSpec, _adopt, embed, ray_grid, sinusoid_features
-from camgeom.transforms import PixelTransform
+from camgeom.transforms import PixelTransform, ray_preservation_check
 
 SETTINGS = settings()  # the loaded profile: derandomized unless --hypothesis-profile=sweep (conftest.py)
 
@@ -51,6 +51,8 @@ K = Intrinsics(500.0, 500.0, 32.0, 24.0, 64, 48)
 GRID = TokenGridSpec(3, 4, 16.0)
 RAYS = ray_grid(K, GRID)
 POINTS = token_point_grid(DepthMap.from_array(np.full((48, 64), 2.0)), K, GRID)
+SAMPLE = Sample("s", RasterImage(np.zeros((6, 8, 3), np.uint8)), Intrinsics(10.0, 10.0, 4.0, 3.0, 8, 6))
+POLICY = AugmentationPolicy(seed=3)
 
 NUMBER, POSITIVE, COUNT = "number", "positive", "count"
 
@@ -99,6 +101,11 @@ SITES = {
     "SizePrior": (lambda a: SizePrior(*a), [0.85, 0.1], {0: (POSITIVE, NonPositiveFactor), 1: (NUMBER, CamGeomError)}),
     "generate_scenes": (lambda a: generate_scenes(a[0], [K], seed=a[1], objects_per_scene=a[2]), [1, 3, 2],
                         {i: (COUNT, BelowMinimum) for i in range(3)}),
+    "ray_preservation_check": (lambda a: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=a[0]),
+                               [8], {0: (COUNT, BelowMinimum)}),
+    "batch_augment": (lambda a: batch_augment([SAMPLE], POLICY, workers=a[0]), [2], {0: (COUNT, BelowMinimum)}),
+    "augment": (lambda a: augment(SAMPLE, POLICY, a[0], index=a[1]), [3, 1],
+                {0: (COUNT, CamGeomError), 1: (COUNT, CamGeomError)}),
 }
 FIELDS = [(site, index) for site, (_, _, fields) in SITES.items() for index in fields]
 
@@ -173,6 +180,23 @@ REJECTED = {
     "scenes-empty-priors": (lambda: generate_scenes(1, [K], size_priors={}), CamGeomError),
     "scenes-list-of-priors": (lambda: generate_scenes(1, [K], size_priors=[("car", (1.0, 0.0))]), CamGeomError),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
+    "workers-bool": (lambda: batch_augment([SAMPLE], POLICY, workers=True), BelowMinimum),
+    "workers-zero": (lambda: batch_augment([SAMPLE], POLICY, workers=0), BelowMinimum),
+    "workers-fractional": (lambda: batch_augment([SAMPLE], POLICY, workers=2.5), BelowMinimum),
+    "workers-text": (lambda: batch_augment([SAMPLE], POLICY, workers="2"), BelowMinimum),
+    "samples-bool": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=True), BelowMinimum),
+    "samples-zero": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=0), BelowMinimum),
+    "samples-negative": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=-1), BelowMinimum),
+    "samples-fractional": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=2.5),
+                           BelowMinimum),
+    "samples-text": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples="2"), BelowMinimum),
+    "augment-bool-seed": (lambda: augment(SAMPLE, POLICY, True), CamGeomError),
+    "augment-negative-seed": (lambda: augment(SAMPLE, POLICY, -1), CamGeomError),
+    "augment-fractional-seed": (lambda: augment(SAMPLE, POLICY, 2.5), CamGeomError),
+    "augment-text-seed": (lambda: augment(SAMPLE, POLICY, "2"), CamGeomError),
+    "augment-negative-index": (lambda: augment(SAMPLE, POLICY, 3, index=-1), CamGeomError),
+    "augment-fractional-index": (lambda: augment(SAMPLE, POLICY, 3, index=1.5), CamGeomError),
+    "augment-bool-index": (lambda: augment(SAMPLE, POLICY, 3, index=True), CamGeomError),
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),
     "raster-float64": (lambda: RasterImage(np.zeros((4, 4, 3))), BadDimension),

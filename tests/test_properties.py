@@ -40,7 +40,7 @@ from camgeom.errors import CamGeomError
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
-from camgeom.transforms import PixelTransform, ray_preservation_check, scale
+from camgeom.transforms import PixelTransform, apply_transform, ray_preservation_check, scale
 from oracles import band_resample, bilinear_oracle, ix_depth_resample, nearest_depth_oracle, random_box
 from oracles import whole_frame_resample
 
@@ -87,6 +87,16 @@ def test_scale_round_trip(k, s):
 def test_consistent_update_preserves_rays(k, sx, sy, du, dv, out_width, out_height):
     t = PixelTransform(sx, sy, du, dv, out_width, out_height)
     assert ray_preservation_check(k, t, samples=16) < 1e-9
+
+
+@SETTINGS
+@given(intrinsics(), _floats(0.05, 20), _floats(0.05, 20), _floats(-5000, 5000), _floats(-5000, 5000))
+def test_updated_principal_point_is_the_transformed_one(k, sx, sy, du, dv):
+    # the intrinsics update and the pixel map are one rule: (cx, cy) -> (sx*cx - du, sy*cy - dv)
+    t = PixelTransform(sx, sy, du, dv, 8, 8)
+    updated, (cx, cy) = apply_transform(k, t), t.apply(k.cx, k.cy)
+    assert (updated.cx.hex(), updated.cy.hex()) == (float(cx).hex(), float(cy).hex())
+    assert (updated.cx.hex(), updated.cy.hex()) == ((sx * k.cx - du).hex(), (sy * k.cy - dv).hex())
 
 
 @st.composite
