@@ -31,7 +31,7 @@ from .camera import Intrinsics, projected_height, projected_width, ray_component
 from .depthmap import aware_depth_estimate, biased_depth_estimate
 from .errors import BelowMinimum, CamGeomError, NonPositiveDepth, NonPositiveFactor
 from .errors import _count, _factors, _number, _positive
-from .evaluation import Detection, _score, match_and_score
+from .evaluation import DEFAULT_IOU_THRESHOLD, Detection, _score, match_and_score
 from .transforms import scale
 
 __all__ = [
@@ -48,8 +48,12 @@ __all__ = [
     "run_mixed_pool_experiment",
     "DEFAULT_SIZE_PRIORS",
     "MECHANISM_CAVEAT",
+    "DEFAULT_OBJECTS_PER_SCENE",
+    "DEFAULT_F_MODE",
 ]
 
+DEFAULT_OBJECTS_PER_SCENE = 5
+DEFAULT_F_MODE = "mean"  # how fit_canonical_focal pools the training focals: "mean" or "median"
 MECHANISM_CAVEAT = (
     "Synthetic desk-scale experiment: reproduces the direction and law of the "
     "resize/mixed-pool depth bias, not any trained model's absolute F1 values."
@@ -170,7 +174,7 @@ def generate_scenes(
     camera_pool: Sequence[Intrinsics],
     size_priors: Mapping[str, SizePrior | tuple[float, float]] | None = None,
     seed: int = 0,
-    objects_per_scene: int = 5,
+    objects_per_scene: int = DEFAULT_OBJECTS_PER_SCENE,
     depth_range: tuple[float, float] = (1.5, 8.0),
 ) -> list[SyntheticScene]:
     """Deterministic synthetic corpus of objects with known size, depth and ray.
@@ -220,7 +224,7 @@ def generate_scenes(
     return scenes
 
 
-def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = "mean") -> float:
+def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = DEFAULT_F_MODE) -> float:
     """The focal a camera-agnostic estimator absorbs from its training pool.
 
     Raises BelowMinimum for an empty scene list and CamGeomError for an unknown ``mode``.
@@ -269,8 +273,8 @@ def run_bias_experiment(
     scenes: Sequence[SyntheticScene],
     resize_factors: Sequence[float],
     estimator: str = "agnostic",
-    f_mode: str = "mean",
-    iou_threshold: float = 0.25,
+    f_mode: str = DEFAULT_F_MODE,
+    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> list[BiasRow]:
     """Depth-recovery ratio and detection F1 under image resizing.
 
@@ -329,7 +333,7 @@ class ClusterRow:
 def run_mixed_pool_experiment(
     scenes: Sequence[SyntheticScene],
     estimators: Sequence[str] = ("agnostic", "aware"),
-    f_mode: str = "mean",
+    f_mode: str = DEFAULT_F_MODE,
 ) -> tuple[float, list[ClusterRow]]:
     """Per-cluster depth bias when the training pool mixes focal clusters.
 

@@ -132,8 +132,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class Provenance:
+    """Where a result came from: its sample's id, the int seed its draws used (None for a Generator), its index."""
+
     source_id: str
-    seed: int
+    seed: int | None
     index: int = 0
 
 
@@ -264,9 +266,10 @@ def augment(
     """Transform one sample consistently; deterministic given the rng state.
 
     An ``rng`` that is not a Generator is a seed, mixed with ``index`` into the sample's own
-    stream.  The seed (an np.integer too) and ``index`` are integers >= 0; CamGeomError otherwise.
+    stream, and the provenance records it (None for a Generator).  The seed (an np.integer too) and ``index`` are integers >= 0; CamGeomError otherwise.
     """
     index = _count("index", index, CamGeomError, minimum=0)
+    seed = None
     if not isinstance(rng, np.random.Generator):
         seed = _count("seed", rng.item() if isinstance(rng, np.integer) else rng, CamGeomError, minimum=0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -281,7 +284,7 @@ def augment(
         image=image,
         intrinsics=intrinsics,
         transform=t,
-        provenance=Provenance(sample.id, policy.seed, index),
+        provenance=Provenance(sample.id, seed, index),
         depth=depth,
         boxes=sample.boxes,  # world geometry does not move under a camera-space resize
     )

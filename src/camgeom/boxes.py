@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ __all__ = [
     "clipped_intersection_volume",
     "iou3d",
     "aabb_iou",
+    "DEFAULT_ROTATION_ORDER",
 ]
 
+DEFAULT_ROTATION_ORDER = "zyx"
 # corner sign pattern (---, --+, -+-, ... +++): corner i has signs of the bits of i
 _SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
 # corners of the faces +x, -x, +y, -y, +z, -z, each wound CCW as seen from outside
@@ -88,7 +90,7 @@ class OrientedBox3:
     def volume(self) -> float:
         return self.size[0] * self.size[1] * self.size[2]
 
-    def rotation(self, order: str = "zyx") -> np.ndarray:
+    def rotation(self, order: str = DEFAULT_ROTATION_ORDER) -> np.ndarray:
         return rotation_matrix(self.yaw, self.pitch, self.roll, order=order)
 
 
@@ -97,7 +99,7 @@ def _check_order(order: str) -> None:
         raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
 
 
-def rotation_matrix(yaw, pitch, roll, order: str = "zyx") -> np.ndarray:
+def rotation_matrix(yaw, pitch, roll, order: str = DEFAULT_ROTATION_ORDER) -> np.ndarray:
     """Compose single-axis rotations in the named order (left to right): three floats give (3, 3), three
     arrays of shape (n,) give (n, 3, 3), each row bit for bit its floats' (3, 3); zero angles give np.eye(3)."""
     _check_order(order)
@@ -123,12 +125,12 @@ def _corners(size, rot: np.ndarray, center) -> np.ndarray:
     return _SIGNS * half[..., None, :] @ np.swapaxes(rot, -1, -2) + np.asarray(center, dtype=np.float64)[..., None, :]
 
 
-def box_corners(box: OrientedBox3, order: str = "zyx") -> np.ndarray:
+def box_corners(box: OrientedBox3, order: str = DEFAULT_ROTATION_ORDER) -> np.ndarray:
     """The 8 corners, shape (8, 3), sign pattern (---, --+, -+-, ... +++)."""
     return _corners(box.size, box.rotation(order), box.center)
 
 
-def box_face_polygons(box: OrientedBox3, order: str = "zyx") -> list[np.ndarray]:
+def box_face_polygons(box: OrientedBox3, order: str = DEFAULT_ROTATION_ORDER) -> list[np.ndarray]:
     """Six quads, each (4, 3), wound CCW as seen from outside (outward normals)."""
     return list(box_corners(box, order)[_FACES])
 
@@ -164,6 +166,19 @@ def _geometry(box: OrientedBox3, order: str) -> tuple:
     if order not in box.__dict__.get("_geometry", ()):
         _geometry_pass([box], order)
     return box.__dict__["_geometry"][order]
+
+
+def _screen_pairs(a: Mapping[int, OrientedBox3], b: Mapping[int, OrientedBox3], order: str) -> set | None:
+    """The key pairs (i, j) of boxes ``a[i]`` and ``b[j]`` that may overlap, or None when all boxes share one
+    attitude.  Kept are pairs of equal attitude, and pairs whose world AABBs meet on every axis, the clipper's
+    own reject on the same floats, from one (a, b) block of one geometry pass."""
+    if len({(box.yaw, box.pitch, box.roll) for box in (*a.values(), *b.values())}) <= 1:
+        return None
+    attitude, lo, hi = _geometry_pass([*a.values(), *b.values()], order)
+    n, keys_a, keys_b = len(a), list(a), list(b)
+    meet = ((hi[:n, None] > lo[n:]) & (hi[n:] > lo[:n, None])).all(axis=2)
+    meet |= (attitude[:n, None] == attitude[n:]).all(axis=2)
+    return {(keys_a[i], keys_b[j]) for i, j in zip(*meet.nonzero())}
 
 
 def _clip(verts: list, faces: list[list[int]], k: int, sign: float, bound: float, eps: float) -> list[list[int]]:
@@ -215,7 +230,7 @@ def _clip(verts: list, faces: list[list[int]], k: int, sign: float, bound: float
     return kept
 
 
-def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
+def intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = DEFAULT_ROTATION_ORDER) -> float:
     """Exact volume of the intersection of two oriented boxes."""
     if (a.yaw, a.pitch, a.roll) == (b.yaw, b.pitch, b.roll):
         # equal attitudes: the overlap is axis-aligned in the shared box frame
@@ -244,7 +259,7 @@ def _aligned_overlap(a: OrientedBox3, b: OrientedBox3, frame: np.ndarray | None 
     return volume * unit
 
 
-def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
+def clipped_intersection_volume(a: OrientedBox3, b: OrientedBox3, order: str = DEFAULT_ROTATION_ORDER) -> float:
     """Intersection volume via the full half-space clipping pipeline.
 
     :func:`intersection_volume` dispatches here whenever the two attitudes
@@ -277,7 +292,7 @@ def _iou(vi: float, va: float, vb: float) -> float:
     return vi / (va + vb - vi)
 
 
-def iou3d(a: OrientedBox3, b: OrientedBox3, order: str = "zyx") -> float:
+def iou3d(a: OrientedBox3, b: OrientedBox3, order: str = DEFAULT_ROTATION_ORDER) -> float:
     """Intersection-over-union of two oriented cuboids, in [0, 1]."""
     return _iou(intersection_volume(a, b, order), a.volume(), b.volume())
 

@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .ambiguity import (
+    DEFAULT_F_MODE,
+    DEFAULT_OBJECTS_PER_SCENE,
     DEFAULT_SIZE_PRIORS,
     MECHANISM_CAVEAT,
     SizePrior,
@@ -32,10 +34,11 @@ from .ambiguity import (
     run_mixed_pool_experiment,
 )
 from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, _finite, batch_augment
+from .boxes import DEFAULT_ROTATION_ORDER
 from .camera import Intrinsics
-from .depthmap import token_point_grid, embed_points, unproject
+from .depthmap import DEFAULT_GEO_DIM, DEFAULT_GEO_PERIOD, embed_points, token_point_grid, unproject
 from .errors import CamGeomError, _json, _number
-from .evaluation import match_and_score, parse_detections
+from .evaluation import DEFAULT_IOU_THRESHOLD, match_and_score, parse_detections
 from .fileio import (
     _open_atomic,
     _read_json,
@@ -52,28 +55,30 @@ from .fileio import (
     write_ppm,
     write_sidecar,
 )
-from .rays import TokenGridSpec, _adopt, embed, ray_grid
+from .rays import DEFAULT_BASE_PERIOD, DEFAULT_DIM, DEFAULT_FOCAL_REFERENCE, TokenGridSpec, _adopt, embed, ray_grid
 
+# a setting the library declares a default for reads that declaration; the rest are the CLI's own
 DEFAULTS: dict = {
     "seed": 0,
     "workers": 1,
     "embed": {
-        "dim": 256,
-        "base_period": 10000.0,
-        "focal_reference": 1000.0,
+        "dim": DEFAULT_DIM,
+        "base_period": DEFAULT_BASE_PERIOD,
+        "focal_reference": DEFAULT_FOCAL_REFERENCE,
         "patch": 14.0,
         "origin": "center",
     },
-    "geo": {"dim": 240, "base_period": 100.0},
-    "augment": {"scale_min": 0.7, "scale_max": 1.4, "shift_fraction": 0.15, "mode": "pad"},
-    "eval": {"iou": 0.25, "axis_aligned": False, "rotation_order": "zyx"},
+    "geo": {"dim": DEFAULT_GEO_DIM, "base_period": DEFAULT_GEO_PERIOD},
+    "augment": {"scale_min": AugmentationPolicy.scale_range[0], "scale_max": AugmentationPolicy.scale_range[1],
+                "shift_fraction": AugmentationPolicy.shift_fraction, "mode": AugmentationPolicy.mode},
+    "eval": {"iou": DEFAULT_IOU_THRESHOLD, "axis_aligned": False, "rotation_order": DEFAULT_ROTATION_ORDER},
     "ambiguity": {
         "n_scenes": 200,
-        "objects_per_scene": 5,
+        "objects_per_scene": DEFAULT_OBJECTS_PER_SCENE,
         "resize_factors": [0.8, 1.0, 1.2],
         "estimator": "both",
         "prior_spread": 0.0,
-        "f_mode": "mean",
+        "f_mode": DEFAULT_F_MODE,
         # two-cluster pool: numbers are square-pixel 640x480 cameras
         "camera_pool": [580.0, 1160.0],
     },

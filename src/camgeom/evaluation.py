@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
 
-from .boxes import OrientedBox3, _check_order, _geometry_pass, aabb_iou, iou3d
+from .boxes import DEFAULT_ROTATION_ORDER, OrientedBox3, _check_order, _screen_pairs, aabb_iou, iou3d
 from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _json, _positive
 
 __all__ = [
@@ -33,10 +33,12 @@ __all__ = [
     "parse_detections",
     "f1_score",
     "match_and_score",
+    "DEFAULT_IOU_THRESHOLD",
 ]
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_IOU_THRESHOLD = 0.25
 _BOX_KEYS = ("bbox_3d", "box_3d")
 _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_+-]*)(?:\r\n|\r|\n)(.*?)```", re.DOTALL)
 
@@ -193,24 +195,13 @@ def _score(matched: int, n_pred: int, n_truth: int) -> ClassScore:
     return ClassScore(precision, recall, f1_score(precision, recall), matched, n_pred, n_truth)
 
 
-def _broad_phase(preds: dict[int, Detection], truths: dict[int, Detection], order: str):
-    """A filter of one label's (pred, truth) index pairs: those of equal attitude, and those whose world AABBs
-    meet on every axis, the clipper's own reject on the same floats, from one (preds, truths) block."""
-    attitude, lo, hi = _geometry_pass([d.box for d in (*preds.values(), *truths.values())], order)
-    n, rows_p, rows_t = len(preds), list(preds), list(truths)
-    meet = ((hi[:n, None] > lo[n:]) & (hi[n:] > lo[:n, None])).all(axis=2)
-    meet |= (attitude[:n, None] == attitude[n:]).all(axis=2)
-    kept = {(rows_p[p], rows_t[t]) for p, t in zip(*meet.nonzero())}
-    return lambda pred_idx, truth_idx: [pair for pair in product(pred_idx, truth_idx) if pair in kept]
-
-
 def match_and_score(
     preds: Sequence[Detection],
     truths: Sequence[Detection],
-    threshold: float = 0.25,
+    threshold: float = DEFAULT_IOU_THRESHOLD,
     classes: Iterable[str] | None = None,
     axis_aligned: bool = False,
-    rotation_order: str = "zyx",
+    rotation_order: str = DEFAULT_ROTATION_ORDER,
 ) -> EvalReport:
     """Greedy class-wise matching and P/R/F1 at the given IoU threshold.
 
@@ -227,11 +218,10 @@ def match_and_score(
     # match-pair indices refer to the caller's original lists
     preds = {i: d for i, d in enumerate(preds) if class_filter is None or d.label in class_filter}
     truths = {j: d for j, d in enumerate(truths) if class_filter is None or d.label in class_filter}
-    kept = (*preds.values(), *truths.values())
-    labels = sorted({d.label for d in kept})
-    pairs = product  # every pair, unless attitudes differ and one geometry pass can drop some
-    if not axis_aligned and len({(d.box.yaw, d.box.pitch, d.box.roll) for d in kept}) > 1:
-        pairs = _broad_phase(preds, truths, rotation_order)
+    labels = sorted({d.label for d in (*preds.values(), *truths.values())})
+    # every pair, unless attitudes differ and one geometry pass drops pairs whose AABBs do not meet (IoU 0)
+    screen = None if axis_aligned else _screen_pairs({i: d.box for i, d in preds.items()},
+                                                     {j: d.box for j, d in truths.items()}, rotation_order)
 
     per_class: dict[str, ClassScore] = {}
     matches: list[tuple[str, int, int, float]] = []
@@ -240,8 +230,8 @@ def match_and_score(
         pred_idx = [i for i, d in preds.items() if d.label == label]
         truth_idx = [j for j, d in truths.items() if d.label == label]
         candidates = []
-        for i, j in pairs(pred_idx, truth_idx):
-            overlap = iou(preds[i].box, truths[j].box)
+        for i, j in product(pred_idx, truth_idx):
+            overlap = iou(preds[i].box, truths[j].box) if screen is None or (i, j) in screen else 0.0
             if overlap >= threshold:
                 candidates.append((-overlap, i, j))
         candidates.sort()

@@ -23,7 +23,7 @@ from camgeom import (
     resample,
     resample_depth,
 )
-from camgeom.augment import draw_transform
+from camgeom.augment import Provenance, draw_transform
 from camgeom.errors import BadDimension, BelowMinimum, CropOutOfBounds, InvalidValue
 from camgeom.rays import _adopt
 from camgeom.transforms import apply_transform, compose, invert
@@ -343,6 +343,16 @@ class TestAugment:
         for seed in (np.int64(21), np.uint8(21), 21.0):
             b = augment(Sample("s", image, K), policy, seed, index=3)
             assert a.image.data.tobytes() == b.image.data.tobytes() and a.transform == b.transform
+
+    def test_provenance_records_the_seed_drawn_from(self):
+        sample = Sample("s", _noise_image(np.random.default_rng(9)), K)
+        policy = AugmentationPolicy(seed=0)
+        for rng, seed in ((5, 5), (0, 0), (np.int64(7), 7), (np.random.default_rng(9), None)):
+            result = augment(sample, policy, rng, index=2)
+            assert result.provenance == Provenance("s", seed, 2) and type(result.provenance.seed) is type(seed)
+        assert augment(sample, policy, 5, index=2).transform != augment(sample, policy, 0, index=2).transform
+        results, _ = batch_augment([sample, sample], AugmentationPolicy(seed=11))
+        assert [r.provenance for r in results] == [Provenance("s", 11, 0), Provenance("s", 11, 1)]
 
     def test_boxes_pass_through_untouched(self):
         from camgeom import Detection, OrientedBox3

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from camgeom import Detection, OrientedBox3, aabb_iou, iou3d, match_and_score, parse_detections
-from camgeom import evaluation
+from camgeom import boxes, evaluation
 from camgeom.boxes import _geometry
 from camgeom.errors import BadThreshold, InvalidValue, NoParsableJson
 from camgeom.evaluation import f1_score
@@ -307,14 +307,14 @@ class TestBroadPhaseIsExact:
         assert sum(d.box.to_list()[6:] == [0.0, 0.0, 0.0] for d in truths) == 4  # against rotated predictions
 
     def test_axis_aligned_scores_every_pair_without_the_pass(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_geometry_pass", None)  # calling it would raise
+        monkeypatch.setattr(boxes, "_geometry_pass", None)  # calling it would raise
         for seed in range(3):
             want = _brute_force(*_seeded_frame(seed), 0.25, "zyx", axis_aligned=True)
             report = match_and_score(*_seeded_frame(seed), threshold=0.25, axis_aligned=True)
             assert [(label, i, j, iou.hex()) for label, i, j, iou in report.matches] == want
 
     def test_one_shared_attitude_skips_the_pass(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_geometry_pass", None)
+        monkeypatch.setattr(boxes, "_geometry_pass", None)
         truths = [_box_at(0.0), _box_at(5.0, "table"), _box_at(20.0)]
         preds = [_box_at(0.1), _box_at(5.5, "table"), _box_at(40.0)]
         assert len(match_and_score(preds, truths, threshold=0.25).matches) == 2
