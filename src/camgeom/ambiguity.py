@@ -29,7 +29,7 @@ import numpy as np
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width, ray_components
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, CamGeomError, NonPositiveDepth, NonPositiveFactor
+from .errors import BelowMinimum, CamGeomError, NonPositiveFactor
 from .errors import _count, _factors, _number, _positive
 from .evaluation import DEFAULT_IOU_THRESHOLD, Detection, _score, match_and_score
 from .transforms import scale
@@ -54,6 +54,7 @@ __all__ = [
 
 DEFAULT_OBJECTS_PER_SCENE = 5
 DEFAULT_F_MODE = "mean"  # how fit_canonical_focal pools the training focals: "mean" or "median"
+_DEPTH_RANGE = (1.5, 8.0)  # meters: generate_scenes draws each object depth uniformly from this range
 MECHANISM_CAVEAT = (
     "Synthetic desk-scale experiment: reproduces the direction and law of the "
     "resize/mixed-pool depth bias, not any trained model's absolute F1 values."
@@ -175,7 +176,6 @@ def generate_scenes(
     size_priors: Mapping[str, SizePrior | tuple[float, float]] | None = None,
     seed: int = 0,
     objects_per_scene: int = DEFAULT_OBJECTS_PER_SCENE,
-    depth_range: tuple[float, float] = (1.5, 8.0),
 ) -> list[SyntheticScene]:
     """Deterministic synthetic corpus of objects with known size, depth and ray.
 
@@ -183,18 +183,15 @@ def generate_scenes(
     (focal cluster) receives the same number of scenes.  Object centers are
     placed on random rays inside the central 60% of the frame; the GT box,
     built on first read of ``SceneObject.box``, sits at the true depth along
-    that ray with a square footprint.  Depths are
-    drawn from ``depth_range``, a (near, far) pair with 0 < near <= far, and
-    heights from ``size_priors``, a non-empty mapping (None: the defaults).
+    that ray with a square footprint.  Depths are drawn uniformly from
+    ``_DEPTH_RANGE``, and heights from ``size_priors``, a non-empty mapping
+    (None: the defaults).
     """
     n = _count("n", n, BelowMinimum)
     objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
     seed = _count("seed", seed, BelowMinimum, minimum=0)
     if not camera_pool:
         raise BelowMinimum("camera_pool must be non-empty")
-    near, far = _factors("depth_range", depth_range, ("near", "far"), NonPositiveDepth)
-    if near > far:
-        raise CamGeomError(f"depth_range: near must be <= far, got {depth_range!r}")
     priors = DEFAULT_SIZE_PRIORS if size_priors is None else size_priors
     if not isinstance(priors, Mapping) or not priors:
         raise CamGeomError(f"size_priors: must be a non-empty mapping of label to prior, got {size_priors!r}")
@@ -214,7 +211,7 @@ def generate_scenes(
             except OverflowError:
                 raise CamGeomError(f"size prior {label!r}: spread {prior.spread!r} is too wide for floats") from None
             width = height * float(rng.uniform(0.4, 1.2))
-            depth = float(rng.uniform(near, far))
+            depth = float(rng.uniform(*_DEPTH_RANGE))
             drawn.append((label, height, width, depth, prior.mean))
             us.append(rng.uniform(0.2 * k.width, 0.8 * k.width))
             vs.append(rng.uniform(0.2 * k.height, 0.8 * k.height))
@@ -274,7 +271,6 @@ def run_bias_experiment(
     resize_factors: Sequence[float],
     estimator: str = "agnostic",
     f_mode: str = DEFAULT_F_MODE,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> list[BiasRow]:
     """Depth-recovery ratio and detection F1 under image resizing.
 
@@ -282,10 +278,9 @@ def run_bias_experiment(
     scaled intrinsics.  The agnostic estimator keeps the canonical focal
     fitted from the UNSCALED pool; the aware estimator uses the updated
     intrinsics.  Detection places each depth estimate along the object's
-    known ray and scores it against the ground truth at ``iou_threshold``.
+    known ray and scores it against the ground truth at ``DEFAULT_IOU_THRESHOLD``.
     Raises CamGeomError for an unknown ``estimator`` or ``f_mode``, BelowMinimum
-    for an empty scene list, NonPositiveScale for a factor that is not a number
-    > 0 and BadThreshold for an ``iou_threshold`` outside (0, 1].
+    for an empty scene list and NonPositiveScale for a factor that is not a number > 0.
     """
     _estimators([estimator])
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
@@ -308,7 +303,7 @@ def run_bias_experiment(
                 preds.append(Detection(obj.label, _box_on_ray(obj, z_hat, w_hat, h_hat)))
                 ratios.append(z_hat / obj.depth)
                 errors.append(abs(z_hat - obj.depth) / obj.depth)
-            report = match_and_score(preds, truth, threshold=iou_threshold)
+            report = match_and_score(preds, truth, threshold=DEFAULT_IOU_THRESHOLD)
             matched += report.micro.matched
             n_pred += report.micro.n_pred
             n_truth += report.micro.n_truth

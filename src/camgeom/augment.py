@@ -230,9 +230,8 @@ def resample_depth(depth: DepthMap, t: PixelTransform) -> DepthMap:
     rows, inside_i = _pixel_index(np.floor(v_src), depth.height)
     cols, inside_j = _pixel_index(np.floor(u_src), depth.width)
     values = np.take(depth.values[rows], cols, axis=1)
-    values[~inside_i] = np.nan
-    values[:, ~inside_j] = np.nan
-    return _adopt(DepthMap, values, ~np.isnan(values))  # a DepthMap holds NaN exactly where invalid
+    values[~inside_i] = values[:, ~inside_j] = np.nan
+    return _adopt(DepthMap, values)
 
 
 def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Generator) -> PixelTransform:

@@ -1,9 +1,10 @@
 """Metric depth maps: unprojection to 3D points and the prior-based estimators.
 
 Depth maps arrive as externally produced files (no model inference happens
-here).  Unprojection follows the ray equation times depth under the
-half-integer pixel-center convention, so ``project(unproject(...))`` lands
-back on the source pixel to machine precision.
+here) and hold depths finite and > 0, or NaN at an invalid pixel, which is
+the whole mask.  Unprojection follows the ray equation times depth under
+the half-integer pixel-center convention, so ``project(unproject(...))``
+lands back on the source pixel to machine precision.
 
 Token pooling keeps the TOKEN-CENTER ray and the depth of the nearest
 (patch-center) sample.  Averaging depths across a discontinuity would
@@ -13,7 +14,7 @@ break the token-point invariance under consistent rescales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,26 +45,26 @@ GEO_CHANNEL_LAYOUT = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
-    """height x width metric depths, finite and > 0 where ``valid``; an invalid pixel holds NaN.
-    A caller's arrays are copied; the library's (``from_array``, ``resample_depth``) are adopted."""
+    """height x width metric depths, each finite and > 0 or NaN at an invalid pixel; ``valid`` is derived: not NaN.
+    A caller's array is copied, each NaN made the one that from_array writes; the library's arrays are adopted."""
 
     values: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self, adopt: bool = False):
-        values, valid = _held(self.values, np.float64, adopt), _held(self.valid, bool, adopt)
-        if values.ndim != 2 or valid.shape != values.shape:
-            raise BadDimension(f"values/valid must share a 2-D shape, got {values.shape} and {valid.shape}")
-        if np.any(valid & ~((values > 0) & (values < np.inf))):
-            raise NonPositiveDepth("valid depths must be finite and > 0")
-        np.copyto(values, np.nan, where=~valid)
-        _hold(self, values=values, valid=valid)
+        values = np.asarray(self.values, np.float64, order="C")
+        if values.ndim != 2:
+            raise BadDimension(f"depth values must be 2-D, got shape {values.shape}")
+        if np.fmin.reduce(values, None, initial=np.nan) <= 0 or np.fmax.reduce(values, None, initial=np.nan) == np.inf:
+            raise NonPositiveDepth("a depth must be NaN (invalid) or finite and > 0")  # fmin/fmax skip NaN
+        valid = ~np.isnan(values)
+        _hold(self, values=values if adopt else np.where(valid, values, np.nan), valid=valid)
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "DepthMap":
-        """Derive the mask: NaN/inf and non-positive entries are invalid."""
-        values = np.array(values, dtype=np.float64, order="C")  # the one copy, which takes the NaNs
-        return _adopt(cls, values, np.isfinite(values) & (values > 0))
+        """A float64 copy of numeric 2-D depths, each entry that is not finite and > 0 (NaN, +-inf, <= 0) made NaN."""
+        values = np.asarray(values)  # a float64 NaN, so float32 file data widens in the one copy np.where makes
+        return _adopt(cls, np.where((values > 0) & (values < np.inf), values, np.float64(np.nan)))
 
     @property
     def height(self) -> int:

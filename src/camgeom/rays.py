@@ -76,7 +76,7 @@ def _hold(value, **arrays) -> None:
 def _adopt(cls, *values):
     """A ``cls`` of ``values`` whose arrays the library made for it alone: checked, then frozen in place, not copied."""
     value = object.__new__(cls)
-    vars(value).update(zip((f.name for f in fields(cls)), values))
+    vars(value).update(zip((f.name for f in fields(cls) if f.init), values, strict=True))
     value.__post_init__(adopt=True)
     return value
 

@@ -34,7 +34,7 @@ class TestDepthMap:
 
     def test_explicit_mask_must_cover_positives(self):
         with pytest.raises(ValueError):
-            DepthMap(np.array([[1.0, -1.0]]), np.array([[True, True]]))
+            DepthMap([[1.0, -1.0]])  # only NaN may mark an invalid pixel
 
 
 class TestUnproject:

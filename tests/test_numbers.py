@@ -173,8 +173,6 @@ REJECTED = {
     "box-none-center": (lambda: OrientedBox3(None, (1, 1, 1), 0, 0, 0), DegenerateBox),
     "size-prior-text-spread": (lambda: SizePrior(1.0, "0.1"), CamGeomError),
     "scenes-fractional-count": (lambda: generate_scenes(2.5, [K]), BelowMinimum),
-    "scenes-reversed-depth-range": (lambda: generate_scenes(1, [K], depth_range=(5.0, 1.0)), CamGeomError),
-    "scenes-negative-near-depth": (lambda: generate_scenes(1, [K], depth_range=(-1e-3, 8.0)), NonPositiveDepth),
     "scenes-one-entry-prior": (lambda: generate_scenes(1, [K], size_priors={"car": (1.0,)}), CamGeomError),
     "scenes-scalar-prior": (lambda: generate_scenes(1, [K], size_priors={"car": 1.0}), CamGeomError),
     "scenes-empty-priors": (lambda: generate_scenes(1, [K], size_priors={}), CamGeomError),
@@ -200,8 +198,8 @@ REJECTED = {
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),
     "raster-float64": (lambda: RasterImage(np.zeros((4, 4, 3))), BadDimension),
-    "depth-mask-shape": (lambda: DepthMap(np.ones((2, 2)), np.ones((2, 3), bool)), BadDimension),
-    "depth-valid-zero": (lambda: DepthMap(np.array([[1.0, 0.0]]), np.array([[True, True]])), NonPositiveDepth),
+    "depth-3d-values": (lambda: DepthMap(np.ones((2, 2, 1))), BadDimension),
+    "depth-valid-zero": (lambda: DepthMap([[1.0, 0.0]]), NonPositiveDepth),
     "points-two-coordinates": (lambda: PointGrid(np.zeros((2, 2, 2)), np.ones((2, 2), bool)), BadDimension),
     "rays-shape": (lambda: RayGrid(np.zeros((2, 2)), np.zeros((2, 3))), BadDimension),
     "rays-nan": (lambda: RayGrid(np.array([[np.nan]]), np.zeros((1, 1))), InvalidValue),
@@ -209,8 +207,8 @@ REJECTED = {
     "detection-blank-label": (lambda: Detection("  ", OrientedBox3((0, 0, 1), (1, 1, 1), 0, 0, 0)), InvalidValue),
     # the library's own arrays go through the same checks
     "adopted-raster-two-channels": (lambda: _adopt(RasterImage, np.zeros((4, 4, 2), np.uint8)), BadDimension),
-    "adopted-depth-mask-shape": (lambda: _adopt(DepthMap, np.ones((2, 2)), np.ones((2, 3), bool)), BadDimension),
-    "adopted-depth-valid-inf": (lambda: _adopt(DepthMap, np.array([[np.inf]]), np.array([[True]])), NonPositiveDepth),
+    "adopted-depth-3d-values": (lambda: _adopt(DepthMap, np.ones((2, 2, 1))), BadDimension),
+    "adopted-depth-valid-inf": (lambda: _adopt(DepthMap, np.array([[np.inf]])), NonPositiveDepth),
     "adopted-points-two-coordinates": (lambda: _adopt(PointGrid, np.zeros((2, 2, 2)), np.ones((2, 2), bool)),
                                        BadDimension),
     "adopted-embedding-dim": (lambda: _adopt(EmbeddingGrid, np.zeros((2, 2, 4)), 8, ("a",), 100.0, {}),

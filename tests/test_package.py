@@ -51,8 +51,7 @@ SIGNATURE_DEFAULTS = {
     ("rays", "DEFAULT_FOCAL_REFERENCE"): [("rays", "embed", "focal_reference")],
     ("depthmap", "DEFAULT_GEO_DIM"): [("depthmap", "embed_points", "dim")],
     ("depthmap", "DEFAULT_GEO_PERIOD"): [("depthmap", "embed_points", "base_period")],
-    ("evaluation", "DEFAULT_IOU_THRESHOLD"): [("evaluation", "match_and_score", "threshold"),
-                                              ("ambiguity", "run_bias_experiment", "iou_threshold")],
+    ("evaluation", "DEFAULT_IOU_THRESHOLD"): [("evaluation", "match_and_score", "threshold")],
     ("boxes", "DEFAULT_ROTATION_ORDER"): [
         ("boxes", name, "order") for name in ("rotation_matrix", "box_corners", "box_face_polygons",
                                               "intersection_volume", "clipped_intersection_volume", "iou3d")

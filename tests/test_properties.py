@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from camgeom import boxes
 from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
@@ -36,7 +37,7 @@ from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, i
 from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.cli import DEFAULTS, main
 from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points
-from camgeom.errors import CamGeomError
+from camgeom.errors import CamGeomError, NonPositiveDepth
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
@@ -153,6 +154,36 @@ def test_resample_depth_matches_per_pixel_oracle(case):
     values, valid = nearest_depth_oracle(depth.values, depth.valid, t)
     np.testing.assert_array_equal(out.valid, valid)
     np.testing.assert_array_equal(out.values, values)  # NaN where invalid, on both sides
+
+
+# any small 2-D float64 array: NaN, +-inf, signed zeros, subnormals and the largest floats too
+_ANY_DEPTHS = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5), elements=st.floats())
+_PAD = st.builds(PixelTransform, _floats(0.2, 5), _floats(0.2, 5), _floats(-8, 8), _floats(-8, 8),
+                 st.integers(1, 8), st.integers(1, 8))
+_SHIFT = PixelTransform(1.0, 1.0, 0.5, -1.0, 3, 2)
+
+
+@SETTINGS
+@given(_ANY_DEPTHS, _PAD)
+@example(np.array([[-0.0, 1.0]]), _SHIFT)
+@example(np.array([[np.inf, 2.0]]), _SHIFT)
+@example(np.array([[5e-324, 1e308]]), _SHIFT)
+@example(np.full((2, 3), np.nan), _SHIFT)
+@example(np.array([[-np.nan, 1.0]]), _SHIFT)  # a caller's NaN of another bit pattern
+def test_a_depth_map_holds_nan_exactly_where_invalid(a, t):
+    # explicit examples: which constants a derandomized draw mines depends on the modules collected
+    valid = np.isfinite(a) & (a > 0)
+    depth = DepthMap.from_array(a)
+    np.testing.assert_array_equal(depth.valid, valid)
+    assert depth.values[valid].tobytes() == a[valid].tobytes() and np.isnan(depth.values[~valid]).all()
+    if (~np.isnan(a) & ~valid).any():
+        with pytest.raises(NonPositiveDepth):
+            DepthMap(a)
+    else:
+        assert DepthMap(a).values.tobytes() == depth.values.tobytes()
+    if a.size:  # a map with no pixel has none to sample
+        out = resample_depth(depth, t)
+        np.testing.assert_array_equal(out.valid, ~np.isnan(out.values))
 
 
 @st.composite

@@ -21,7 +21,7 @@ from camgeom import (
 )
 from camgeom.depthmap import PointGrid
 from camgeom.fileio import read_depth, sidecar_path, write_depth
-from camgeom.rays import EmbeddingGrid, RayGrid
+from camgeom.rays import EmbeddingGrid, RayGrid, _adopt
 
 K = Intrinsics(500.0, 500.0, 32.0, 24.0, 64, 48)
 # every kind of invalid depth next to valid ones
@@ -32,7 +32,7 @@ EDGE_DEPTHS = np.array([[0.0, -1.0, 2.5], [np.inf, -np.inf, np.nan], [1.0, 3.0, 
 BUILDERS = {
     "RasterImage": (RasterImage, lambda rng: [rng.integers(0, 256, (6, 5, 3), dtype=np.uint8)]),
     "RasterImage-2d": (RasterImage, lambda rng: [rng.random((6, 5), dtype=np.float32)]),
-    "DepthMap": (DepthMap, lambda rng: [np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([[True, True], [True, False]])]),
+    "DepthMap": (DepthMap, lambda rng: [np.array([[1.0, 2.0], [3.0, np.nan]])]),
     "PointGrid": (PointGrid, lambda rng: [rng.standard_normal((3, 4, 3)), np.ones((3, 4), dtype=bool)]),
     "RayGrid": (RayGrid, lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]),
     "EmbeddingGrid": (lambda data: EmbeddingGrid(data, 8, ("a", "b"), 100.0),
@@ -113,6 +113,12 @@ class TestAdoptedArrays:
         for i, array in enumerate(held):
             for other in inputs + held[:i]:
                 assert not np.shares_memory(array, other), name
+
+    def test_adopt_takes_one_value_per_init_field(self):
+        with pytest.raises(ValueError, match="shorter"):  # no layout, base_period or meta
+            _adopt(EmbeddingGrid, np.zeros((1, 1, 8)), 8)
+        with pytest.raises(ValueError, match="longer"):  # a DepthMap derives its mask
+            _adopt(DepthMap, np.ones((2, 2)), np.ones((2, 2), bool))
 
     def test_read_depth_holds_its_own_read_only_c_order_arrays(self, tmp_path):
         written = DepthMap.from_array(EDGE_DEPTHS)
