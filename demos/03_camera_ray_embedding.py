@@ -45,7 +45,7 @@ write_sidecar(out, {
     "kind": "camera_ray_embedding",
     "channel_layout": list(emb.layout),
     "dims_per_channel": emb.dim // 4,
-    "base_period": emb.base_period,
+    "base_period": emb.meta["base_period"],
     "focal_reference": emb.meta["focal_reference"],
     "intrinsics": k.to_dict(),
     "token_grid": {"rows": grid.rows, "cols": grid.cols, "patch": grid.patch},

@@ -30,7 +30,6 @@ import numpy as np
 from .camera import Intrinsics
 from .depthmap import DepthMap, _check_extent
 from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, InvalidValue, _count, _factors, _number
-from .evaluation import Detection
 from .rays import TokenGridSpec, _adopt, _held, _hold, _pixel_index, token_centers
 from .transforms import PixelTransform, apply_transform
 
@@ -58,7 +57,7 @@ def _finite(data: np.ndarray, where: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """H x W x C raster, uint8 or float32, row-major; a caller's data is copied, the library's adopted.
+    """H x W x C raster (H, W >= 1), uint8 or float32, row-major; a caller's data is copied, the library's adopted.
     A caller's float32 values must be finite (the CLI checks a CGEM file; a resample of finite values is finite)."""
 
     data: np.ndarray
@@ -67,8 +66,8 @@ class RasterImage:
         data = np.asarray(self.data)
         if data.ndim == 2:
             data = data[:, :, None]
-        if data.ndim != 3 or data.shape[2] not in (1, 3):
-            raise BadDimension(f"raster must be H x W x (1|3), got shape {data.shape}")
+        if data.ndim != 3 or data.shape[2] not in (1, 3) or 0 in data.shape:
+            raise BadDimension(f"raster must be H x W x (1|3) with a pixel, got shape {data.shape}")
         if data.dtype not in (np.uint8, np.float32):
             raise BadDimension(f"raster dtype must be uint8 or float32, got {data.dtype}")
         if not adopt:
@@ -121,13 +120,13 @@ class AugmentationPolicy:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """Augmentation input: raster + intrinsics, optional depth and 3D boxes."""
+    """Augmentation input: raster + intrinsics, optional depth, and ``boxes``: annotations of any type, untouched."""
 
     id: str
     image: RasterImage
     intrinsics: Intrinsics
     depth: DepthMap | None = None
-    boxes: tuple[Detection, ...] | None = None
+    boxes: object = None
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,14 @@ class Provenance:
 @dataclass(frozen=True, eq=False)
 class AugmentedSample:
     """Consistently transformed sample; re-applying ``transform`` to the
-    source intrinsics reproduces ``intrinsics`` bit-exactly."""
+    source intrinsics reproduces ``intrinsics`` bit-exactly.  ``boxes`` is the sample's, passed through untouched."""
 
     image: RasterImage
     intrinsics: Intrinsics
     transform: PixelTransform
     provenance: Provenance
     depth: DepthMap | None = None
-    boxes: tuple[Detection, ...] | None = None
+    boxes: object = None
 
 
 _BAND_ROWS = 16  # output rows per band buffer of resample: 16 flattened float64 rows of a 640 x 3 frame are 240 KiB

@@ -212,15 +212,13 @@ class _ManifestSamples(Sequence):
     Every entry's id and paths are checked on construction, in manifest
     order, so a repeated id fails on its later entry.  An entry that fails
     its check or its load reads as None, with its failure recorded by
-    index.  Box files are validated and kept as bytes until their sample is
-    written.
+    index.  A boxes file is validated and its bytes become the sample's boxes.
     """
 
     def __init__(self, entries: list[dict], root: Path):
         self.entries = entries
         self.root = root
         self.failures: dict[int, tuple[int, str, str]] = {}
-        self.box_bytes: dict[str, bytes] = {}
         seen: set[str] = set()
         for index, entry in enumerate(entries):
             try:
@@ -247,22 +245,20 @@ class _ManifestSamples(Sequence):
                 k = load_intrinsics(root / raw_k)
             else:
                 k = Intrinsics.from_mapping(raw_k, where=f"{entry['id']}.intrinsics")
-            depth = None
+            depth = boxes = None
             if entry.get("depth"):
                 depth, _ = read_depth(root / entry["depth"])
             if entry.get("boxes"):
-                raw = (root / entry["boxes"]).read_bytes()
-                parse_detections(_utf8(root / entry["boxes"], raw))  # validate, but pass the bytes read through
-                self.box_bytes[entry["id"]] = raw
-            return Sample(entry["id"], image, k, depth=depth)
+                boxes = (root / entry["boxes"]).read_bytes()
+                parse_detections(_utf8(root / entry["boxes"], boxes))  # validate, but pass the bytes read through
+            return Sample(entry["id"], image, k, depth=depth, boxes=boxes)
         except (OSError, CamGeomError, ValueError) as exc:
             self._fail(index, exc)
             return None
 
 
-def _write_sample(out_dir: Path, box_bytes: dict[str, bytes], result: AugmentedSample) -> None:
+def _write_sample(out_dir: Path, result: AugmentedSample) -> None:
     stem = result.provenance.source_id
-    boxes = box_bytes.pop(stem, None)
     if result.image.data.dtype == np.uint8:  # _load_raster reads .ppm as uint8, .cgem as float32
         write_ppm(out_dir / f"{stem}.ppm", result.image.data)
     else:
@@ -270,9 +266,9 @@ def _write_sample(out_dir: Path, box_bytes: dict[str, bytes], result: AugmentedS
     save_intrinsics(out_dir / f"{stem}.intrinsics.json", result.intrinsics)
     if result.depth is not None:
         write_depth(out_dir / f"{stem}.depth.cgem", result.depth, result.intrinsics)
-    if boxes is not None:  # 3D annotations are invariant: bytes pass through
+    if result.boxes is not None:  # 3D annotations are invariant: bytes pass through
         with _open_atomic(out_dir / f"{stem}.boxes.json") as fh:
-            fh.write(boxes)
+            fh.write(result.boxes)
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -293,8 +289,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     # one pool job per entry: load, augment, write, then drop the sample
     samples = _ManifestSamples(entries, manifest_path.parent)
-    _, report = batch_augment(samples, policy, workers=workers,
-                              on_result=functools.partial(_write_sample, out_dir, samples.box_bytes))
+    _, report = batch_augment(samples, policy, workers=workers, on_result=functools.partial(_write_sample, out_dir))
 
     with _open_atomic(out_dir / "transforms.jsonl", "w") as fh:
         for index, transform in enumerate(report.transforms):

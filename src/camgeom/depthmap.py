@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import Intrinsics, unproject_array
-from .errors import BadDimension, ExtentMismatch, NonPositiveDepth, NonPositiveInput, _count, _positive
+from .errors import BadDimension, ExtentMismatch, InvalidValue, NonPositiveDepth, NonPositiveInput, _count, _positive
 from .rays import EmbeddingGrid, TokenGridSpec, _adopt, _check_grid_extent, _held, _hold, _pixel_index
 from .rays import sinusoid_features, token_centers
 
@@ -45,7 +45,7 @@ GEO_CHANNEL_LAYOUT = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
-    """height x width metric depths, each finite and > 0 or NaN at an invalid pixel; ``valid`` is derived: not NaN.
+    """height x width (>= 1) metric depths, each finite and > 0 or NaN at an invalid pixel; ``valid`` derived: not NaN.
     A caller's array is copied, each NaN made the one that from_array writes; the library's arrays are adopted."""
 
     values: np.ndarray
@@ -53,9 +53,9 @@ class DepthMap:
 
     def __post_init__(self, adopt: bool = False):
         values = np.asarray(self.values, np.float64, order="C")
-        if values.ndim != 2:
-            raise BadDimension(f"depth values must be 2-D, got shape {values.shape}")
-        if np.fmin.reduce(values, None, initial=np.nan) <= 0 or np.fmax.reduce(values, None, initial=np.nan) == np.inf:
+        if values.ndim != 2 or 0 in values.shape:
+            raise BadDimension(f"depth values must be 2-D with a pixel, got shape {values.shape}")
+        if np.fmin.reduce(values, None) <= 0 or np.fmax.reduce(values, None) == np.inf:
             raise NonPositiveDepth("a depth must be NaN (invalid) or finite and > 0")  # fmin/fmax skip NaN
         valid = ~np.isnan(values)
         _hold(self, values=values if adopt else np.where(valid, values, np.nan), valid=valid)
@@ -77,17 +77,20 @@ class DepthMap:
 
 @dataclass(frozen=True, eq=False)
 class PointGrid:
-    """Token-resolution camera-frame points (rows x cols x 3) with validity.
-    A caller's arrays are copied; those of :func:`token_point_grid` are adopted."""
+    """Token-resolution camera-frame points (rows x cols x 3): three finite coordinates, or three NaN at an invalid
+    token; ``valid`` is derived: finite.  A caller's array is copied; that of :func:`token_point_grid` is adopted."""
 
     points: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self, adopt: bool = False):
-        points, valid = _held(self.points, np.float64, adopt), _held(self.valid, bool, adopt)
-        if points.ndim != 3 or points.shape[2] != 3 or valid.shape != points.shape[:2]:
-            raise BadDimension(f"points must be rows x cols x 3 with matching mask, got {points.shape}")
-        _hold(self, points=points, valid=valid)
+        points = _held(self.points, np.float64, adopt)
+        if points.ndim != 3 or points.shape[2] != 3:
+            raise BadDimension(f"points must be rows x cols x 3, got {points.shape}")
+        x, y, z = np.isnan(points).transpose(2, 0, 1)
+        if ((x != y) | (x != z)).any() or np.isinf(points).any():
+            raise InvalidValue("a token point must be three finite coordinates, or three NaN at an invalid token")
+        _hold(self, points=points, valid=~x)
 
 
 def _check_extent(grid, k: Intrinsics, what: str) -> None:
@@ -120,8 +123,9 @@ def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> Poi
     u_c, v_c = token_centers(grid)
     rows, _ = _pixel_index(np.floor(v_c), depth.height)  # a grid past the image pools its edge pixels
     cols, _ = _pixel_index(np.floor(u_c), depth.width)
-    sel = np.ix_(rows, cols)
-    return _adopt(PointGrid, unproject_array(u_c[None, :], v_c[:, None], depth.values[sel], k), depth.valid[sel])
+    with np.errstate(over="ignore"):  # a point past the float range is not finite: PointGrid rejects it
+        points = unproject_array(u_c[None, :], v_c[:, None], np.take(depth.values[rows], cols, axis=1), k)
+    return _adopt(PointGrid, points)
 
 
 def embed_points(
@@ -138,10 +142,9 @@ def embed_points(
     dim = _count("geometric embedding dim", dim, BadDimension)
     if dim < 6 or dim % 6:
         raise BadDimension(f"geometric embedding dim must be a multiple of 6, got {dim}")
-    coords = np.where(grid.valid[..., None], grid.points, 0.0)  # sin warns at a caller's +-inf
-    data = sinusoid_features(coords, dim // 3, base_period).reshape(grid.valid.shape + (dim,))
-    data[~grid.valid] = 0.0
-    return _adopt(EmbeddingGrid, data, dim, GEO_CHANNEL_LAYOUT, base_period, {"base_period": base_period})
+    data = sinusoid_features(grid.points, dim // 3, base_period).reshape(grid.valid.shape + (dim,))
+    data[~grid.valid] = 0.0  # an invalid token's NaN features
+    return _adopt(EmbeddingGrid, data, GEO_CHANNEL_LAYOUT, {"base_period": base_period})
 
 
 def biased_depth_estimate(h_proj: float, height_prior: float, f_assumed: float) -> float:

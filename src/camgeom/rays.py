@@ -113,19 +113,22 @@ class RayGrid:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingGrid:
-    """rows x cols x dim sinusoidal features plus provenance; a caller's data is copied, the library's adopted."""
+    """rows x cols x dim sinusoidal features, one equal block of ``dim`` per ``layout`` name, and provenance
+    ``meta`` (the library's holds its ``base_period``); a caller's data is copied, the library's adopted."""
 
     data: np.ndarray
-    dim: int
     layout: tuple[str, ...]
-    base_period: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self, adopt: bool = False):
         data = _held(self.data, np.float64, adopt)
-        if data.ndim != 3 or data.shape[2] != self.dim:
-            raise BadDimension(f"embedding data must be rows x cols x {self.dim}, got {data.shape}")
+        if data.ndim != 3 or not self.layout or data.shape[2] % len(self.layout):
+            raise BadDimension(f"embedding data must be rows x cols x equal blocks per {self.layout}, got {data.shape}")
         _hold(self, data=data)
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[2]
 
 
 def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarray, np.ndarray]:
@@ -217,4 +220,4 @@ def embed(
         features = sinusoid_features(distinct.view(np.float64), per_scalar, base_period)
         blocks[:, :, c] = features[inverse].reshape(values.shape + (per_scalar,))
     meta = {"base_period": base_period, "focal_reference": focal_reference, "intrinsics": k.to_dict()}
-    return _adopt(EmbeddingGrid, data, dim, CAMERA_CHANNEL_LAYOUT, base_period, meta)
+    return _adopt(EmbeddingGrid, data, CAMERA_CHANNEL_LAYOUT, meta)

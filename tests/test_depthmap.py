@@ -161,32 +161,32 @@ class TestTokenPointGrid:
 
 class TestEmbedPoints:
     def test_zero_point_pattern(self):
-        pg = PointGrid(np.zeros((1, 1, 3)), np.ones((1, 1), dtype=bool))
+        pg = PointGrid(np.zeros((1, 1, 3)))
         emb = embed_points(pg, dim=12)
         np.testing.assert_array_equal(emb.data[0, 0], np.tile([0.0, 1.0], 6))
 
     def test_invalid_tokens_emit_zeros(self):
         points = np.ones((2, 2, 3))
-        valid = np.array([[True, False], [True, True]])
-        emb = embed_points(PointGrid(points, valid), dim=12)
+        points[0, 1] = np.nan
+        emb = embed_points(PointGrid(points), dim=12)
         np.testing.assert_array_equal(emb.data[0, 1], np.zeros(12))
         assert np.any(emb.data[0, 0] != 0)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(3)
-        pg = PointGrid(rng.uniform(-5, 5, size=(4, 4, 3)), np.ones((4, 4), dtype=bool))
+        pg = PointGrid(rng.uniform(-5, 5, size=(4, 4, 3)))
         np.testing.assert_array_equal(embed_points(pg).data, embed_points(pg).data)
 
     def test_scalar_oracle_with_geo_period(self):
         # width 4, T_geo = 100: frequencies 100^0 = 1 and 100^(1/2) = 10
-        pg = PointGrid(np.array([[[2.0, 0.0, 0.0]]]), np.ones((1, 1), dtype=bool))
+        pg = PointGrid(np.array([[[2.0, 0.0, 0.0]]]))
         emb = embed_points(pg, dim=12, base_period=100.0)
         np.testing.assert_allclose(
             emb.data[0, 0, :4], [np.sin(2), np.cos(2), np.sin(0.2), np.cos(0.2)], rtol=1e-15
         )
 
     def test_dimension_validation(self):
-        pg = PointGrid(np.zeros((1, 1, 3)), np.ones((1, 1), dtype=bool))
+        pg = PointGrid(np.zeros((1, 1, 3)))
         with pytest.raises(BadDimension):
             embed_points(pg, dim=8)
 

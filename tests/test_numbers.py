@@ -198,20 +198,35 @@ REJECTED = {
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),
     "raster-float64": (lambda: RasterImage(np.zeros((4, 4, 3))), BadDimension),
+    "raster-no-rows": (lambda: RasterImage(np.zeros((0, 3, 3), np.uint8)), BadDimension),
+    "raster-no-columns": (lambda: RasterImage(np.zeros((3, 0, 3), np.float32)), BadDimension),
     "depth-3d-values": (lambda: DepthMap(np.ones((2, 2, 1))), BadDimension),
     "depth-valid-zero": (lambda: DepthMap([[1.0, 0.0]]), NonPositiveDepth),
-    "points-two-coordinates": (lambda: PointGrid(np.zeros((2, 2, 2)), np.ones((2, 2), bool)), BadDimension),
+    "depth-no-rows": (lambda: DepthMap(np.ones((0, 3))), BadDimension),
+    "depth-no-columns": (lambda: DepthMap(np.ones((3, 0))), BadDimension),
+    "depth-from-array-empty": (lambda: DepthMap.from_array(np.ones((0, 0))), BadDimension),
+    "points-two-coordinates": (lambda: PointGrid(np.zeros((2, 2, 2))), BadDimension),
+    "points-inf": (lambda: PointGrid([[[1.0, 2.0, 3.0], [0.0, 0.0, math.inf]]]), InvalidValue),
+    "points-minus-inf-at-nan": (lambda: PointGrid([[[math.nan, -math.inf, math.nan]]]), InvalidValue),
+    "points-part-nan": (lambda: PointGrid([[[math.nan, 0.0, 1.0]]]), InvalidValue),
+    # 1e308 m along rays 0.5 to 63.5 wide is past the float range: no token may hold the infinite point
+    "token-points-overflow": (lambda: token_point_grid(DepthMap(np.full((48, 64), 1e308)),
+                                                       Intrinsics(1, 1, 0, 0, 64, 48), GRID), InvalidValue),
     "rays-shape": (lambda: RayGrid(np.zeros((2, 2)), np.zeros((2, 3))), BadDimension),
     "rays-nan": (lambda: RayGrid(np.array([[np.nan]]), np.zeros((1, 1))), InvalidValue),
-    "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), 8, ("a",), 100.0), BadDimension),
+    "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ("a", "b", "c")), BadDimension),
+    "embedding-2d": (lambda: EmbeddingGrid(np.zeros((2, 8)), ("a", "b")), BadDimension),
+    "embedding-no-layout": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ()), BadDimension),
     "detection-blank-label": (lambda: Detection("  ", OrientedBox3((0, 0, 1), (1, 1, 1), 0, 0, 0)), InvalidValue),
     # the library's own arrays go through the same checks
     "adopted-raster-two-channels": (lambda: _adopt(RasterImage, np.zeros((4, 4, 2), np.uint8)), BadDimension),
+    "adopted-raster-no-rows": (lambda: _adopt(RasterImage, np.zeros((0, 3, 3), np.uint8)), BadDimension),
     "adopted-depth-3d-values": (lambda: _adopt(DepthMap, np.ones((2, 2, 1))), BadDimension),
     "adopted-depth-valid-inf": (lambda: _adopt(DepthMap, np.array([[np.inf]])), NonPositiveDepth),
-    "adopted-points-two-coordinates": (lambda: _adopt(PointGrid, np.zeros((2, 2, 2)), np.ones((2, 2), bool)),
-                                       BadDimension),
-    "adopted-embedding-dim": (lambda: _adopt(EmbeddingGrid, np.zeros((2, 2, 4)), 8, ("a",), 100.0, {}),
+    "adopted-depth-no-columns": (lambda: _adopt(DepthMap, np.ones((3, 0))), BadDimension),
+    "adopted-points-two-coordinates": (lambda: _adopt(PointGrid, np.zeros((2, 2, 2))), BadDimension),
+    "adopted-points-minus-inf": (lambda: _adopt(PointGrid, np.array([[[0.0, -np.inf, 1.0]]])), InvalidValue),
+    "adopted-embedding-dim": (lambda: _adopt(EmbeddingGrid, np.zeros((2, 2, 4)), ("a", "b", "c"), {}),
                               BadDimension),
 }
 

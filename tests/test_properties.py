@@ -37,7 +37,7 @@ from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, i
 from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.cli import DEFAULTS, main
 from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points
-from camgeom.errors import CamGeomError, NonPositiveDepth
+from camgeom.errors import BadDimension, CamGeomError, InvalidValue, NonPositiveDepth
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
@@ -170,8 +170,14 @@ _SHIFT = PixelTransform(1.0, 1.0, 0.5, -1.0, 3, 2)
 @example(np.array([[5e-324, 1e308]]), _SHIFT)
 @example(np.full((2, 3), np.nan), _SHIFT)
 @example(np.array([[-np.nan, 1.0]]), _SHIFT)  # a caller's NaN of another bit pattern
+@example(np.ones((0, 3)), _SHIFT)
 def test_a_depth_map_holds_nan_exactly_where_invalid(a, t):
     # explicit examples: which constants a derandomized draw mines depends on the modules collected
+    if not a.size:  # a map with no pixel is rejected where it enters, so no sampler meets one
+        for build in (DepthMap, DepthMap.from_array):
+            with pytest.raises(BadDimension):
+                build(a)
+        return
     valid = np.isfinite(a) & (a > 0)
     depth = DepthMap.from_array(a)
     np.testing.assert_array_equal(depth.valid, valid)
@@ -181,9 +187,8 @@ def test_a_depth_map_holds_nan_exactly_where_invalid(a, t):
             DepthMap(a)
     else:
         assert DepthMap(a).values.tobytes() == depth.values.tobytes()
-    if a.size:  # a map with no pixel has none to sample
-        out = resample_depth(depth, t)
-        np.testing.assert_array_equal(out.valid, ~np.isnan(out.values))
+    out = resample_depth(depth, t)
+    np.testing.assert_array_equal(out.valid, ~np.isnan(out.values))
 
 
 @st.composite
@@ -355,22 +360,43 @@ def test_embed_equals_the_per_token_reference(case):
     assert embed(grid, k, dim=dim).data.tobytes() == expected.tobytes()
 
 
+# any small rows x cols x 3 float64 array, NaN drawn often enough that whole tokens are NaN
+_ANY_POINTS = arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(3)),
+                     elements=st.floats() | st.just(math.nan))
+
+
+@SETTINGS
+@given(_ANY_POINTS)
+@example(np.array([[[0.0, 0.0, math.inf], [math.nan, -math.inf, 1.0]]]))
+@example(np.array([[[-math.inf] * 3, [1.0, 2.0, 3.0]]]))  # NaN in no coordinate, yet not finite
+@example(np.array([[[math.nan] * 3, [-0.0, 5e-324, 1e308]]]))
+def test_a_point_grid_holds_nan_exactly_where_invalid(a):
+    points = a.reshape(-1, 3).tolist()
+    finite = [all(map(math.isfinite, p)) for p in points]
+    if all(f or all(map(math.isnan, p)) for f, p in zip(finite, points)):
+        assert PointGrid(a).valid.ravel().tolist() == finite
+    else:
+        with pytest.raises(InvalidValue):
+            PointGrid(a)
+
+
 @st.composite
 def point_grid_cases(draw):
-    """Token points with finite coordinates at valid tokens and anything, +-inf and NaN too, at invalid ones."""
+    """Token points with finite coordinates at valid tokens and three NaN at invalid ones, and the drawn mask."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     valid = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
-    coords = [draw(_FINITE if ok else st.floats()) for ok in valid.ravel() for _ in range(3)]
-    return PointGrid(np.array(coords).reshape(rows, cols, 3), valid), draw(st.sampled_from([6, 12, 60]))
+    coords = [draw(_FINITE) if ok else math.nan for ok in valid.ravel() for _ in range(3)]
+    return PointGrid(np.array(coords).reshape(rows, cols, 3)), valid, draw(st.sampled_from([6, 12, 60]))
 
 
 @_EMBED_SETTINGS
 @given(point_grid_cases())
-@example((PointGrid([[[0.0, 0.0, math.inf], [math.nan, -math.inf, 1.0]]], [[False, False]]), 6))
+@example((PointGrid([[[0.0, -0.0, 1e308], [math.nan, math.nan, math.nan]]]), np.array([[True, False]]), 6))
 def test_embed_points_equals_the_per_token_reference(case):
-    grid, dim = case
+    grid, valid, dim = case
+    np.testing.assert_array_equal(grid.valid, valid)
     data = embed_points(grid, dim=dim).data
-    for (i, j), ok in np.ndenumerate(grid.valid):
+    for (i, j), ok in np.ndenumerate(valid):
         expected = np.zeros(dim)
         if ok:
             expected = np.concatenate([sinusoid_features(x, dim // 3, DEFAULT_GEO_PERIOD) for x in grid.points[i, j]])

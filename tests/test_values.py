@@ -33,9 +33,10 @@ BUILDERS = {
     "RasterImage": (RasterImage, lambda rng: [rng.integers(0, 256, (6, 5, 3), dtype=np.uint8)]),
     "RasterImage-2d": (RasterImage, lambda rng: [rng.random((6, 5), dtype=np.float32)]),
     "DepthMap": (DepthMap, lambda rng: [np.array([[1.0, 2.0], [3.0, np.nan]])]),
-    "PointGrid": (PointGrid, lambda rng: [rng.standard_normal((3, 4, 3)), np.ones((3, 4), dtype=bool)]),
+    "PointGrid": (PointGrid,  # a quarter of the tokens invalid: three NaN
+                  lambda rng: [np.where(rng.random((3, 4, 1)) < 0.25, np.nan, rng.standard_normal((3, 4, 3)))]),
     "RayGrid": (RayGrid, lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]),
-    "EmbeddingGrid": (lambda data: EmbeddingGrid(data, 8, ("a", "b"), 100.0),
+    "EmbeddingGrid": (lambda data: EmbeddingGrid(data, ("a", "b")),
                       lambda rng: [rng.standard_normal((3, 4, 8))]),
 }
 LAYOUTS = {"c": lambda a: a, "fortran": np.asfortranarray, "strided": lambda a: np.repeat(a, 2, axis=0)[::2]}
@@ -115,10 +116,11 @@ class TestAdoptedArrays:
                 assert not np.shares_memory(array, other), name
 
     def test_adopt_takes_one_value_per_init_field(self):
-        with pytest.raises(ValueError, match="shorter"):  # no layout, base_period or meta
-            _adopt(EmbeddingGrid, np.zeros((1, 1, 8)), 8)
-        with pytest.raises(ValueError, match="longer"):  # a DepthMap derives its mask
-            _adopt(DepthMap, np.ones((2, 2)), np.ones((2, 2), bool))
+        with pytest.raises(ValueError, match="shorter"):  # no meta
+            _adopt(EmbeddingGrid, np.zeros((1, 1, 8)), ("a", "b"))
+        for cls, values in ((DepthMap, np.ones((2, 2))), (PointGrid, np.ones((2, 2, 3)))):
+            with pytest.raises(ValueError, match="longer"):  # each derives its mask
+                _adopt(cls, values, np.ones((2, 2), bool))
 
     def test_read_depth_holds_its_own_read_only_c_order_arrays(self, tmp_path):
         written = DepthMap.from_array(EDGE_DEPTHS)
