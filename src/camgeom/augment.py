@@ -13,8 +13,8 @@ resampled bilinearly on rows flattened to W * C values, with one column tap per
 value, band by band of output rows into one array kept without a copy; depth
 maps use nearest-neighbor sampling (one floor index per axis, rows gathered
 first) because interpolating across a depth discontinuity fabricates 3D points.
-Batch runs seed each sample independently from (policy.seed, sample index),
-so results do not depend on ordering or worker count.
+Each sample draws from its own stream, seeded by (policy.seed, its index),
+so batch results do not depend on ordering or worker count.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a result came from: its sample's id, the int seed its draws used (None for a Generator), its index."""
+    """Where a result came from: its sample's id, its policy's seed and its index, which together fix its draw."""
 
     source_id: str
-    seed: int | None
+    seed: int
     index: int = 0
 
 
@@ -255,26 +255,16 @@ def draw_transform(k: Intrinsics, policy: AugmentationPolicy, rng: np.random.Gen
     return PixelTransform(s, s, (scaled_w - out_w) / 2.0 + du, (scaled_h - out_h) / 2.0 + dv, out_w, out_h)
 
 
-def augment(
-    sample: Sample,
-    policy: AugmentationPolicy,
-    rng: np.random.Generator | int,
-    index: int = 0,
-) -> AugmentedSample:
-    """Transform one sample consistently; deterministic given the rng state.
+def augment(sample: Sample, policy: AugmentationPolicy, index: int = 0) -> AugmentedSample:
+    """Transform one sample consistently, drawing only from the stream of (``policy.seed``, ``index``).
 
-    An ``rng`` that is not a Generator is a seed, mixed with ``index`` into the sample's own
-    stream, and the provenance records it (None for a Generator).  The seed (an np.integer too) and ``index`` are integers >= 0; CamGeomError otherwise.
+    The provenance records both.  ``index`` is an integer >= 0; CamGeomError otherwise.
     """
     index = _count("index", index, CamGeomError, minimum=0)
-    seed = None
-    if not isinstance(rng, np.random.Generator):
-        seed = _count("seed", rng.item() if isinstance(rng, np.integer) else rng, CamGeomError, minimum=0)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     _check_extent(sample.image, sample.intrinsics, f"{sample.id}: image")
     if sample.depth is not None:
         _check_extent(sample.depth, sample.intrinsics, f"{sample.id}: depth")
-    t = draw_transform(sample.intrinsics, policy, rng)
+    t = draw_transform(sample.intrinsics, policy, np.random.default_rng(np.random.SeedSequence([policy.seed, index])))
     image = resample(sample.image, t, mode=policy.mode)
     intrinsics = apply_transform(sample.intrinsics, t)
     depth = resample_depth(sample.depth, t) if sample.depth is not None else None
@@ -282,7 +272,7 @@ def augment(
         image=image,
         intrinsics=intrinsics,
         transform=t,
-        provenance=Provenance(sample.id, seed, index),
+        provenance=Provenance(sample.id, policy.seed, index),
         depth=depth,
         boxes=sample.boxes,  # world geometry does not move under a camera-space resize
     )
@@ -290,22 +280,35 @@ def augment(
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Outcome of a batch run.
+    """Outcome of a batch run: a failure record per failed sample and a transform per input (None unless augmented).
 
-    ``elapsed_s`` and ``samples_per_s`` are wall-clock measurements and the
-    only fields excluded from the byte-determinism contract.
+    The counts are read from those records.  ``elapsed_s`` and ``samples_per_s`` are wall-clock
+    measurements and the only values excluded from the byte-determinism contract.
     """
 
-    n_samples: int
-    n_ok: int
-    n_failed: int
     failures: tuple[tuple[int, str, str], ...]
     transforms: tuple[dict | None, ...]
     elapsed_s: float
-    samples_per_s: float
+
+    @property
+    def n_ok(self) -> int:
+        return sum(t is not None for t in self.transforms)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def n_samples(self) -> int:
+        return self.n_ok + self.n_failed
+
+    @property
+    def samples_per_s(self) -> float:
+        return self.n_samples / self.elapsed_s if self.elapsed_s > 0 else float("inf")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        counts = ("n_samples", "n_ok", "n_failed", "samples_per_s")
+        return {**asdict(self), **{key: getattr(self, key) for key in counts}}
 
 
 def _check_workers(workers: int) -> int:
@@ -347,7 +350,7 @@ def batch_augment(
         if sample is None:
             return
         try:
-            result = augment(sample, policy, policy.seed, index=index)
+            result = augment(sample, policy, index)
             if on_result is None:
                 results[index] = result
             else:
@@ -360,18 +363,4 @@ def batch_augment(
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_one, range(len(samples))))
-    elapsed = time.perf_counter() - start
-
-    failures.sort()
-    n_ok = sum(t is not None for t in transforms)
-    n_samples = n_ok + len(failures)
-    report = BatchReport(
-        n_samples=n_samples,
-        n_ok=n_ok,
-        n_failed=len(failures),
-        failures=tuple(failures),
-        transforms=tuple(transforms),
-        elapsed_s=elapsed,
-        samples_per_s=n_samples / elapsed if elapsed > 0 else float("inf"),
-    )
-    return results, report
+    return results, BatchReport(tuple(sorted(failures)), tuple(transforms), time.perf_counter() - start)

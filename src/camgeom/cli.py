@@ -144,11 +144,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False, workers: bool = False) -> None:
     parser.add_argument("--config", help="JSON config file (default: $CAMGEOM_CONFIG)")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
+    if seed:  # only a command that draws reads it
+        parser.add_argument("--seed", type=int, help="base RNG seed")
     if workers:
         parser.add_argument("--workers", type=int, help="worker count (outputs do not depend on it)")
+
+
+def _path(text: str) -> str:
+    if not text:  # names no file; taken for an absent flag, it would silently change what runs
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
 
 
 def _factor_list(text: str) -> list[float]:
@@ -199,10 +206,10 @@ def _check_id(sample_id, seen: set) -> None:
 
 
 def _check_paths(entry: dict) -> None:
-    """image, and depth and boxes unless absent or null, name files relative to the manifest."""
+    """image, and depth and boxes unless absent or null, name files relative to the manifest: non-empty strings."""
     for field in ("image", "depth", "boxes"):
         value = entry.get(field)
-        if not isinstance(value, str) and (value is not None or field == "image"):
+        if not (isinstance(value, str) and value) and (value is not None or field == "image"):
             raise CamGeomError(f"{field} {value!r}: must be a path string")
 
 
@@ -246,9 +253,9 @@ class _ManifestSamples(Sequence):
             else:
                 k = Intrinsics.from_mapping(raw_k, where=f"{entry['id']}.intrinsics")
             depth = boxes = None
-            if entry.get("depth"):
+            if entry.get("depth") is not None:
                 depth, _ = read_depth(root / entry["depth"])
-            if entry.get("boxes"):
+            if entry.get("boxes") is not None:
                 boxes = (root / entry["boxes"]).read_bytes()
                 parse_detections(_utf8(root / entry["boxes"], boxes))  # validate, but pass the bytes read through
             return Sample(entry["id"], image, k, depth=depth, boxes=boxes)
@@ -491,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("augment", help="camera-aware augmentation of a sample manifest")
-    _add_common(p, workers=True)
-    p.add_argument("--manifest", required=True, help="JSONL manifest of samples")
-    p.add_argument("--out", required=True, help="output directory")
+    _add_common(p, seed=True, workers=True)
+    p.add_argument("--manifest", required=True, type=_path, help="JSONL manifest of samples")
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.add_argument("--scale-min", type=float, dest="augment.scale_min")
     p.add_argument("--scale-max", type=float, dest="augment.scale_max")
     p.add_argument("--shift", type=float, dest="augment.shift_fraction", help="max principal-point shift fraction")
@@ -502,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="export camera ray embedding (or E_geo with --depth)")
     _add_common(p)
-    p.add_argument("--intrinsics", required=True, help="intrinsics JSON file")
-    p.add_argument("--out", required=True, help="output CGEM path")
+    p.add_argument("--intrinsics", required=True, type=_path, help="intrinsics JSON file")
+    p.add_argument("--out", required=True, type=_path, help="output CGEM path")
     p.add_argument("--patch", type=float, dest="embed.patch")
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
@@ -511,32 +518,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-period", type=float, dest="embed.base_period")
     p.add_argument("--focal-reference", type=float, dest="embed.focal_reference")
     p.add_argument("--origin", choices=["center", "corner"], dest="embed.origin")
-    p.add_argument("--depth", help="depth CGEM; switches output to the geometric embedding")
+    p.add_argument("--depth", type=_path, help="depth CGEM; switches output to the geometric embedding")
     p.add_argument("--geo-dim", type=int, dest="geo.dim")
     p.add_argument("--geo-period", type=float, dest="geo.base_period")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("unproject", help="depth map -> camera-frame point cloud")
     _add_common(p)
-    p.add_argument("--depth", required=True, help="depth CGEM file")
-    p.add_argument("--intrinsics", help="override the depth sidecar intrinsics")
-    p.add_argument("--out", required=True, help="output CGEM path")
+    p.add_argument("--depth", required=True, type=_path, help="depth CGEM file")
+    p.add_argument("--intrinsics", type=_path, help="override the depth sidecar intrinsics")
+    p.add_argument("--out", required=True, type=_path, help="output CGEM path")
     p.set_defaults(func=cmd_unproject)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
     _add_common(p)
-    p.add_argument("--preds", required=True, help="predictions file (JSON or fenced transcript)")
-    p.add_argument("--truths", required=True, help="ground-truth JSON file")
+    p.add_argument("--preds", required=True, type=_path, help="predictions file (JSON or fenced transcript)")
+    p.add_argument("--truths", required=True, type=_path, help="ground-truth JSON file")
     p.add_argument("--iou", type=float, dest="eval.iou")
-    p.add_argument("--classes", help="file with one class name per line")
+    p.add_argument("--classes", type=_path, help="file with one class name per line")
     p.add_argument("--axis-aligned", action="store_true", default=None, dest="eval.axis_aligned")
     p.add_argument("--rotation-order", dest="eval.rotation_order")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ambiguity", help="run the depth-bias and mixed-pool experiments")
-    _add_common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    _add_common(p, seed=True)
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.add_argument("--n-scenes", type=int, dest="ambiguity.n_scenes")
     p.add_argument("--factors", type=_factor_list, dest="ambiguity.resize_factors",
                    help="comma-separated resize factors")

@@ -103,11 +103,16 @@ def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel point cloud: pixel (u, v) at depth Z -> ((u-cx)/fx*Z, (v-cy)/fy*Z, Z).
 
     Returns (points, valid) with points shaped (H, W, 3); invalid pixels
-    carry NaN.  Raises ExtentMismatch if the map does not match ``k``.
+    carry NaN.  Raises ExtentMismatch if the map does not match ``k``, InvalidValue if a point is past the float range.
     """
     _check_extent(depth, k, "depth")
     u, v = token_centers(TokenGridSpec(depth.height, depth.width, 1))  # pixel centers: one-pixel tokens
-    return unproject_array(u[None, :], v[:, None], depth.values, k), depth.valid.copy()
+    try:
+        with np.errstate(over="raise"):  # a point past the float range has no coordinates to return
+            points = unproject_array(u[None, :], v[:, None], depth.values, k)
+    except FloatingPointError:
+        raise InvalidValue("depth: a pixel's point is past the float range") from None
+    return points, depth.valid.copy()
 
 
 def token_point_grid(depth: DepthMap, k: Intrinsics, grid: TokenGridSpec) -> PointGrid:

@@ -69,14 +69,18 @@ def _open_atomic(path: str | Path, mode: str = "wb", **kwargs):
 
 
 def write_cgem(path: str | Path, data: np.ndarray) -> None:
-    """Write a (rows, cols) or (rows, cols, dim) array as a CGEM tensor."""
+    """Write a (rows, cols) or (rows, cols, dim) array as CGEM; MalformedFile for a finite value past float32."""
     data = np.asarray(data)
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
         raise MalformedFile(f"CGEM tensors are rows x cols x dim, got shape {data.shape}")
     rows, cols, dim = data.shape
-    payload = np.ascontiguousarray(data, dtype="<f4")
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(data, dtype="<f4")
+    except FloatingPointError:
+        raise MalformedFile(f"{path}: a finite value is past the float32 range") from None
     with _open_atomic(path) as fh:
         fh.write(_HEADER.pack(MAGIC, rows, cols, dim))
         fh.write(payload)

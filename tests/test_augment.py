@@ -307,7 +307,7 @@ class TestAugment:
         image = _noise_image(np.random.default_rng(6))
         policy = AugmentationPolicy(scale_range=(1.0, 1.0), shift_fraction=0.0, seed=1)
         sample = Sample("s0", image, K)
-        out = augment(sample, policy, np.random.default_rng(0))
+        out = augment(sample, policy)
         np.testing.assert_array_equal(out.image.data, image.data)
         assert out.intrinsics == K
         assert out.transform == PixelTransform.identity(64, 48)
@@ -315,7 +315,7 @@ class TestAugment:
     def test_intrinsics_reproduce_bit_exactly_from_transform(self):
         image = _noise_image(np.random.default_rng(7))
         policy = AugmentationPolicy(seed=3)
-        out = augment(Sample("s0", image, K), policy, np.random.default_rng(3))
+        out = augment(Sample("s0", image, K), policy)
         again = apply_transform(K, out.transform)
         assert again == out.intrinsics  # dataclass equality on floats = bit equality
 
@@ -324,33 +324,26 @@ class TestAugment:
         for mode in ("pad", "crop"):
             policy = AugmentationPolicy(mode=mode, seed=11)
             for i in range(20):
-                out = augment(Sample(f"s{i}", image, K), policy, np.random.default_rng([11, i]))
+                out = augment(Sample(f"s{i}", image, K), policy, index=i)
                 assert ray_preservation_check(K, out.transform) < 1e-9
 
     def test_same_seed_bitwise_identical(self):
         image = _noise_image(np.random.default_rng(9))
         policy = AugmentationPolicy(seed=21)
-        a = augment(Sample("s", image, K), policy, 21)
-        b = augment(Sample("s", image, K), policy, 21)
+        a = augment(Sample("s", image, K), policy)
+        b = augment(Sample("s", image, K), AugmentationPolicy(seed=policy.seed))
         np.testing.assert_array_equal(a.image.data, b.image.data)
         assert a.intrinsics == b.intrinsics
         assert a.transform == b.transform
 
-    def test_a_numpy_integer_seed_is_the_same_seed(self):
-        image = _noise_image(np.random.default_rng(9))
-        policy = AugmentationPolicy(seed=21)
-        a = augment(Sample("s", image, K), policy, 21, index=3)
-        for seed in (np.int64(21), np.uint8(21), 21.0):
-            b = augment(Sample("s", image, K), policy, seed, index=3)
-            assert a.image.data.tobytes() == b.image.data.tobytes() and a.transform == b.transform
-
     def test_provenance_records_the_seed_drawn_from(self):
         sample = Sample("s", _noise_image(np.random.default_rng(9)), K)
-        policy = AugmentationPolicy(seed=0)
-        for rng, seed in ((5, 5), (0, 0), (np.int64(7), 7), (np.random.default_rng(9), None)):
-            result = augment(sample, policy, rng, index=2)
-            assert result.provenance == Provenance("s", seed, 2) and type(result.provenance.seed) is type(seed)
-        assert augment(sample, policy, 5, index=2).transform != augment(sample, policy, 0, index=2).transform
+        for seed in (5, 0, 7):
+            policy = AugmentationPolicy(seed=seed)
+            result = augment(sample, policy, index=2)
+            assert result.provenance == Provenance("s", policy.seed, 2) and type(result.provenance.seed) is int
+        assert (augment(sample, AugmentationPolicy(seed=5), index=2).transform
+                != augment(sample, AugmentationPolicy(seed=0), index=2).transform)
         results, _ = batch_augment([sample, sample], AugmentationPolicy(seed=11))
         assert [r.provenance for r in results] == [Provenance("s", 11, 0), Provenance("s", 11, 1)]
 
@@ -359,19 +352,19 @@ class TestAugment:
 
         boxes = (Detection("chair", OrientedBox3((1, 2, 3), (1, 1, 1), 0.1, 0.2, 0.3)),)
         image = _noise_image(np.random.default_rng(10))
-        out = augment(Sample("s", image, K, boxes=boxes), AugmentationPolicy(seed=5), 5)
+        out = augment(Sample("s", image, K, boxes=boxes), AugmentationPolicy(seed=5))
         assert out.boxes is boxes  # same object: world geometry does not move
 
     def test_depth_travels_with_the_image(self):
         rng = np.random.default_rng(11)
         depth = DepthMap.from_array(rng.uniform(1, 9, size=(48, 64)))
-        out = augment(Sample("s", _noise_image(rng), K, depth=depth), AugmentationPolicy(seed=7), 7)
+        out = augment(Sample("s", _noise_image(rng), K, depth=depth), AugmentationPolicy(seed=7))
         assert out.depth is not None
         assert (out.depth.height, out.depth.width) == (out.transform.out_height, out.transform.out_width)
 
     def test_scale_round_trip_restores_intrinsics(self):
         policy = AugmentationPolicy(seed=13)
-        out = augment(Sample("s", _noise_image(np.random.default_rng(12)), K), policy, 13)
+        out = augment(Sample("s", _noise_image(np.random.default_rng(12)), K), policy)
         t = out.transform
         restored = apply_transform(out.intrinsics, invert(t, K.width, K.height))
         for name in ("fx", "fy", "cx", "cy"):
@@ -529,6 +522,8 @@ class TestBatch:
         policy = AugmentationPolicy(seed=31)
         all_results, _ = batch_augment(samples, policy, workers=1)
         # augmenting sample 4 alone with its index reproduces the batch output
-        lone = augment(samples[4], policy, np.random.default_rng([31, 4]), index=4)
+        lone = augment(samples[4], policy, index=4)
         np.testing.assert_array_equal(lone.image.data, all_results[4].image.data)
         assert lone.transform == all_results[4].transform
+        # ... and both draw the stream seeded by (policy.seed, index)
+        assert all_results[4].transform == draw_transform(K, policy, np.random.default_rng([31, 4]))

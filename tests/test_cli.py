@@ -290,7 +290,8 @@ class TestManifestIds:
         assert len((out / "transforms.jsonl").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("field, value", [("image", 5), ("image", None), ("depth", ["d"]),
-                                              ("depth", 0), ("boxes", {"b": 1})])
+                                              ("depth", 0), ("boxes", {"b": 1}),
+                                              ("depth", ""), ("boxes", ""), ("image", "")])
     def test_path_that_is_not_a_string(self, workspace, field, value):
         entry = {"id": "bad", "image": "img0.ppm", "intrinsics": "k.json", field: value}
         out, report = self._run(workspace, [entry, {"id": "after", "image": "img1.ppm", "intrinsics": "k.json"}])
@@ -385,6 +386,15 @@ class TestUnprojectCommand:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["unproject", "--depth", str(tmp_path / "nope.cgem"),
                      "--out", str(tmp_path / "x.cgem")]) == 1
+
+    def test_point_past_float32_exit_2_writing_no_points(self, tmp_path, capsys):
+        # 3e38 m fits a float32 depth, but 3.5 pixels along a unit-focal ray does not fit a float32 point
+        write_depth(tmp_path / "far.cgem", DepthMap(np.full((4, 4), 3e38)), Intrinsics(1, 1, 0, 0, 4, 4))
+        out = tmp_path / "points.cgem"
+        assert main(["unproject", "--depth", str(tmp_path / "far.cgem"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1, err
+        assert not out.exists() and not sidecar_path(out).exists()
 
 
 class TestEvalCommand:
@@ -511,27 +521,27 @@ RESOLUTION_CASES = {
          "augment": {"scale_min": 0.9, "scale_max": 1.1, "shift_fraction": 0.05, "mode": "pad"}},
     ),
     "embed": (
-        ["--intrinsics", "{ws}/k.json", "--out", "{ws}/run/e.cgem", "--seed", "4", "--patch", "16",
+        ["--intrinsics", "{ws}/k.json", "--out", "{ws}/run/e.cgem", "--patch", "16",
          "--dim", "32", "--base-period", "500", "--focal-reference", "400", "--origin", "corner",
          "--geo-dim", "12", "--geo-period", "50"],
         {"seed": 3, "augment": {"mode": "crop"},
          "embed": {"dim": 64, "base_period": 100.0, "focal_reference": 10.0, "patch": 8.0, "origin": "center"},
          "geo": {"dim": 48, "base_period": 10.0}},
-        {"seed": 4, "augment": {"mode": "crop"},
+        {"seed": 3, "augment": {"mode": "crop"},
          "embed": {"dim": 32, "base_period": 500.0, "focal_reference": 400.0, "patch": 16.0, "origin": "corner"},
          "geo": {"dim": 12, "base_period": 50.0}},
     ),
     "unproject": (
-        ["--depth", "{ws}/depth.cgem", "--out", "{ws}/run/p.cgem", "--seed", "4"],
+        ["--depth", "{ws}/depth.cgem", "--out", "{ws}/run/p.cgem"],
         {"seed": 3, "workers": 5, "geo": {"dim": 48}},
-        {"seed": 4, "workers": 5, "geo": {"dim": 48}},
+        {"seed": 3, "workers": 5, "geo": {"dim": 48}},
     ),
     "eval": (
-        ["--preds", "{ws}/gt.json", "--truths", "{ws}/gt.json", "--out", "{ws}/run", "--seed", "4",
+        ["--preds", "{ws}/gt.json", "--truths", "{ws}/gt.json", "--out", "{ws}/run",
          "--iou", "0.5", "--axis-aligned", "--rotation-order", "yxz"],
         {"seed": 3, "ambiguity": {"f_mode": "median"},
          "eval": {"iou": 0.1, "axis_aligned": False, "rotation_order": "xyz"}},
-        {"seed": 4, "ambiguity": {"f_mode": "median"},
+        {"seed": 3, "ambiguity": {"f_mode": "median"},
          "eval": {"iou": 0.5, "axis_aligned": True, "rotation_order": "yxz"}},
     ),
     "ambiguity": (
@@ -568,7 +578,7 @@ class TestConfigResolution:
         ws = str(workspace)
         eval_argv = ["eval", "--preds", f"{ws}/gt.json", "--truths", f"{ws}/gt.json"]
         assert main(eval_argv + ["--out", f"{ws}/v1", "--iou", "0.5", "--axis-aligned",
-                                 "--rotation-order", "xyz", "--seed", "3"]) == 0
+                                 "--rotation-order", "xyz"]) == 0
         assert main(["ambiguity", "--out", f"{ws}/a1", "--n-scenes", "4", "--factors", "0.5,2",
                      "--estimator", "aware", "--prior-spread", "0.1", "--seed", "5"]) == 0
         assert main(eval_argv + ["--out", f"{ws}/v2"]) == 0
@@ -818,6 +828,18 @@ class TestValidationExits:
         if camgeom_error:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["embed", "--intrinsics", "{ws}/k.json", "--depth", "", "--out", "{ws}/e.cgem"], "--depth"),
+        (["unproject", "--depth", "{ws}/depth.cgem", "--intrinsics", "", "--out", "{ws}/p.cgem"], "--intrinsics"),
+    ])
+    def test_empty_path_flag_exit_2_naming_it(self, workspace, capsys, argv, flag):
+        # an empty path is not an absent flag: it would switch off --depth, or fall back to the sidecar
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(ws=workspace) for arg in argv])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: expected a path, got ''" in capsys.readouterr().err
+        assert not (workspace / "e.cgem").exists() and not (workspace / "p.cgem").exists()
 
     @pytest.mark.parametrize("case, named", [("config-not-json", "conf.json"), ("config-long-integer", "conf.json"),
                                              ("unproject-sidecar-not-json", "bad.cgem.json"),

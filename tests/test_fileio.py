@@ -69,6 +69,14 @@ class TestCgem:
         np.testing.assert_array_equal(read, data)
         assert np.shares_memory(_adopt(RasterImage, read).data, read)  # as the CLI loads a .cgem image
 
+    def test_finite_value_past_float32_is_rejected_before_writing(self, tmp_path):
+        # a float32 cast would turn it into inf; inf and NaN themselves are written as they are
+        with pytest.raises(MalformedFile, match="float32 range"):
+            write_cgem(tmp_path / "big.cgem", np.array([[1.0, np.inf, 3.5e38]]))
+        assert list(tmp_path.iterdir()) == []
+        write_cgem(tmp_path / "ok.cgem", np.array([[np.nan, -np.inf, 3.4e38]]))
+        np.testing.assert_array_equal(read_cgem(tmp_path / "ok.cgem")[0, :, 0], np.float32([np.nan, -np.inf, 3.4e38]))
+
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "g.cgem"
         write_cgem(path, np.zeros((1, 1, 8), dtype=np.float32))

@@ -26,6 +26,7 @@ from camgeom.depthmap import (
     biased_depth_estimate,
     embed_points,
     token_point_grid,
+    unproject,
 )
 from camgeom.errors import (
     BadDimension,
@@ -104,8 +105,7 @@ SITES = {
     "ray_preservation_check": (lambda a: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=a[0]),
                                [8], {0: (COUNT, BelowMinimum)}),
     "batch_augment": (lambda a: batch_augment([SAMPLE], POLICY, workers=a[0]), [2], {0: (COUNT, BelowMinimum)}),
-    "augment": (lambda a: augment(SAMPLE, POLICY, a[0], index=a[1]), [3, 1],
-                {0: (COUNT, CamGeomError), 1: (COUNT, CamGeomError)}),
+    "augment": (lambda a: augment(SAMPLE, POLICY, index=a[0]), [1], {0: (COUNT, CamGeomError)}),
 }
 FIELDS = [(site, index) for site, (_, _, fields) in SITES.items() for index in fields]
 
@@ -151,6 +151,10 @@ REJECTED = {
     "grid-text-rows": (lambda: TokenGridSpec("3", 4, 14), BelowMinimum),
     "grid-text-patch": (lambda: TokenGridSpec(3, 4, "14"), BelowMinimum),
     "policy-bool-seed": (lambda: AugmentationPolicy(seed=True), CamGeomError),
+    "policy-negative-seed": (lambda: AugmentationPolicy(seed=-1), CamGeomError),
+    "policy-fractional-seed": (lambda: AugmentationPolicy(seed=2.5), CamGeomError),
+    "policy-text-seed": (lambda: AugmentationPolicy(seed="2"), CamGeomError),
+    "policy-seed-past-64-bits": (lambda: AugmentationPolicy(seed=2**64), CamGeomError),
     "policy-text-scale-range": (lambda: AugmentationPolicy(scale_range=("0.7", "1.4")), CamGeomError),
     "policy-three-entry-scale-range": (lambda: AugmentationPolicy(scale_range=(1.0, 2.0, 3.0)), CamGeomError),
     "policy-scalar-scale-range": (lambda: AugmentationPolicy(scale_range=1.0), CamGeomError),
@@ -188,13 +192,9 @@ REJECTED = {
     "samples-fractional": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples=2.5),
                            BelowMinimum),
     "samples-text": (lambda: ray_preservation_check(K, PixelTransform.identity(64, 48), samples="2"), BelowMinimum),
-    "augment-bool-seed": (lambda: augment(SAMPLE, POLICY, True), CamGeomError),
-    "augment-negative-seed": (lambda: augment(SAMPLE, POLICY, -1), CamGeomError),
-    "augment-fractional-seed": (lambda: augment(SAMPLE, POLICY, 2.5), CamGeomError),
-    "augment-text-seed": (lambda: augment(SAMPLE, POLICY, "2"), CamGeomError),
-    "augment-negative-index": (lambda: augment(SAMPLE, POLICY, 3, index=-1), CamGeomError),
-    "augment-fractional-index": (lambda: augment(SAMPLE, POLICY, 3, index=1.5), CamGeomError),
-    "augment-bool-index": (lambda: augment(SAMPLE, POLICY, 3, index=True), CamGeomError),
+    "augment-negative-index": (lambda: augment(SAMPLE, POLICY, index=-1), CamGeomError),
+    "augment-fractional-index": (lambda: augment(SAMPLE, POLICY, index=1.5), CamGeomError),
+    "augment-bool-index": (lambda: augment(SAMPLE, POLICY, index=True), CamGeomError),
     "point-text": (lambda: Point3("1", 0, 1), CamGeomError),
     "raster-two-channels": (lambda: RasterImage(np.zeros((4, 4, 2), np.uint8)), BadDimension),
     "raster-float64": (lambda: RasterImage(np.zeros((4, 4, 3))), BadDimension),
@@ -212,6 +212,9 @@ REJECTED = {
     # 1e308 m along rays 0.5 to 63.5 wide is past the float range: no token may hold the infinite point
     "token-points-overflow": (lambda: token_point_grid(DepthMap(np.full((48, 64), 1e308)),
                                                        Intrinsics(1, 1, 0, 0, 64, 48), GRID), InvalidValue),
+    # ... and no pixel may hold one, valid by its depth alone
+    "unproject-overflow": (lambda: unproject(DepthMap(np.full((48, 64), 1e308)), Intrinsics(1, 1, 0, 0, 64, 48)),
+                           InvalidValue),
     "rays-shape": (lambda: RayGrid(np.zeros((2, 2)), np.zeros((2, 3))), BadDimension),
     "rays-nan": (lambda: RayGrid(np.array([[np.nan]]), np.zeros((1, 1))), InvalidValue),
     "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ("a", "b", "c")), BadDimension),
