@@ -22,16 +22,16 @@ import math
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width, ray_components
 from .depthmap import aware_depth_estimate, biased_depth_estimate
-from .errors import BelowMinimum, CamGeomError, NonPositiveFactor
+from .errors import BelowMinimum, CamGeomError, IntrinsicsError, NonPositiveFactor, NonPositiveScale
 from .errors import _count, _factors, _number, _positive
-from .evaluation import DEFAULT_IOU_THRESHOLD, Detection, _score, match_and_score
+from .evaluation import DEFAULT_IOU_THRESHOLD, ClassScore, Detection, match_and_score
 from .transforms import scale
 
 __all__ = [
@@ -72,12 +72,15 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """A pair of (f, H, Z) configurations with identical projected height."""
+    """A pair of (f, H, Z) configurations with identical projected height ``h_proj``, read from ``base``."""
 
     base: tuple[float, float, float]
     variant: tuple[float, float, float]
     kind: str
-    h_proj: float
+
+    @property
+    def h_proj(self) -> float:
+        return self.base[0] * self.base[1] / self.base[2]
 
 
 def make_witness(
@@ -112,7 +115,7 @@ def make_witness(
             raise NonPositiveFactor(f"{name}: must be a finite, normal float > 0, got {value!r}")
     if not abs(h_variant - h_base) <= 1e-9 * h_base:  # only when a product leaves the float range
         raise NonPositiveFactor(f"witness: f*H/Z is {h_base!r} but {h_variant!r} for the variant {variant}")
-    return EquivalenceWitness((f, height, depth), variant, kind, h_base)
+    return EquivalenceWitness((f, height, depth), variant, kind)
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,11 @@ def _box_on_ray(obj: SceneObject, depth: float, width: float, height: float) -> 
 
 @dataclass(frozen=True)
 class SyntheticScene:
+    """One drawn scene: the camera it is seen through, its drawn objects and the camera's index in the pool."""
+
     camera: Intrinsics
     objects: tuple[SceneObject, ...]
     camera_index: int
-    scene_id: int
 
 
 def _as_prior(value) -> SizePrior:
@@ -185,11 +189,14 @@ def generate_scenes(
     built on first read of ``SceneObject.box``, sits at the true depth along
     that ray with a square footprint.  Depths are drawn uniformly from
     ``_DEPTH_RANGE``, and heights from ``size_priors``, a non-empty mapping
-    (None: the defaults).
+    (None: the defaults).  A pool that is not a sequence of Intrinsics raises
+    IntrinsicsError, and an empty one BelowMinimum.
     """
     n = _count("n", n, BelowMinimum)
     objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
     seed = _count("seed", seed, BelowMinimum, minimum=0)
+    if not isinstance(camera_pool, Sequence) or not all(isinstance(k, Intrinsics) for k in camera_pool):
+        raise IntrinsicsError(f"camera_pool: must be a sequence of Intrinsics, got {camera_pool!r}")
     if not camera_pool:
         raise BelowMinimum("camera_pool must be non-empty")
     priors = DEFAULT_SIZE_PRIORS if size_priors is None else size_priors
@@ -217,7 +224,7 @@ def generate_scenes(
             vs.append(rng.uniform(0.2 * k.height, 0.8 * k.height))
         ray_x, ray_y = ray_components(us, vs, k)
         objects = tuple(SceneObject(*fields, rx, ry) for fields, rx, ry in zip(drawn, ray_x.tolist(), ray_y.tolist()))
-        scenes.append(SyntheticScene(k, objects, camera_index, scene_id))
+        scenes.append(SyntheticScene(k, objects, camera_index))
     return scenes
 
 
@@ -237,7 +244,11 @@ def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = DEFAULT_F_
 
 
 def _estimators(names: Sequence[str]) -> tuple[str, ...]:
-    """``names`` as a tuple, each 'agnostic' or 'aware'; CamGeomError otherwise."""
+    """``names`` as a tuple, each 'agnostic' or 'aware'; CamGeomError otherwise, and for a ``str`` or a non-iterable."""
+    if isinstance(names, str):
+        raise CamGeomError(f"estimators must be a collection of names, not the string {names!r}")
+    if not isinstance(names, Iterable):
+        raise CamGeomError(f"estimators must be a collection of names, got {names!r}")
     names = tuple(names)
     for name in names:
         if name not in ("agnostic", "aware"):
@@ -280,9 +291,12 @@ def run_bias_experiment(
     intrinsics.  Detection places each depth estimate along the object's
     known ray and scores it against the ground truth at ``DEFAULT_IOU_THRESHOLD``.
     Raises CamGeomError for an unknown ``estimator`` or ``f_mode``, BelowMinimum
-    for an empty scene list and NonPositiveScale for a factor that is not a number > 0.
+    for an empty scene list and NonPositiveScale for ``resize_factors`` that is not a
+    collection, or a factor that is not a number > 0.
     """
     _estimators([estimator])
+    if isinstance(resize_factors, str) or not isinstance(resize_factors, Iterable):
+        raise NonPositiveScale(f"resize_factors: must be a collection of numbers > 0, got {resize_factors!r}")
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
     truths = [[Detection(obj.label, obj.box) for obj in scene.objects] for scene in scenes]
     cameras = dict.fromkeys(scene.camera for scene in scenes)
@@ -303,13 +317,13 @@ def run_bias_experiment(
                 preds.append(Detection(obj.label, _box_on_ray(obj, z_hat, w_hat, h_hat)))
                 ratios.append(z_hat / obj.depth)
                 errors.append(abs(z_hat - obj.depth) / obj.depth)
-            report = match_and_score(preds, truth, threshold=DEFAULT_IOU_THRESHOLD)
-            matched += report.micro.matched
-            n_pred += report.micro.n_pred
-            n_truth += report.micro.n_truth
+            micro = match_and_score(preds, truth, threshold=DEFAULT_IOU_THRESHOLD).micro
+            matched += micro.matched
+            n_pred += micro.n_pred
+            n_truth += micro.n_truth
         rows.append(BiasRow(s=float(s), estimator=estimator, ratio_mean=statistics.fmean(ratios),
                             ratio_std=statistics.pstdev(ratios), depth_error_mean=statistics.fmean(errors),
-                            f1=_score(matched, n_pred, n_truth).f1))
+                            f1=ClassScore(matched, n_pred, n_truth).f1))
     return rows
 
 

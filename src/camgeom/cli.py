@@ -206,11 +206,14 @@ def _check_id(sample_id, seen: set) -> None:
 
 
 def _check_paths(entry: dict) -> None:
-    """image, and depth and boxes unless absent or null, name files relative to the manifest: non-empty strings."""
+    """image, depth and boxes unless absent or null, and intrinsics unless inline, name files relative to the
+    manifest: non-empty strings."""
     for field in ("image", "depth", "boxes"):
         value = entry.get(field)
         if not (isinstance(value, str) and value) and (value is not None or field == "image"):
             raise CamGeomError(f"{field} {value!r}: must be a path string")
+    if entry["intrinsics"] == "":
+        raise CamGeomError("intrinsics '': must be a path string")
 
 
 class _ManifestSamples(Sequence):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -146,40 +146,51 @@ def parse_detections(text: str) -> list[Detection]:
 
 @dataclass(frozen=True)
 class ClassScore:
-    """Precision/recall/F1 in percent plus the underlying counts."""
+    """One score row's counts; precision and recall (percent, 0.0 over a zero denominator) and F1 are read from them."""
 
-    precision: float
-    recall: float
-    f1: float
     matched: int
     n_pred: int
     n_truth: int
 
+    @property
+    def precision(self) -> float:
+        return 100.0 * self.matched / self.n_pred if self.n_pred else 0.0
+
+    @property
+    def recall(self) -> float:
+        return 100.0 * self.matched / self.n_truth if self.n_truth else 0.0
+
+    @property
+    def f1(self) -> float:
+        return f1_score(self.precision, self.recall)
+
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Scores at one IoU threshold: per class, micro and macro aggregates."""
+    """Scores at one IoU threshold, per class; the micro and macro aggregates are read from them."""
 
     threshold: float
     per_class: dict[str, ClassScore]
-    micro: ClassScore
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    matches: tuple[tuple[str, int, int, float], ...] = field(default_factory=tuple)
+    matches: tuple[tuple[str, int, int, float], ...] = ()
+
+    @property
+    def micro(self) -> ClassScore:  # the summed counts: each kept box has one label in per_class
+        scores = self.per_class.values()
+        return ClassScore(sum(s.matched for s in scores), sum(s.n_pred for s in scores), sum(s.n_truth for s in scores))
+
+    @property
+    def macro(self) -> dict[str, float]:  # each rate averaged over the classes, in per_class order; 0.0 with none
+        n = len(self.per_class)
+        return {key: sum(getattr(s, key) for s in self.per_class.values()) / n if n else 0.0
+                for key in ("precision", "recall", "f1")}
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "micro": vars(self.micro).copy(),
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "per_class": {label: vars(score).copy() for label, score in sorted(self.per_class.items())},
-            "matches": [list(m) for m in self.matches],
-        }
+        def row(score: ClassScore) -> dict:
+            return {key: getattr(score, key) for key in ("precision", "recall", "f1", "matched", "n_pred", "n_truth")}
+
+        return {"threshold": self.threshold, "micro": row(self.micro), "macro": self.macro,
+                "per_class": {label: row(score) for label, score in sorted(self.per_class.items())},
+                "matches": [list(m) for m in self.matches]}
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -187,12 +198,6 @@ def f1_score(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def _score(matched: int, n_pred: int, n_truth: int) -> ClassScore:
-    precision = 100.0 * matched / n_pred if n_pred else 0.0
-    recall = 100.0 * matched / n_truth if n_truth else 0.0
-    return ClassScore(precision, recall, f1_score(precision, recall), matched, n_pred, n_truth)
 
 
 def match_and_score(
@@ -225,7 +230,6 @@ def match_and_score(
 
     per_class: dict[str, ClassScore] = {}
     matches: list[tuple[str, int, int, float]] = []
-    total_matched = 0
     for label in labels:
         pred_idx = [i for i, d in preds.items() if d.label == label]
         truth_idx = [j for j, d in truths.items() if d.label == label]
@@ -243,14 +247,5 @@ def match_and_score(
             used_pred.add(i)
             used_truth.add(j)
             matches.append((label, i, j, -neg_iou))
-        per_class[label] = _score(len(used_pred), len(pred_idx), len(truth_idx))
-        total_matched += len(used_pred)
-
-    micro = _score(total_matched, len(preds), len(truths))
-    if per_class:
-        macro_p = sum(s.precision for s in per_class.values()) / len(per_class)
-        macro_r = sum(s.recall for s in per_class.values()) / len(per_class)
-        macro_f = sum(s.f1 for s in per_class.values()) / len(per_class)
-    else:
-        macro_p = macro_r = macro_f = 0.0
-    return EvalReport(threshold, per_class, micro, macro_p, macro_r, macro_f, tuple(matches))
+        per_class[label] = ClassScore(len(used_pred), len(pred_idx), len(truth_idx))
+    return EvalReport(threshold, per_class, tuple(matches))

@@ -37,6 +37,13 @@ class TestWitness:
         assert w.variant == (500, 1, 2)
         assert w.h_proj == 250.0
 
+    @pytest.mark.parametrize("kind, factor", [("focal_depth", 2.5), ("size_depth", 0.3), ("coupled", (1.7, 0.4))])
+    def test_h_proj_is_read_from_the_base(self, kind, factor):
+        base = (585.0, 1.3, 3.7)
+        w = make_witness(base, kind, factor)
+        assert w.h_proj.hex() == (585.0 * 1.3 / 3.7).hex()
+        assert [field.name for field in dataclasses.fields(w)] == ["base", "variant", "kind"]
+
     def test_identity_factor(self):
         w = make_witness((500, 2, 4), "focal_depth", 1.0)
         assert w.variant == w.base
@@ -265,6 +272,12 @@ class TestExperimentInputs:
     def test_an_empty_scene_list_is_below_minimum(self, run):
         with pytest.raises(BelowMinimum, match="scenes"):
             run()
+
+    def test_mixed_pool_rejects_one_name_as_a_string(self):
+        with pytest.raises(CamGeomError, match=r"^estimators must be a collection of names, not the string 'aware'$"):
+            run_mixed_pool_experiment(self.SCENES, "aware")
+        with pytest.raises(CamGeomError, match=r"^estimators must be a collection of names, got 5$"):
+            run_mixed_pool_experiment(self.SCENES, 5)
 
     def test_estimators_may_be_any_iterable(self):
         _, rows = run_mixed_pool_experiment(self.SCENES, iter(["aware"]))

@@ -291,7 +291,8 @@ class TestManifestIds:
 
     @pytest.mark.parametrize("field, value", [("image", 5), ("image", None), ("depth", ["d"]),
                                               ("depth", 0), ("boxes", {"b": 1}),
-                                              ("depth", ""), ("boxes", ""), ("image", "")])
+                                              ("depth", ""), ("boxes", ""), ("image", ""),
+                                              ("intrinsics", "")])
     def test_path_that_is_not_a_string(self, workspace, field, value):
         entry = {"id": "bad", "image": "img0.ppm", "intrinsics": "k.json", field: value}
         out, report = self._run(workspace, [entry, {"id": "after", "image": "img1.ppm", "intrinsics": "k.json"}])

@@ -14,7 +14,7 @@ from camgeom import Detection, OrientedBox3, aabb_iou, iou3d, match_and_score, p
 from camgeom import boxes, evaluation
 from camgeom.boxes import _geometry
 from camgeom.errors import BadThreshold, InvalidValue, NoParsableJson
-from camgeom.evaluation import f1_score
+from camgeom.evaluation import ClassScore, f1_score
 
 # The kind of transcript a detection-prompted model emits: fenced JSON with
 # "bbox_3d" 9-tuples and a truncated continuation marker.
@@ -180,8 +180,8 @@ class TestMatchAndScore:
         assert report.micro.precision == 50.0
         assert report.micro.recall == pytest.approx(100.0 / 3.0)
         # macro: a has P=R=100, b has P=R=0
-        assert report.macro_precision == 50.0
-        assert report.macro_recall == 50.0
+        assert report.macro["precision"] == 50.0
+        assert report.macro["recall"] == 50.0
 
     def test_permutation_invariance_without_ties(self):
         rng = random.Random(99)
@@ -210,6 +210,7 @@ class TestMatchAndScore:
         assert report.micro.precision == 0.0
         assert report.micro.recall == 0.0
         assert report.micro.f1 == 0.0
+        assert report.macro == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_report_dict_shape(self):
         truths = [_box_at(0.0)]
@@ -218,6 +219,35 @@ class TestMatchAndScore:
         assert data["threshold"] == 0.25
         assert data["micro"]["f1"] == 100.0
         assert "chair" in data["per_class"]
+
+
+class TestScoresHoldCounts:
+    """A score row is its counts and a report its per-class rows; every rate and aggregate is read from them."""
+
+    def test_rates_are_read_from_the_counts(self):
+        score = ClassScore(1, 0, 2)
+        assert (score.precision, score.recall, score.f1) == (0.0, 50.0, 0.0)
+        assert ClassScore(2, 4, 3).f1 == f1_score(50.0, 200.0 / 3.0)
+
+    @pytest.mark.parametrize("classes", [None, ["chair", "sofa"]])
+    @pytest.mark.parametrize("axis_aligned", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_micro_sums_the_per_class_counts(self, seed, axis_aligned, classes):
+        preds, truths = _seeded_frame(seed)
+        report = match_and_score(preds, truths, threshold=0.25, axis_aligned=axis_aligned, classes=classes)
+        scores = report.per_class.values()
+        assert report.micro == ClassScore(sum(s.matched for s in scores), sum(s.n_pred for s in scores),
+                                          sum(s.n_truth for s in scores))
+        kept = [[d for d in side if classes is None or d.label in classes] for side in (preds, truths)]
+        assert (report.micro.matched, report.micro.n_pred, report.micro.n_truth) == (
+            len(report.matches), *map(len, kept))
+        rates = {key: sum(getattr(s, key) for s in scores) / len(scores) for key in ("precision", "recall", "f1")}
+        assert report.macro == rates
+        data = report.to_dict()
+        row_keys = ["precision", "recall", "f1", "matched", "n_pred", "n_truth"]
+        assert list(data) == ["threshold", "micro", "macro", "per_class", "matches"]
+        assert list(data["micro"]) == row_keys and list(data["macro"]) == row_keys[:3]
+        assert all(list(row) == row_keys for row in data["per_class"].values())
 
 
 ORDERS = ["".join(p) for p in itertools.permutations("xyz")]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camgeom.ambiguity import SizePrior, generate_scenes, make_witness
+from camgeom.ambiguity import SizePrior, generate_scenes, make_witness, run_bias_experiment
 from camgeom.augment import AugmentationPolicy, RasterImage, Sample, augment, batch_augment
 from camgeom.boxes import OrientedBox3
 from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
@@ -180,6 +180,8 @@ REJECTED = {
     "scenes-one-entry-prior": (lambda: generate_scenes(1, [K], size_priors={"car": (1.0,)}), CamGeomError),
     "scenes-scalar-prior": (lambda: generate_scenes(1, [K], size_priors={"car": 1.0}), CamGeomError),
     "scenes-empty-priors": (lambda: generate_scenes(1, [K], size_priors={}), CamGeomError),
+    "scenes-focal-for-camera": (lambda: generate_scenes(2, [580.0]), IntrinsicsError),
+    "bias-scalar-factors": (lambda: run_bias_experiment(generate_scenes(1, [K]), 1.0), NonPositiveScale),
     "scenes-list-of-priors": (lambda: generate_scenes(1, [K], size_priors=[("car", (1.0, 0.0))]), CamGeomError),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
     "workers-bool": (lambda: batch_augment([SAMPLE], POLICY, workers=True), BelowMinimum),
