@@ -231,8 +231,12 @@ def generate_scenes(
 def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = DEFAULT_F_MODE) -> float:
     """The focal a camera-agnostic estimator absorbs from its training pool.
 
-    Raises BelowMinimum for an empty scene list and CamGeomError for an unknown ``mode``.
+    Raises CamGeomError for ``scenes`` that is not a sequence of SyntheticScene or for an unknown ``mode``,
+    and BelowMinimum for an empty scene list.
     """
+    if isinstance(scenes, str) or not isinstance(scenes, Sequence) or not all(
+            isinstance(scene, SyntheticScene) for scene in scenes):
+        raise CamGeomError(f"scenes: must be a sequence of SyntheticScene, got {scenes!r}")
     if not scenes:
         raise BelowMinimum("scenes must be non-empty")
     focals = [scene.camera.fy for scene in scenes]

@@ -3,6 +3,8 @@
 For a token grid laid over the image (one token per ``patch`` x ``patch``
 pixel tile), each token's image coordinate is its patch CENTER, so the ray
 field is invariant under a consistent (image, intrinsics, patch) rescale.
+The pinhole camera has no skew, so a token's rx depends on its column alone
+and its ry on its row: a ray grid holds one rx per column and one ry per row.
 The embedding encodes four scalars per token -- the two normalized ray
 components plus the log-scaled global focal lengths -- with the classic
 interleaved sin/cos frequency ladder.
@@ -89,26 +91,26 @@ def _check_patch(patch: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RayGrid:
-    """Per-token normalized ray components (u-cx)/fx and (v-cy)/fy, held as read-only copies."""
+    """Normalized ray components as read-only copies: ``rx`` = (u-cx)/fx per column, ``ry`` = (v-cy)/fy per row."""
 
     rx: np.ndarray
     ry: np.ndarray
 
     def __post_init__(self):
         rx, ry = _held(self.rx, np.float64), _held(self.ry, np.float64)
-        if rx.shape != ry.shape or rx.ndim != 2:
-            raise BadDimension(f"rx/ry must share a 2-D shape, got {rx.shape} and {ry.shape}")
+        if rx.ndim != 1 or ry.ndim != 1 or not (rx.size and ry.size):
+            raise BadDimension(f"rx and ry must each be 1-D with at least one entry, got {rx.shape} and {ry.shape}")
         if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))):
             raise InvalidValue("ray grid contains non-finite values")
         _hold(self, rx=rx, ry=ry)
 
     @property
     def rows(self) -> int:
-        return self.rx.shape[0]
+        return len(self.ry)
 
     @property
     def cols(self) -> int:
-        return self.rx.shape[1]
+        return len(self.rx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +166,9 @@ def _check_grid_extent(k: Intrinsics, grid: TokenGridSpec) -> None:
 
 
 def ray_grid(k: Intrinsics, grid: TokenGridSpec, origin: str = "center") -> RayGrid:
-    """Normalized ray components for every token of the grid."""
+    """Normalized ray components of the grid's tokens: rx per column, ry per row."""
     _check_grid_extent(k, grid)
-    u, v = token_centers(grid, origin=origin)
-    rx, ry = ray_components(u[None, :], v[:, None], k)
-    return RayGrid(np.broadcast_to(rx, (grid.rows, grid.cols)), np.broadcast_to(ry, (grid.rows, grid.cols)))
+    return RayGrid(*ray_components(*token_centers(grid, origin=origin), k))
 
 
 def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
@@ -204,20 +204,17 @@ def embed(
     ``focal_reference`` so their magnitudes stay O(1); raw pixel focals
     (hundreds to thousands) would alias the sinusoids.  The result is a
     deterministic function of geometry only, independent of image content.
-    Each distinct value of a channel (by its bits: -0.0 is not 0.0) is
-    embedded once, bit-identical to embedding token by token.
+    Each column's rx and each row's ry are embedded once.
     """
     dim = _count("camera embedding dim", dim, BadDimension)
     if dim < 8 or dim % 8:
         raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
     _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
-    log_focals = [np.float64(math.log(f / focal_reference)) for f in (k.fx, k.fy)]
-    data = np.empty(grid.rx.shape + (dim,), dtype=np.float64)
-    blocks = data.reshape(grid.rx.shape + (4, per_scalar))
-    for c, values in enumerate((grid.rx, grid.ry, *log_focals)):
-        distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-        features = sinusoid_features(distinct.view(np.float64), per_scalar, base_period)
-        blocks[:, :, c] = features[inverse].reshape(values.shape + (per_scalar,))
+    log_focals = [math.log(f / focal_reference) for f in (k.fx, k.fy)]
+    data = np.empty((grid.rows, grid.cols, dim), dtype=np.float64)
+    blocks = data.reshape(grid.rows, grid.cols, 4, per_scalar)
+    for c, values in enumerate((grid.rx[None, :], grid.ry[:, None], *log_focals)):
+        blocks[:, :, c] = sinusoid_features(values, per_scalar, base_period)
     meta = {"base_period": base_period, "focal_reference": focal_reference, "intrinsics": k.to_dict()}
     return _adopt(EmbeddingGrid, data, CAMERA_CHANNEL_LAYOUT, meta)

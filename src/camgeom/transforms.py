@@ -128,11 +128,10 @@ def ray_preservation_check(
     samples = _count("samples", samples, BelowMinimum)
     if transformed_intrinsics is None:
         transformed_intrinsics = apply_transform(k, t)
-    u = np.linspace(0.5, k.width - 0.5, samples)
-    v = np.linspace(0.5, k.height - 0.5, samples)
-    uu, vv = np.meshgrid(u, v)
-    d_src = ray_directions(uu, vv, k)
-    u_out, v_out = t.apply(uu, vv)
+    u = np.linspace(0.5, k.width - 0.5, samples)[None, :]  # broadcast against v to the samples x samples grid
+    v = np.linspace(0.5, k.height - 0.5, samples)[:, None]
+    d_src = ray_directions(u, v, k)
+    u_out, v_out = t.apply(u, v)
     d_out = ray_directions(u_out, v_out, transformed_intrinsics)
     cross = np.linalg.norm(np.cross(d_src, d_out), axis=-1)
     dot = np.sum(d_src * d_out, axis=-1)

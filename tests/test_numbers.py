@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camgeom.ambiguity import SizePrior, generate_scenes, make_witness, run_bias_experiment
+from camgeom.ambiguity import (
+    SizePrior,
+    fit_canonical_focal,
+    generate_scenes,
+    make_witness,
+    run_bias_experiment,
+    run_mixed_pool_experiment,
+)
 from camgeom.augment import AugmentationPolicy, RasterImage, Sample, augment, batch_augment
 from camgeom.boxes import OrientedBox3
 from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
@@ -183,7 +190,14 @@ REJECTED = {
     "scenes-focal-for-camera": (lambda: generate_scenes(2, [580.0]), IntrinsicsError),
     "bias-scalar-factors": (lambda: run_bias_experiment(generate_scenes(1, [K]), 1.0), NonPositiveScale),
     "scenes-list-of-priors": (lambda: generate_scenes(1, [K], size_priors=[("car", (1.0, 0.0))]), CamGeomError),
+    "bias-scenes-not-a-list": (lambda: run_bias_experiment(5, [1.0]), CamGeomError),
+    "bias-scenes-of-ints": (lambda: run_bias_experiment([1, 2], [1.0]), CamGeomError),
+    "canonical-focal-scenes-string": (lambda: fit_canonical_focal("ab"), CamGeomError),
+    "mixed-pool-scenes-of-none": (lambda: run_mixed_pool_experiment([None]), CamGeomError),
     "threshold-text": (lambda: match_and_score([], [], threshold="0.5"), BadThreshold),
+    "match-classes-not-iterable": (lambda: match_and_score([], [], classes=5), InvalidValue),
+    "match-pred-not-a-detection": (lambda: match_and_score([1], []), InvalidValue),
+    "match-truth-not-a-detection": (lambda: match_and_score([], [1]), InvalidValue),
     "workers-bool": (lambda: batch_augment([SAMPLE], POLICY, workers=True), BelowMinimum),
     "workers-zero": (lambda: batch_augment([SAMPLE], POLICY, workers=0), BelowMinimum),
     "workers-fractional": (lambda: batch_augment([SAMPLE], POLICY, workers=2.5), BelowMinimum),
@@ -218,7 +232,12 @@ REJECTED = {
     "unproject-overflow": (lambda: unproject(DepthMap(np.full((48, 64), 1e308)), Intrinsics(1, 1, 0, 0, 64, 48)),
                            InvalidValue),
     "rays-shape": (lambda: RayGrid(np.zeros((2, 2)), np.zeros((2, 3))), BadDimension),
-    "rays-nan": (lambda: RayGrid(np.array([[np.nan]]), np.zeros((1, 1))), InvalidValue),
+    "rays-nan": (lambda: RayGrid(np.array([np.nan]), np.zeros(1)), InvalidValue),
+    "rays-inf-row": (lambda: RayGrid(np.zeros(2), np.array([0.0, -np.inf])), InvalidValue),
+    "rays-2d-channel": (lambda: RayGrid(np.zeros(2), np.zeros((2, 1))), BadDimension),
+    "rays-scalar-channel": (lambda: RayGrid(0.0, np.zeros(2)), BadDimension),
+    "rays-no-columns": (lambda: RayGrid(np.zeros(0), np.zeros(2)), BadDimension),
+    "rays-no-rows": (lambda: RayGrid(np.zeros(2), np.zeros(0)), BadDimension),
     "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ("a", "b", "c")), BadDimension),
     "embedding-2d": (lambda: EmbeddingGrid(np.zeros((2, 8)), ("a", "b")), BadDimension),
     "embedding-no-layout": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ()), BadDimension),

@@ -330,33 +330,33 @@ def test_resample_equals_the_band_oracle(case):
     assert out_depth.values.tobytes() == values.tobytes() and out_depth.valid.tobytes() == valid.tobytes()
 
 
-# the embeddings evaluate each distinct value once; the references below embed token by token
+# the embeddings evaluate whole arrays at once; the references below embed token by token
 _EMBED_SETTINGS = settings(SETTINGS, max_examples=60)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def ray_grid_cases(draw):
-    """A caller-built ray grid whose entries come from a small pool, so values repeat, and signed zeros."""
+    """A caller-built ray grid, rx per column and ry per row, whose entries come from a small pool, so values
+    repeat, and signed zeros."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | _FINITE, min_size=1, max_size=6))
 
-    def channel():
-        return np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols)),
-                        dtype=np.float64).reshape(rows, cols)
+    def channel(size):
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), dtype=np.float64)
 
-    return RayGrid(channel(), channel()), draw(intrinsics()), draw(st.sampled_from([8, 16, 64]))
+    return RayGrid(channel(cols), channel(rows)), draw(intrinsics()), draw(st.sampled_from([8, 16, 64]))
 
 
 @_EMBED_SETTINGS
 @given(ray_grid_cases())
-@example((RayGrid([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.0, 0.0]]), Intrinsics(1000, 1000, 0, 0, 2, 2), 8))
+@example((RayGrid([0.0, -0.0, 0.0], [-0.0, 0.0]), Intrinsics(1000, 1000, 0, 0, 2, 2), 8))
 def test_embed_equals_the_per_token_reference(case):
     grid, k, dim = case
     per_scalar, period = dim // 4, DEFAULT_BASE_PERIOD
     focals = [math.log(f / DEFAULT_FOCAL_REFERENCE) for f in (k.fx, k.fy)]
     expected = np.array([[np.concatenate([sinusoid_features(x, per_scalar, period) for x in (rx, ry, *focals)])
-                          for rx, ry in zip(row_x, row_y)] for row_x, row_y in zip(grid.rx, grid.ry)])
+                          for rx in grid.rx] for ry in grid.ry])
     assert embed(grid, k, dim=dim).data.tobytes() == expected.tobytes()
 
 

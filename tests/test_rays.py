@@ -37,21 +37,27 @@ class TestRayGrid:
         # centers at 7 and 21: rx = (7-14)/1000 = -0.007, (21-14)/1000 = 0.007
         k = Intrinsics(1000, 1000, 14, 14, 28, 28)
         grid = ray_grid(k, TokenGridSpec(2, 2, 14))
-        np.testing.assert_allclose(grid.rx, [[-0.007, 0.007], [-0.007, 0.007]], rtol=1e-15)
-        np.testing.assert_allclose(grid.ry, [[-0.007, -0.007], [0.007, 0.007]], rtol=1e-15)
+        np.testing.assert_allclose(grid.rx, [-0.007, 0.007], rtol=1e-15)  # per column
+        np.testing.assert_allclose(grid.ry, [-0.007, 0.007], rtol=1e-15)  # per row
+
+    def test_holds_one_value_per_column_and_per_row(self):
+        k = Intrinsics(1000, 1000, 35, 21, 70, 42)
+        grid = ray_grid(k, TokenGridSpec(3, 5, 14))
+        assert (grid.rx.shape, grid.ry.shape, grid.rows, grid.cols) == ((5,), (3,), 3, 5)
+        assert embed(grid, k, dim=8).data.shape == (3, 5, 8)
 
     def test_principal_point_token_is_zero(self):
         # cx = cy = 7 = center of the only token
         k = Intrinsics(500, 500, 7, 7, 14, 14)
         grid = ray_grid(k, TokenGridSpec(1, 1, 14))
-        assert grid.rx[0, 0] == 0.0
-        assert grid.ry[0, 0] == 0.0
+        assert grid.rx[0] == 0.0
+        assert grid.ry[0] == 0.0
 
     def test_monotone_ray_field(self):
         k = Intrinsics(585.5, 612.25, 320, 240, 640, 480)
         grid = ray_grid(k, TokenGridSpec.cover(k, 16))
-        assert np.all(np.diff(grid.rx, axis=1) > 0)
-        assert np.all(np.diff(grid.ry, axis=0) > 0)
+        assert np.all(np.diff(grid.rx) > 0)
+        assert np.all(np.diff(grid.ry) > 0)
 
     def test_scaling_invariance(self):
         # scaled camera + scaled patch looks at the same scene directions

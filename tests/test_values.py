@@ -35,7 +35,7 @@ BUILDERS = {
     "DepthMap": (DepthMap, lambda rng: [np.array([[1.0, 2.0], [3.0, np.nan]])]),
     "PointGrid": (PointGrid,  # a quarter of the tokens invalid: three NaN
                   lambda rng: [np.where(rng.random((3, 4, 1)) < 0.25, np.nan, rng.standard_normal((3, 4, 3)))]),
-    "RayGrid": (RayGrid, lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]),
+    "RayGrid": (RayGrid, lambda rng: [rng.standard_normal(4), rng.standard_normal(3)]),
     "EmbeddingGrid": (lambda data: EmbeddingGrid(data, ("a", "b")),
                       lambda rng: [rng.standard_normal((3, 4, 8))]),
 }
