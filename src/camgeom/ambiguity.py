@@ -30,7 +30,7 @@ from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width, ray_components
 from .depthmap import aware_depth_estimate, biased_depth_estimate
 from .errors import BelowMinimum, CamGeomError, IntrinsicsError, NonPositiveFactor, NonPositiveScale
-from .errors import _count, _factors, _number, _positive
+from .errors import _count, _entries, _factors, _number, _positive
 from .evaluation import DEFAULT_IOU_THRESHOLD, ClassScore, Detection, match_and_score
 from .transforms import scale
 
@@ -166,17 +166,9 @@ class SyntheticScene:
     camera_index: int
 
 
-def _as_prior(value) -> SizePrior:
-    if isinstance(value, SizePrior):
-        return value
-    if not isinstance(value, (tuple, list)) or len(value) != 2:
-        raise CamGeomError(f"size prior: must be a SizePrior or (mean, spread), got {value!r}")
-    return SizePrior(*value)
-
-
 def generate_scenes(
     n: int,
-    camera_pool: Sequence[Intrinsics],
+    camera_pool: Iterable[Intrinsics],
     size_priors: Mapping[str, SizePrior | tuple[float, float]] | None = None,
     seed: int = 0,
     objects_per_scene: int = DEFAULT_OBJECTS_PER_SCENE,
@@ -189,20 +181,20 @@ def generate_scenes(
     built on first read of ``SceneObject.box``, sits at the true depth along
     that ray with a square footprint.  Depths are drawn uniformly from
     ``_DEPTH_RANGE``, and heights from ``size_priors``, a non-empty mapping
-    (None: the defaults).  A pool that is not a sequence of Intrinsics raises
-    IntrinsicsError, and an empty one BelowMinimum.
+    (None: the defaults).  A pool that is not a collection of Intrinsics
+    (:func:`~camgeom.errors._entries`) raises IntrinsicsError, and an empty one BelowMinimum.
     """
     n = _count("n", n, BelowMinimum)
     objects_per_scene = _count("objects_per_scene", objects_per_scene, BelowMinimum)
     seed = _count("seed", seed, BelowMinimum, minimum=0)
-    if not isinstance(camera_pool, Sequence) or not all(isinstance(k, Intrinsics) for k in camera_pool):
-        raise IntrinsicsError(f"camera_pool: must be a sequence of Intrinsics, got {camera_pool!r}")
+    camera_pool = _entries("camera_pool", camera_pool, IntrinsicsError, Intrinsics)
     if not camera_pool:
         raise BelowMinimum("camera_pool must be non-empty")
     priors = DEFAULT_SIZE_PRIORS if size_priors is None else size_priors
     if not isinstance(priors, Mapping) or not priors:
         raise CamGeomError(f"size_priors: must be a non-empty mapping of label to prior, got {size_priors!r}")
-    priors = {label: _as_prior(p) for label, p in priors.items()}
+    priors = {label: p if isinstance(p, SizePrior) else
+              SizePrior(*_entries(f"size prior {label!r}", p, CamGeomError, n=2)) for label, p in priors.items()}
     labels = sorted(priors)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
     scenes = []
@@ -228,15 +220,13 @@ def generate_scenes(
     return scenes
 
 
-def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = DEFAULT_F_MODE) -> float:
+def fit_canonical_focal(scenes: Iterable[SyntheticScene], mode: str = DEFAULT_F_MODE) -> float:
     """The focal a camera-agnostic estimator absorbs from its training pool.
 
-    Raises CamGeomError for ``scenes`` that is not a sequence of SyntheticScene or for an unknown ``mode``,
-    and BelowMinimum for an empty scene list.
+    Raises CamGeomError for ``scenes`` that is not a collection of SyntheticScene
+    (:func:`~camgeom.errors._entries`) or for an unknown ``mode``, and BelowMinimum for an empty scene list.
     """
-    if isinstance(scenes, str) or not isinstance(scenes, Sequence) or not all(
-            isinstance(scene, SyntheticScene) for scene in scenes):
-        raise CamGeomError(f"scenes: must be a sequence of SyntheticScene, got {scenes!r}")
+    scenes = _entries("scenes", scenes, CamGeomError, SyntheticScene)
     if not scenes:
         raise BelowMinimum("scenes must be non-empty")
     focals = [scene.camera.fy for scene in scenes]
@@ -247,13 +237,9 @@ def fit_canonical_focal(scenes: Sequence[SyntheticScene], mode: str = DEFAULT_F_
     raise CamGeomError(f"mode must be 'mean' or 'median', got {mode!r}")
 
 
-def _estimators(names: Sequence[str]) -> tuple[str, ...]:
-    """``names`` as a tuple, each 'agnostic' or 'aware'; CamGeomError otherwise, and for a ``str`` or a non-iterable."""
-    if isinstance(names, str):
-        raise CamGeomError(f"estimators must be a collection of names, not the string {names!r}")
-    if not isinstance(names, Iterable):
-        raise CamGeomError(f"estimators must be a collection of names, got {names!r}")
-    names = tuple(names)
+def _estimators(names: Iterable[str]) -> Sequence[str]:
+    """``names``, a collection (:func:`~camgeom.errors._entries`) of 'agnostic' or 'aware'; CamGeomError otherwise."""
+    names = _entries("estimators", names, CamGeomError)
     for name in names:
         if name not in ("agnostic", "aware"):
             raise CamGeomError(f"estimator must be 'agnostic' or 'aware', got {name!r}")
@@ -282,8 +268,8 @@ class BiasRow:
 
 
 def run_bias_experiment(
-    scenes: Sequence[SyntheticScene],
-    resize_factors: Sequence[float],
+    scenes: Iterable[SyntheticScene],
+    resize_factors: Iterable[float],
     estimator: str = "agnostic",
     f_mode: str = DEFAULT_F_MODE,
 ) -> list[BiasRow]:
@@ -296,11 +282,11 @@ def run_bias_experiment(
     known ray and scores it against the ground truth at ``DEFAULT_IOU_THRESHOLD``.
     Raises CamGeomError for an unknown ``estimator`` or ``f_mode``, BelowMinimum
     for an empty scene list and NonPositiveScale for ``resize_factors`` that is not a
-    collection, or a factor that is not a number > 0.
+    collection, or a factor that is not a number > 0.  Any collection is read once.
     """
     _estimators([estimator])
-    if isinstance(resize_factors, str) or not isinstance(resize_factors, Iterable):
-        raise NonPositiveScale(f"resize_factors: must be a collection of numbers > 0, got {resize_factors!r}")
+    resize_factors = _entries("resize_factors", resize_factors, NonPositiveScale)
+    scenes = _entries("scenes", scenes, CamGeomError)  # one read: fit_canonical_focal and the loop below share it
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
     truths = [[Detection(obj.label, obj.box) for obj in scene.objects] for scene in scenes]
     cameras = dict.fromkeys(scene.camera for scene in scenes)
@@ -344,8 +330,8 @@ class ClusterRow:
 
 
 def run_mixed_pool_experiment(
-    scenes: Sequence[SyntheticScene],
-    estimators: Sequence[str] = ("agnostic", "aware"),
+    scenes: Iterable[SyntheticScene],
+    estimators: Iterable[str] = ("agnostic", "aware"),
     f_mode: str = DEFAULT_F_MODE,
 ) -> tuple[float, list[ClusterRow]]:
     """Per-cluster depth bias when the training pool mixes focal clusters.
@@ -354,9 +340,10 @@ def run_mixed_pool_experiment(
     recovers depth with per-cluster ratio f_assumed / f_cluster; the aware
     estimator is exact for every cluster.  Returns (f_assumed, rows).
     Raises CamGeomError for an unknown estimator or ``f_mode`` and BelowMinimum
-    for an empty scene list.
+    for an empty scene list.  Any collection is read once.
     """
     estimators = _estimators(estimators)
+    scenes = _entries("scenes", scenes, CamGeomError)  # one read: fit_canonical_focal and the loop below share it
     f_assumed = fit_canonical_focal(scenes, mode=f_mode)
     clusters: dict[int, list[SyntheticScene]] = {}
     for scene in scenes:

@@ -311,13 +311,6 @@ class BatchReport:
         return {**asdict(self), **{key: getattr(self, key) for key in counts}}
 
 
-def _check_workers(workers: int) -> int:
-    """``workers`` as a count >= 1 (:func:`~camgeom.errors._count`); BelowMinimum otherwise."""
-    if workers.__class__ is int and workers < 1:
-        raise BelowMinimum(f"workers must be >= 1, got {workers}")
-    return _count("workers", workers, BelowMinimum)
-
-
 def batch_augment(
     samples: Sequence[Sample | None],
     policy: AugmentationPolicy,
@@ -340,7 +333,7 @@ def batch_augment(
     thread then holds one sample at a time, from its load until
     ``on_result`` returns.
     """
-    workers = _check_workers(workers)
+    workers = _count("workers", workers, BelowMinimum)
     results: list[AugmentedSample | None] = [None] * len(samples)
     transforms: list[dict | None] = [None] * len(samples)
     failures: list[tuple[int, str, str]] = []

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CamGeomError, DegenerateBox, _number, _positive
+from .errors import CamGeomError, DegenerateBox, _entries, _number, _positive
 
 __all__ = [
     "OrientedBox3",
@@ -79,9 +79,8 @@ class OrientedBox3:
             object.__setattr__(self, name, _number(f"box {name}", getattr(self, name), DegenerateBox))
 
     @classmethod
-    def from_list(cls, values: Sequence[float]) -> "OrientedBox3":
-        if len(values) != 9:
-            raise DegenerateBox(f"box list must have 9 entries, got {len(values)}")
+    def from_list(cls, values: Iterable[float]) -> "OrientedBox3":
+        values = _entries("box list", values, DegenerateBox, n=9)
         return cls(values[0:3], values[3:6], *values[6:])
 
     def to_list(self) -> list[float]:

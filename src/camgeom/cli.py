@@ -33,11 +33,11 @@ from .ambiguity import (
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
-from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _check_workers, _finite, batch_augment
+from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _finite, batch_augment
 from .boxes import DEFAULT_ROTATION_ORDER
 from .camera import Intrinsics
 from .depthmap import DEFAULT_GEO_DIM, DEFAULT_GEO_PERIOD, embed_points, token_point_grid, unproject
-from .errors import CamGeomError, _json, _number
+from .errors import BelowMinimum, CamGeomError, _count, _json, _number
 from .evaluation import DEFAULT_IOU_THRESHOLD, match_and_score, parse_detections
 from .fileio import (
     _open_atomic,
@@ -283,8 +283,7 @@ def _write_sample(out_dir: Path, result: AugmentedSample) -> None:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    workers = int(config["workers"])
-    _check_workers(workers)
+    workers = _count("workers", config["workers"], BelowMinimum)  # before anything is read or written
     out_dir = Path(args.out)
     manifest_path = Path(args.manifest)
     entries = _load_manifest(manifest_path)

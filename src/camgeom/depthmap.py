@@ -144,9 +144,7 @@ def embed_points(
     vectors.  One sinusoid call embeds each value once, bit-identical to
     embedding token by token.  Deterministic given identical inputs and config.
     """
-    dim = _count("geometric embedding dim", dim, BadDimension)
-    if dim < 6 or dim % 6:
-        raise BadDimension(f"geometric embedding dim must be a multiple of 6, got {dim}")
+    dim = _count("geometric embedding dim", dim, BadDimension, minimum=6, step=6)
     data = sinusoid_features(grid.points, dim // 3, base_period).reshape(grid.valid.shape + (dim,))
     data[~grid.valid] = 0.0  # an invalid token's NaN features
     return _adopt(EmbeddingGrid, data, GEO_CHANNEL_LAYOUT, {"base_period": base_period})

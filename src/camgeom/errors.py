@@ -1,15 +1,16 @@
-"""Exception types shared across the toolkit, and its one rule each for numbers and JSON.
+"""Exception types shared across the toolkit, and its one rule each for numbers, collections and JSON.
 
 Everything derives from :class:`CamGeomError` (a ``ValueError``) so callers
 can catch toolkit validation failures with a single except clause.
 
 A number taken from a caller is an int or a float (``np.float64`` is one),
 never a bool or text, and finite: NaN, +-inf and ints too large for a float
-are not.  A count is an int or an integral float.  :func:`_number`,
-:func:`_positive`, :func:`_factors` and :func:`_count` apply this rule for
-every value type and checker, raising the error class their caller names.
-JSON from outside is decoded by :func:`_json` alone: text that is not JSON,
-nests too deep or holds an over-long integer raises its reader's class.
+are not.  A count is an int or an integral float; a collection, any iterable
+but ``str`` or ``bytes``, read once.  :func:`_number`, :func:`_positive`,
+:func:`_factors`, :func:`_count` and :func:`_entries` apply these rules,
+raising the error class their caller names.  JSON from outside is decoded
+by :func:`_json` alone: text that is not JSON, nests too deep or holds an
+over-long integer raises its reader's class.
 """
 
 import json
@@ -38,18 +39,35 @@ def _positive(what: str, value, error: type) -> float:
 
 
 def _factors(what: str, values, names: tuple[str, ...], error: type) -> tuple[float, ...]:
-    """``values``, a tuple or list with one entry > 0 (:func:`_positive`) for each of ``names``."""
-    if not isinstance(values, (tuple, list)) or len(values) != len(names):
-        raise error(f"{what}: must be {len(names)} numbers {names}, got {values!r}")
-    return tuple(_positive(n, v, error) for n, v in zip(names, values))
+    """``values``, a collection (:func:`_entries`) with one entry > 0 (:func:`_positive`) for each of ``names``."""
+    return tuple(_positive(n, v, error) for n, v in zip(names, _entries(what, values, error, n=len(names))))
 
 
-def _count(what: str, value, error: type, minimum: int = 1) -> int:
-    """``value`` as an int if it is an int or an integral float (:func:`_number`), >= ``minimum``."""
+def _count(what: str, value, error: type, minimum: int = 1, step: int = 1) -> int:
+    """``value`` as an int: an int or integral float (:func:`_number`), >= ``minimum`` and a multiple of ``step``."""
     number = value if value.__class__ is int else _number(what, value, error)
-    if not minimum <= number <= _LARGEST or number != int(number):
-        raise error(f"{what}: must be an integer >= {minimum}, got {value!r}")
+    if not minimum <= number <= _LARGEST or number != int(number) or int(number) % step:
+        rule = "an integer" if step == 1 else f"a multiple of {step}"
+        raise error(f"{what}: must be {rule} >= {minimum}, got {value!r}")
     return int(number)
+
+
+def _entries(what: str, values, error: type, kind: type = object, n: int | None = None) -> list | tuple:
+    """``values``, a list or tuple, or another non-text iterable read once into a tuple, of ``n`` (if set) ``kind``."""
+    if not isinstance(values, (list, tuple)):
+        try:
+            entries = iter(values)
+        except TypeError:  # not iterable: a number, None, a 0-d array
+            entries = None
+        if entries is None or isinstance(values, (str, bytes)):
+            raise error(f"{what}: must be a collection, got {values!r}")
+        values = tuple(entries)
+    if n is not None and len(values) != n:
+        raise error(f"{what}: must have {n} entries, got {values!r}")
+    for value in values:
+        if not isinstance(value, kind):
+            raise error(f"{what}: must hold only {kind.__name__} entries, got {value!r}")
+    return values
 
 
 def _json(what: str, text: str, error: type):

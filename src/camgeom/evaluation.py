@@ -20,10 +20,10 @@ import logging
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable
 
 from .boxes import DEFAULT_ROTATION_ORDER, OrientedBox3, _check_order, _screen_pairs, aabb_iou, iou3d
-from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _json, _positive
+from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _entries, _json, _positive
 
 __all__ = [
     "Detection",
@@ -200,14 +200,9 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _not_a_detection(entry) -> NoReturn:
-    """Raise InvalidValue for an entry of a detection list that is not a Detection."""
-    raise InvalidValue(f"predictions and truths must be Detections, got {entry!r}")
-
-
 def match_and_score(
-    preds: Sequence[Detection],
-    truths: Sequence[Detection],
+    preds: Iterable[Detection],
+    truths: Iterable[Detection],
     threshold: float = DEFAULT_IOU_THRESHOLD,
     classes: Iterable[str] | None = None,
     axis_aligned: bool = False,
@@ -215,22 +210,20 @@ def match_and_score(
 ) -> EvalReport:
     """Greedy class-wise matching and P/R/F1 at the given IoU threshold.
 
-    A ``str`` for ``classes`` raises InvalidValue: it would filter by letters.  So does a ``classes`` that
-    is not iterable, and a prediction or truth that is not a Detection.
+    ``preds``, ``truths`` and ``classes`` (None: all) are collections, read once, indexed in read order; InvalidValue
+    otherwise (a ``str`` ``classes`` would filter by letters), and for a prediction or truth that is not a Detection.
     """
-    if isinstance(classes, str) or not (classes is None or isinstance(classes, Iterable)):
-        raise InvalidValue(f"classes must be a collection of labels, got {classes!r}")
+    preds = _entries("predictions", preds, InvalidValue, Detection)
+    truths = _entries("truths", truths, InvalidValue, Detection)
     if _positive("IoU threshold", threshold, BadThreshold) > 1.0:
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
     _check_order(rotation_order)  # also when no pair reaches rotation_matrix
-    class_filter = None if classes is None else {normalize_label(c) for c in classes}
+    class_filter = None if classes is None else {normalize_label(c) for c in _entries("classes", classes, InvalidValue)}
     iou = aabb_iou if axis_aligned else functools.partial(iou3d, order=rotation_order)
 
     # match-pair indices refer to the caller's original lists
-    preds = {i: d for i, d in enumerate(preds) if (isinstance(d, Detection) or _not_a_detection(d))
-             and (class_filter is None or d.label in class_filter)}
-    truths = {j: d for j, d in enumerate(truths) if (isinstance(d, Detection) or _not_a_detection(d))
-              and (class_filter is None or d.label in class_filter)}
+    preds = {i: d for i, d in enumerate(preds) if class_filter is None or d.label in class_filter}
+    truths = {j: d for j, d in enumerate(truths) if class_filter is None or d.label in class_filter}
     labels = sorted({d.label for d in (*preds.values(), *truths.values())})
     # every pair, unless attitudes differ and one geometry pass drops pairs whose AABBs do not meet (IoU 0)
     screen = None if axis_aligned else _screen_pairs({i: d.box for i, d in preds.items()},

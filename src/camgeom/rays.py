@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .camera import Intrinsics, ray_components
-from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, InvalidValue, _count, _number, _positive
+from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, InvalidValue
+from .errors import _count, _entries, _number, _positive
 
 __all__ = [
     "TokenGridSpec",
@@ -124,6 +125,7 @@ class EmbeddingGrid:
 
     def __post_init__(self, adopt: bool = False):
         data = _held(self.data, np.float64, adopt)
+        object.__setattr__(self, "layout", _entries("embedding layout", self.layout, BadDimension, str))
         if data.ndim != 3 or not self.layout or data.shape[2] % len(self.layout):
             raise BadDimension(f"embedding data must be rows x cols x equal blocks per {self.layout}, got {data.shape}")
         _hold(self, data=data)
@@ -177,9 +179,7 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
     ``dim`` is the per-scalar feature width and must be even.  Output shape
     is ``x.shape + (dim,)`` with every value in [-1, 1].
     """
-    dim = _count("per-scalar feature width", dim, BadDimension)
-    if dim < 2 or dim % 2:
-        raise BadDimension(f"per-scalar feature width must be even and >= 2, got {dim}")
+    dim = _count("per-scalar feature width", dim, BadDimension, minimum=2, step=2)
     _positive("base period", period, CamGeomError)
     x = np.asarray(x, dtype=np.float64)
     m = np.arange(dim // 2, dtype=np.float64)
@@ -206,9 +206,7 @@ def embed(
     deterministic function of geometry only, independent of image content.
     Each column's rx and each row's ry are embedded once.
     """
-    dim = _count("camera embedding dim", dim, BadDimension)
-    if dim < 8 or dim % 8:
-        raise BadDimension(f"camera embedding dim must be a multiple of 8, got {dim}")
+    dim = _count("camera embedding dim", dim, BadDimension, minimum=8, step=8)
     _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
     log_focals = [math.log(f / focal_reference) for f in (k.fx, k.fy)]

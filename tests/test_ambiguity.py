@@ -25,6 +25,19 @@ def _camera(f: float, width=640, height=480) -> Intrinsics:
     return Intrinsics(f, f, width / 2, height / 2, width, height)
 
 
+def _bits(value):
+    """``value`` with each dataclass as its fields and each float as float.hex, so equal means bit-for-bit equal."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+# a one-shot iterator, a generator and a 1-D array: each a collection, read once
+ONE_SHOT = [iter, lambda values: (v for v in values), np.array]
+
+
 class TestWitness:
     def test_focal_depth_tradeoff(self):
         w = make_witness((500, 2, 4), "focal_depth", 2.0)
@@ -67,6 +80,13 @@ class TestWitness:
             w = make_witness(base, kind, factor)
             variant_h = w.variant[0] * w.variant[1] / w.variant[2]
             assert variant_h == pytest.approx(w.h_proj, rel=1e-9)
+
+    @pytest.mark.parametrize("make", ONE_SHOT)
+    def test_base_and_factors_may_be_any_collection(self, make):
+        for kind, factor in (("focal_depth", 1.7), ("coupled", (1.7, 0.4))):
+            given = make_witness(make([585.0, 1.3, 3.7]), kind, make(factor) if kind == "coupled" else factor)
+            assert _bits(given) == _bits(make_witness((585.0, 1.3, 3.7), kind, factor))
+            assert all(type(v) is float for v in given.base + given.variant)
 
     def test_non_positive_factors_rejected(self):
         with pytest.raises(NonPositiveFactor):
@@ -274,11 +294,28 @@ class TestExperimentInputs:
             run()
 
     def test_mixed_pool_rejects_one_name_as_a_string(self):
-        with pytest.raises(CamGeomError, match=r"^estimators must be a collection of names, not the string 'aware'$"):
+        with pytest.raises(CamGeomError, match=r"^estimators: must be a collection, got 'aware'$"):
             run_mixed_pool_experiment(self.SCENES, "aware")
-        with pytest.raises(CamGeomError, match=r"^estimators must be a collection of names, got 5$"):
+        with pytest.raises(CamGeomError, match=r"^estimators: must be a collection, got 5$"):
             run_mixed_pool_experiment(self.SCENES, 5)
 
     def test_estimators_may_be_any_iterable(self):
         _, rows = run_mixed_pool_experiment(self.SCENES, iter(["aware"]))
         assert [row.estimator for row in rows] == ["aware", "aware"]
+
+    # each experiment reads its scenes once, so an iterator it checks is not found empty by its own loop
+    @pytest.mark.parametrize("run", [
+        lambda scenes: run_bias_experiment(scenes, [0.8, 1.0, 1.25]),
+        lambda scenes: run_bias_experiment(scenes, iter([0.8, 1.25]), estimator="aware", f_mode="median"),
+        lambda scenes: run_mixed_pool_experiment(scenes),
+        lambda scenes: run_mixed_pool_experiment(scenes, ("aware",), f_mode="median"),
+        lambda scenes: fit_canonical_focal(scenes),
+        lambda scenes: fit_canonical_focal(scenes, mode="median"),
+    ])
+    def test_one_shot_scenes_give_the_list_rows(self, run):
+        assert _bits(run(iter(self.SCENES))) == _bits(run(list(self.SCENES)))
+
+    @pytest.mark.parametrize("make", ONE_SHOT[:2])
+    def test_a_one_shot_pool_gives_the_list_corpus(self, make):
+        pool = [_camera(580), _camera(1160)]
+        assert _bits(generate_scenes(6, make(pool), seed=13)) == _bits(generate_scenes(6, pool, seed=13))

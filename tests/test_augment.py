@@ -319,6 +319,12 @@ class TestAugment:
         again = apply_transform(K, out.transform)
         assert again == out.intrinsics  # dataclass equality on floats = bit equality
 
+    @pytest.mark.parametrize("make", [iter, lambda values: (v for v in values), np.array])
+    def test_scale_range_may_be_any_collection(self, make):
+        policy = AugmentationPolicy(scale_range=make([0.8, 1.25]), seed=3)
+        assert policy == AugmentationPolicy(scale_range=(0.8, 1.25), seed=3)
+        assert [(type(v), v.hex()) for v in policy.scale_range] == [(float, 0.8.hex()), (float, 1.25.hex())]
+
     def test_rays_preserved_for_every_draw(self):
         image = _noise_image(np.random.default_rng(8))
         for mode in ("pad", "crop"):

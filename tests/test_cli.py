@@ -672,7 +672,7 @@ class TestConfigValidation:
             argv = ["augment", "--manifest", str(workspace / manifest), "--out", str(out)]
             assert main(argv + [flag.format(ws=workspace) for flag in flags]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: workers must be >= 1") and err.count("\n") == 1, err
+            assert err.startswith("error: workers: must be an integer >= 1, got ") and err.count("\n") == 1, err
             assert not out.exists()
 
     def test_int_for_float_and_intrinsics_in_the_pool(self, workspace):

@@ -168,6 +168,12 @@ class TestMatchAndScore:
         assert report.micro.n_pred == 1 and report.micro.n_truth == 1
         assert report.matches[0][1] == 1 and report.matches[0][2] == 1  # original positions
 
+    def test_one_shot_inputs_give_the_list_report(self):
+        preds, truths = _seeded_frame(3)
+        report = match_and_score(iter(preds), (d for d in truths), classes=iter(["chair", "lamp"]))
+        assert report.to_dict() == match_and_score(preds, truths, classes=["chair", "lamp"]).to_dict()
+        assert report.matches  # the frame has matches to lose
+
     def test_class_filter_given_as_one_string_is_rejected(self):
         with pytest.raises(InvalidValue, match="'chair'"):
             match_and_score([_box_at(0.0)], [_box_at(0.0)], classes="chair")

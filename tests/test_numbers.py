@@ -182,6 +182,8 @@ REJECTED = {
     "box-list-of-text": (lambda: OrientedBox3.from_list(["1"] * 9), DegenerateBox),
     "box-scalar-center": (lambda: OrientedBox3(1.0, (1, 1, 1), 0, 0, 0), DegenerateBox),
     "box-none-center": (lambda: OrientedBox3(None, (1, 1, 1), 0, 0, 0), DegenerateBox),
+    "box-list-none": (lambda: OrientedBox3.from_list(None), DegenerateBox),
+    "box-list-scalar": (lambda: OrientedBox3.from_list(5), DegenerateBox),
     "size-prior-text-spread": (lambda: SizePrior(1.0, "0.1"), CamGeomError),
     "scenes-fractional-count": (lambda: generate_scenes(2.5, [K]), BelowMinimum),
     "scenes-one-entry-prior": (lambda: generate_scenes(1, [K], size_priors={"car": (1.0,)}), CamGeomError),
@@ -198,6 +200,8 @@ REJECTED = {
     "match-classes-not-iterable": (lambda: match_and_score([], [], classes=5), InvalidValue),
     "match-pred-not-a-detection": (lambda: match_and_score([1], []), InvalidValue),
     "match-truth-not-a-detection": (lambda: match_and_score([], [1]), InvalidValue),
+    "match-preds-not-iterable": (lambda: match_and_score(5, []), InvalidValue),
+    "match-truths-none": (lambda: match_and_score([], None), InvalidValue),
     "workers-bool": (lambda: batch_augment([SAMPLE], POLICY, workers=True), BelowMinimum),
     "workers-zero": (lambda: batch_augment([SAMPLE], POLICY, workers=0), BelowMinimum),
     "workers-fractional": (lambda: batch_augment([SAMPLE], POLICY, workers=2.5), BelowMinimum),
@@ -241,6 +245,8 @@ REJECTED = {
     "embedding-dim": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ("a", "b", "c")), BadDimension),
     "embedding-2d": (lambda: EmbeddingGrid(np.zeros((2, 8)), ("a", "b")), BadDimension),
     "embedding-no-layout": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), ()), BadDimension),
+    "embedding-layout-not-iterable": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), 5), BadDimension),
+    "embedding-layout-of-ints": (lambda: EmbeddingGrid(np.zeros((2, 2, 4)), (1, 2)), BadDimension),
     "detection-blank-label": (lambda: Detection("  ", OrientedBox3((0, 0, 1), (1, 1, 1), 0, 0, 0)), InvalidValue),
     # the library's own arrays go through the same checks
     "adopted-raster-two-channels": (lambda: _adopt(RasterImage, np.zeros((4, 4, 2), np.uint8)), BadDimension),

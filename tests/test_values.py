@@ -104,6 +104,11 @@ class TestValueTypes:
             assert array.flags.c_contiguous, key
 
 
+def test_an_embedding_layout_may_be_any_collection_of_names():
+    grid = EmbeddingGrid(np.zeros((2, 2, 4)), (name for name in ("a", "b")))
+    assert grid.layout == ("a", "b") and grid.dim == 4
+
+
 class TestAdoptedArrays:
     """The library hands the arrays it makes to its values without a copy; none may alias an input or each other."""
 
