@@ -7,7 +7,8 @@ Conventions used throughout the toolkit:
   is at ``(u, v) = (j + 0.5, i + 0.5)``.
 * Camera frame is right-handed, x right, y down, z forward; a point is in
   front of the camera iff ``z > 0``.
-* All geometry is computed in 64-bit floats. No skew, no lens distortion.
+* All geometry is computed in 64-bit floats; the CLI's tensors are filled at
+  float32, each value rounded once. No skew, no lens distortion.
 """
 
 from __future__ import annotations
@@ -183,15 +184,17 @@ def ray_directions(u: np.ndarray, v: np.ndarray, k: Intrinsics) -> np.ndarray:
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
-def unproject_array(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: Intrinsics) -> np.ndarray:
+def unproject_array(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: Intrinsics, dtype=np.float64) -> np.ndarray:
     """Camera-frame points ray x depth, ((u-cx)/fx*Z, (v-cy)/fy*Z, Z), shape (..., 3).
 
     The inverse of :func:`project_array`; ``u``, ``v`` and ``z`` broadcast
-    together.  Depth is not checked, so NaN marks an invalid point.
+    together.  Depth is not checked, so NaN marks an invalid point.  Computed
+    in float64 and filled in ``dtype``: at float32 each value is rounded once,
+    the bits of the float64 points' ``astype``.
     """
     rx, ry = ray_components(u, v, k)
     z = np.asarray(z, dtype=np.float64)
-    points = np.empty(np.broadcast_shapes(rx.shape, ry.shape, z.shape) + (3,), dtype=np.float64)
+    points = np.empty(np.broadcast_shapes(rx.shape, ry.shape, z.shape) + (3,), dtype=dtype)
     np.multiply(rx, z, out=points[..., 0])
     np.multiply(ry, z, out=points[..., 1])
     points[..., 2] = z

@@ -37,7 +37,7 @@ from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _
 from .boxes import DEFAULT_ROTATION_ORDER
 from .camera import Intrinsics
 from .depthmap import DEFAULT_GEO_DIM, DEFAULT_GEO_PERIOD, embed_points, token_point_grid, unproject
-from .errors import BelowMinimum, CamGeomError, _count, _json, _number
+from .errors import BelowMinimum, CamGeomError, InvalidValue, MalformedFile, _count, _json, _number
 from .evaluation import DEFAULT_IOU_THRESHOLD, match_and_score, parse_detections
 from .fileio import (
     _open_atomic,
@@ -330,13 +330,12 @@ def cmd_embed(args: argparse.Namespace) -> int:
         grid = TokenGridSpec(args.rows, args.cols, patch)
     else:
         grid = TokenGridSpec.cover(k, patch)
-    out_path = Path(args.out)
-    _echo_config(out_path.parent, config)
 
     origin = "center" if args.depth else config["embed"]["origin"]  # token_point_grid pools at patch centers
     if args.depth:
         points = token_point_grid(depth, k, grid)
-        emb = embed_points(points, dim=int(config["geo"]["dim"]), base_period=float(config["geo"]["base_period"]))
+        emb = embed_points(points, dim=int(config["geo"]["dim"]), base_period=float(config["geo"]["base_period"]),
+                           dtype=np.float32)
         kind = {"kind": "geometric_prior_embedding", "pooling": "token-center ray x nearest patch-center depth"}
     else:
         rays = ray_grid(k, grid, origin=origin)
@@ -346,8 +345,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
             dim=int(config["embed"]["dim"]),
             base_period=float(config["embed"]["base_period"]),
             focal_reference=float(config["embed"]["focal_reference"]),
+            dtype=np.float32,  # the file's precision: write_cgem writes the data as it is
         )
         kind = {"kind": "camera_ray_embedding"}
+    out_path = Path(args.out)
+    _echo_config(out_path.parent, config)  # after every check, so a failed run writes nothing
     write_cgem(out_path, emb.data)
     write_sidecar(out_path, {
         **kind,
@@ -370,8 +372,11 @@ def cmd_unproject(args: argparse.Namespace) -> int:
         k = sidecar_k
     else:
         raise CamGeomError(f"{args.depth}: no intrinsics sidecar; pass --intrinsics")
-    points, valid = unproject(depth, k)
     out_path = Path(args.out)
+    try:
+        points, valid = unproject(depth, k, np.float32)  # the file's precision: write_cgem writes it as it is
+    except InvalidValue:
+        raise MalformedFile(f"{out_path}: a finite value is past the float32 range") from None
     _echo_config(out_path.parent, config)
     write_cgem(out_path, points)
     write_sidecar(
@@ -445,9 +450,6 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
     )
     estimators = ["agnostic", "aware"] if amb["estimator"] == "both" else [amb["estimator"]]
 
-    out_dir = Path(args.out)
-    _echo_config(out_dir, config)
-
     # The resize sweep mirrors the single-source setting (train on one
     # camera, evaluate resized), so it runs on the first cluster's scenes;
     # cross-camera mixing is what the mixed-pool experiment below isolates.
@@ -457,6 +459,10 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
         bias_rows.extend(
             run_bias_experiment(bias_scenes, amb["resize_factors"], estimator=estimator, f_mode=amb["f_mode"])
         )
+    mixed = run_mixed_pool_experiment(scenes, estimators, f_mode=amb["f_mode"]) if len(pool) >= 2 else None
+
+    out_dir = Path(args.out)
+    _echo_config(out_dir, config)  # after both experiments, so a failed run writes nothing
     _write_csv(out_dir / "bias.csv", ["s", "estimator", "ratio_mean", "ratio_std", "depth_error_mean", "f1"],
                ([row.s, row.estimator, f"{row.ratio_mean:.12g}", f"{row.ratio_std:.6g}",
                  f"{row.depth_error_mean:.6g}", f"{row.f1:.4f}"] for row in bias_rows))
@@ -472,8 +478,8 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
             f"(std {row.ratio_std:.2g}) depth_err={row.depth_error_mean:.4f} F1={row.f1:.1f}"
         )
 
-    if len(pool) >= 2:
-        f_assumed, cluster_rows = run_mixed_pool_experiment(scenes, estimators, f_mode=amb["f_mode"])
+    if mixed is not None:
+        f_assumed, cluster_rows = mixed
         _write_csv(out_dir / "clusters.csv",
                    ["cluster_focal", "estimator", "ratio_mean", "ratio_std", "expected_ratio", "n_objects"],
                    ([row.cluster_focal, row.estimator, f"{row.ratio_mean:.12g}", f"{row.ratio_std:.6g}",

@@ -99,17 +99,18 @@ def _check_extent(grid, k: Intrinsics, what: str) -> None:
         raise ExtentMismatch(f"{what} extent {grid.width}x{grid.height} != intrinsics extent {k.width}x{k.height}")
 
 
-def unproject(depth: DepthMap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+def unproject(depth: DepthMap, k: Intrinsics, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel point cloud: pixel (u, v) at depth Z -> ((u-cx)/fx*Z, (v-cy)/fy*Z, Z).
 
-    Returns (points, valid) with points shaped (H, W, 3); invalid pixels
-    carry NaN.  Raises ExtentMismatch if the map does not match ``k``, InvalidValue if a point is past the float range.
+    Returns (points, valid) with points shaped (H, W, 3) in ``dtype`` (computed in float64; at float32 each value
+    rounded once, as :func:`~camgeom.camera.unproject_array` fills it); invalid pixels carry NaN.  Raises
+    ExtentMismatch if the map does not match ``k``, InvalidValue if a point is past ``dtype``'s range.
     """
     _check_extent(depth, k, "depth")
     u, v = token_centers(TokenGridSpec(depth.height, depth.width, 1))  # pixel centers: one-pixel tokens
     try:
         with np.errstate(over="raise"):  # a point past the float range has no coordinates to return
-            points = unproject_array(u[None, :], v[:, None], depth.values, k)
+            points = unproject_array(u[None, :], v[:, None], depth.values, k, dtype)
     except FloatingPointError:
         raise InvalidValue("depth: a pixel's point is past the float range") from None
     return points, depth.valid.copy()
@@ -137,15 +138,18 @@ def embed_points(
     grid: PointGrid,
     dim: int = DEFAULT_GEO_DIM,
     base_period: float = DEFAULT_GEO_PERIOD,
+    dtype=np.float64,
 ) -> EmbeddingGrid:
     """Sinusoidal geometric embedding of token points (x, y, z in meters, raw scale).
 
     Each coordinate receives dim/3 features; invalid tokens emit all-zero
     vectors.  One sinusoid call embeds each value once, bit-identical to
     embedding token by token.  Deterministic given identical inputs and config.
+    Features are computed in float64 and held in ``dtype``: at float32 each
+    value is rounded once, as :func:`~camgeom.rays.sinusoid_features` fills it.
     """
     dim = _count("geometric embedding dim", dim, BadDimension, minimum=6, step=6)
-    data = sinusoid_features(grid.points, dim // 3, base_period).reshape(grid.valid.shape + (dim,))
+    data = sinusoid_features(grid.points, dim // 3, base_period, dtype).reshape(grid.valid.shape + (dim,))
     data[~grid.valid] = 0.0  # an invalid token's NaN features
     return _adopt(EmbeddingGrid, data, GEO_CHANNEL_LAYOUT, {"base_period": base_period})
 

@@ -69,7 +69,10 @@ def _open_atomic(path: str | Path, mode: str = "wb", **kwargs):
 
 
 def write_cgem(path: str | Path, data: np.ndarray) -> None:
-    """Write a (rows, cols) or (rows, cols, dim) array as CGEM; MalformedFile for a finite value past float32."""
+    """Write a (rows, cols) or (rows, cols, dim) array as CGEM; MalformedFile for a finite value past float32.
+
+    C-ordered little-endian float32 data is written as it is, with no copy; any other is first converted in one
+    more pass, each value rounded once to float32."""
     data = np.asarray(data)
     if data.ndim == 2:
         data = data[:, :, None]

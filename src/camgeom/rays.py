@@ -117,14 +117,16 @@ class RayGrid:
 @dataclass(frozen=True, eq=False)
 class EmbeddingGrid:
     """rows x cols x dim sinusoidal features, one equal block of ``dim`` per ``layout`` name, and provenance
-    ``meta`` (the library's holds its ``base_period``); a caller's data is copied, the library's adopted."""
+    ``meta`` (the library's holds its ``base_period``); a caller's data is copied, the library's adopted.
+    float32 data is held as float32, any other as float64."""
 
     data: np.ndarray
     layout: tuple[str, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self, adopt: bool = False):
-        data = _held(self.data, np.float64, adopt)
+        data = np.asarray(self.data)
+        data = _held(data, np.float32 if data.dtype == np.float32 else np.float64, adopt)
         object.__setattr__(self, "layout", _entries("embedding layout", self.layout, BadDimension, str))
         if data.ndim != 3 or not self.layout or data.shape[2] % len(self.layout):
             raise BadDimension(f"embedding data must be rows x cols x equal blocks per {self.layout}, got {data.shape}")
@@ -173,18 +175,20 @@ def ray_grid(k: Intrinsics, grid: TokenGridSpec, origin: str = "center") -> RayG
     return RayGrid(*ray_components(*token_centers(grid, origin=origin), k))
 
 
-def sinusoid_features(x: np.ndarray, dim: int, period: float) -> np.ndarray:
+def sinusoid_features(x: np.ndarray, dim: int, period: float, dtype=np.float64) -> np.ndarray:
     """Interleaved sin/cos ladder: sin(x / T^(2m/dim)), cos(...), m = 0..dim/2-1.
 
     ``dim`` is the per-scalar feature width and must be even.  Output shape
-    is ``x.shape + (dim,)`` with every value in [-1, 1].
+    is ``x.shape + (dim,)`` with every value in [-1, 1].  Computed in float64
+    and filled in ``dtype``: at float32 each value is rounded once, the bits
+    of the float64 features' ``astype``.
     """
     dim = _count("per-scalar feature width", dim, BadDimension, minimum=2, step=2)
     _positive("base period", period, CamGeomError)
     x = np.asarray(x, dtype=np.float64)
     m = np.arange(dim // 2, dtype=np.float64)
     angles = x[..., None] / period ** (2.0 * m / dim)
-    out = np.empty(x.shape + (dim,), dtype=np.float64)
+    out = np.empty(x.shape + (dim,), dtype=dtype)
     np.sin(angles, out=out[..., 0::2])
     np.cos(angles, out=out[..., 1::2])
     return out
@@ -196,6 +200,7 @@ def embed(
     dim: int = DEFAULT_DIM,
     base_period: float = DEFAULT_BASE_PERIOD,
     focal_reference: float = DEFAULT_FOCAL_REFERENCE,
+    dtype=np.float64,
 ) -> EmbeddingGrid:
     """Sinusoidal camera embedding of a ray grid.
 
@@ -204,15 +209,16 @@ def embed(
     ``focal_reference`` so their magnitudes stay O(1); raw pixel focals
     (hundreds to thousands) would alias the sinusoids.  The result is a
     deterministic function of geometry only, independent of image content.
-    Each column's rx and each row's ry are embedded once.
+    Each column's rx and each row's ry are embedded once, in float64, and
+    held in ``dtype``: at float32 each value is rounded once.
     """
     dim = _count("camera embedding dim", dim, BadDimension, minimum=8, step=8)
     _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
     log_focals = [math.log(f / focal_reference) for f in (k.fx, k.fy)]
-    data = np.empty((grid.rows, grid.cols, dim), dtype=np.float64)
+    data = np.empty((grid.rows, grid.cols, dim), dtype=dtype)
     blocks = data.reshape(grid.rows, grid.cols, 4, per_scalar)
     for c, values in enumerate((grid.rx[None, :], grid.ry[:, None], *log_focals)):
-        blocks[:, :, c] = sinusoid_features(values, per_scalar, base_period)
+        blocks[:, :, c] = sinusoid_features(values, per_scalar, base_period, dtype)
     meta = {"base_period": base_period, "focal_reference": focal_reference, "intrinsics": k.to_dict()}
     return _adopt(EmbeddingGrid, data, CAMERA_CHANNEL_LAYOUT, meta)

@@ -322,6 +322,17 @@ class TestEmbedCommand:
         meta = read_sidecar(out)
         assert meta["channel_layout"] == ["rx", "ry", "log_fx", "log_fy"]
 
+    # a grid past the 64x48 image; a depth whose extent is not the intrinsics' (its sidecar names no camera)
+    @pytest.mark.parametrize("flags", [["--rows", "100", "--cols", "2"], ["--depth", "{ws}/small.cgem"]])
+    def test_failed_embed_exit_2_writing_nothing(self, workspace, capsys, flags):
+        write_depth(workspace / "small.cgem", DepthMap(np.ones((24, 32))))
+        out = workspace / "run" / "e.cgem"
+        argv = ["embed", "--intrinsics", str(workspace / "k.json"), "--out", str(out)]
+        assert main(argv + [flag.format(ws=workspace) for flag in flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.parent.exists()
+
     def test_same_inputs_twice_byte_identical(self, workspace):
         args = ["embed", "--intrinsics", str(workspace / "k.json"), "--patch", "16"]
         a = workspace / "a.cgem"
@@ -396,6 +407,23 @@ class TestUnprojectCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ") and err.count("\n") == 1, err
         assert not out.exists() and not sidecar_path(out).exists()
+
+
+class TestTensorsAtFilePrecision:
+    """embed, embed --depth and unproject hand write_cgem C-contiguous float32 data: the tensors are filled at the
+    file's precision, so writing them takes no float64 -> float32 narrowing pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--intrinsics", "{ws}/k.json", "--out", "{ws}/run/ray.cgem"],
+        ["embed", "--intrinsics", "{ws}/k.json", "--depth", "{ws}/depth.cgem", "--out", "{ws}/run/geo.cgem"],
+        ["unproject", "--depth", "{ws}/depth.cgem", "--out", "{ws}/run/points.cgem"],
+    ])
+    def test_write_cgem_gets_c_contiguous_float32_data(self, workspace, monkeypatch, argv):
+        handed = []
+        monkeypatch.setattr(cli, "write_cgem", lambda path, data: handed.append(data) or write_cgem(path, data))
+        assert main([arg.format(ws=workspace) for arg in argv]) == 0
+        (data,) = handed
+        assert isinstance(data, np.ndarray) and data.dtype == np.dtype("<f4") and data.flags.c_contiguous
 
 
 class TestEvalCommand:
@@ -649,12 +677,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("values, named", [({"objects_per_scene": 0}, "objects_per_scene"),
                                                ({"objects_per_scene": -2}, "objects_per_scene"),
                                                ({"f_mode": "x"}, "mode"),
-                                               ({"prior_spread": 2409}, "spread 2409.0 is too wide")])
+                                               ({"prior_spread": 2409}, "spread 2409.0 is too wide"),
+                                               ({"resize_factors": [0.0]}, "scale factor")])
     def test_bad_ambiguity_value_exit_2(self, workspace, capsys, values, named):
         assert self._run(workspace, "ambiguity", {"ambiguity": {"n_scenes": 4, **values}}) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
+        assert not (workspace / "run").exists()  # the experiments run before anything is written
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_exit_2(self, workspace, capsys, workers):

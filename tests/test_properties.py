@@ -4,6 +4,7 @@ range and banded against the whole-frame formula, oriented-box IoU (symmetry, ri
 invariance, bit-for-bit invariance under exact translation and power-of-two
 scaling, the clipper against the closed form, a closed mesh after every clip,
 aabb_iou on zero angles),
+float32 token tensors as the float64 ones rounded once,
 the input parsers (every input parses or raises CamGeomError, nothing
 else) and the CLI's error contract (every command, one input corrupted).
 
@@ -36,7 +37,7 @@ from camgeom.augment import _BAND_ROWS, RasterImage, resample, resample_depth
 from camgeom.boxes import OrientedBox3, aabb_iou, clipped_intersection_volume, intersection_volume, iou3d
 from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.cli import DEFAULTS, main
-from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points
+from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points, unproject
 from camgeom.errors import BadDimension, CamGeomError, InvalidValue, NonPositiveDepth
 from camgeom.evaluation import parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
@@ -401,6 +402,109 @@ def test_embed_points_equals_the_per_token_reference(case):
         if ok:
             expected = np.concatenate([sinusoid_features(x, dim // 3, DEFAULT_GEO_PERIOD) for x in grid.points[i, j]])
         assert data[i, j].tobytes() == expected.tobytes()
+
+
+# The tokens commands fill float32 outputs from float64 arithmetic, each value rounded once: a float32 output is the
+# float64 output's astype, bit for bit, NaN positions and -0.0 included.  Each property's examples hold a NaN depth,
+# a subnormal depth, -0.0 ray components and a depth at float32's maximum where its inputs can hold them, so these
+# cases are drawn whichever modules are collected.
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_PAST = 2.0**128 - 2.0**103  # the least float64 that rounds past float32's maximum, to inf
+_EDGES = [math.nan, 5e-324, -0.0, _F32_MAX, _F32_PAST, math.nextafter(_F32_PAST, 0)]
+_UNIT = Intrinsics(1.0, 1.0, 0.0, 0.0, 4, 4)
+
+
+def _rounded_once(narrow: np.ndarray, wide: np.ndarray) -> bool:
+    with np.errstate(over="ignore"):  # a value past float32's range is inf on both sides
+        return narrow.dtype == np.float32 and narrow.tobytes() == wide.astype(np.float32).tobytes()
+
+
+@st.composite
+def unproject_array_cases(draw):
+    """Pixel coordinates, -0.0 among them, depths of any sign and size with float32's edges among them, a camera."""
+    n = draw(st.integers(1, 6))
+    coords = st.lists(st.floats(-1e4, 1e4) | st.just(-0.0), min_size=n, max_size=n)
+    depths = st.lists(st.floats(allow_infinity=False) | st.sampled_from(_EDGES), min_size=n, max_size=n)
+    return np.array(draw(coords)), np.array(draw(coords)), np.array(draw(depths)), draw(intrinsics())
+
+
+@SETTINGS
+@given(unproject_array_cases())
+@example((np.array([0.5]), np.array([0.5]), np.array([math.nan]), _UNIT))
+@example((np.array([0.5]), np.array([0.5]), np.array([5e-324]), _UNIT))
+@example((np.array([-0.0]), np.array([-0.0]), np.array([2.0]), _UNIT))  # -0.0 - 0.0: rx and ry are -0.0
+@example((np.array([0.5, 1.5]), np.array([0.5, 0.5]), np.array([_F32_MAX, _F32_MAX]), _UNIT))  # 1.5 x max: inf
+def test_float32_points_are_the_float64_points_rounded_once(case):
+    u, v, z, k = case
+    with np.errstate(over="ignore"):  # a point past the float64 range is inf on both sides
+        wide, narrow = unproject_array(u, v, z, k), unproject_array(u, v, z, k, np.float32)
+    assert _rounded_once(narrow, wide)
+
+
+@_EMBED_SETTINGS
+@given(arrays(np.float64, array_shapes(max_dims=2, max_side=4),
+              elements=st.floats(allow_infinity=False) | st.sampled_from(_EDGES)),
+       st.sampled_from([2, 4, 16]), st.sampled_from([DEFAULT_BASE_PERIOD, DEFAULT_GEO_PERIOD]))
+@example(np.array([math.nan]), 4, DEFAULT_GEO_PERIOD)
+@example(np.array([5e-324]), 4, DEFAULT_GEO_PERIOD)
+@example(np.array([-0.0, 0.0]), 4, DEFAULT_BASE_PERIOD)
+@example(np.array([_F32_MAX, -_F32_MAX]), 16, DEFAULT_GEO_PERIOD)
+def test_float32_features_are_the_float64_features_rounded_once(x, dim, period):
+    assert _rounded_once(sinusoid_features(x, dim, period, np.float32), sinusoid_features(x, dim, period))
+
+
+# a ray grid holds no NaN (RayGrid rejects it), so its examples are the other three edges
+@_EMBED_SETTINGS
+@given(ray_grid_cases())
+@example((RayGrid([-0.0, 0.0], [-0.0]), _UNIT, 8))
+@example((RayGrid([5e-324, -5e-324], [_F32_MAX]), _UNIT, 16))
+def test_float32_embedding_is_the_float64_embedding_rounded_once(case):
+    grid, k, dim = case
+    assert _rounded_once(embed(grid, k, dim=dim, dtype=np.float32).data, embed(grid, k, dim=dim).data)
+
+
+@_EMBED_SETTINGS
+@given(point_grid_cases())
+@example((PointGrid([[[math.nan] * 3, [-0.0, -0.0, 1.0]]]), np.array([[False, True]]), 6))
+@example((PointGrid([[[0.0, 0.0, 5e-324], [_F32_MAX, -_F32_MAX, _F32_MAX]]]), np.array([[True, True]]), 12))
+def test_float32_geometric_embedding_is_the_float64_one_rounded_once(case):
+    grid, _, dim = case
+    assert _rounded_once(embed_points(grid, dim=dim, dtype=np.float32).data, embed_points(grid, dim=dim).data)
+
+
+@st.composite
+def far_depth_cases(draw):
+    """A depth map of 1 to 3 x 1 to 3 pixels, many near float32's maximum, NaN and float32's edges among them, and
+    a camera of its extent whose rays reach well past unit length."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    depths = (st.floats(1e37, 1e39) | st.floats(5e-324, 1.7976931348623157e308)
+              | st.sampled_from([d for d in _EDGES if d != -0.0]))
+    values = np.array(draw(st.lists(depths, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    focal, center = _floats(0.05, 10), _floats(-4, 8)
+    return DepthMap(values), Intrinsics(draw(focal), draw(focal), draw(center), draw(center), cols, rows)
+
+
+# a pixel center minus cx is never -0.0, so an on-axis ray's components are +0.0
+@SETTINGS
+@given(far_depth_cases())
+@example((DepthMap([[math.nan, 1.0]]), Intrinsics(1.0, 1.0, 1.0, 0.5, 2, 1)))
+@example((DepthMap([[5e-324]]), Intrinsics(0.05, 0.05, 0.0, 0.0, 1, 1)))
+@example((DepthMap([[_F32_MAX]]), Intrinsics(1.0, 1.0, 0.5, 0.5, 1, 1)))  # on axis: (+0.0, +0.0, max) fits
+@example((DepthMap([[_F32_MAX, _F32_MAX]]), Intrinsics(1.0, 1.0, 0.0, 0.5, 2, 1)))  # x = 1.5 x max does not
+@example((DepthMap([[_F32_PAST, math.nextafter(_F32_PAST, 0)]]), Intrinsics(1.0, 1.0, 1.0, 0.5, 2, 1)))
+def test_float32_unproject_raises_exactly_for_a_point_past_float32(case):
+    depth, k = case
+    try:
+        wide = unproject(depth, k)[0]
+    except InvalidValue:  # a point past the float64 range is past float32's as well
+        wide = None
+    with np.errstate(over="ignore"):
+        past = wide is None or bool(np.isinf(wide.astype(np.float32)).any())
+    if past:
+        with pytest.raises(InvalidValue):
+            unproject(depth, k, np.float32)
+    else:
+        assert _rounded_once(unproject(depth, k, np.float32)[0], wide)
 
 
 _ANGLE = _floats(-math.pi, math.pi)

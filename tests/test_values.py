@@ -68,6 +68,8 @@ def _library_calls():
         "ray_grid": (rays, []),
         "embed": (embed(rays, K, dim=16), [rays.rx, rays.ry]),
         "embed_points": (embed_points(points, dim=12), [points.points, points.valid]),
+        "embed-float32": (embed(rays, K, dim=16, dtype=np.float32), [rays.rx, rays.ry]),
+        "embed_points-float32": (embed_points(points, dim=12, dtype=np.float32), [points.points, points.valid]),
     }
 
 
@@ -107,6 +109,30 @@ class TestValueTypes:
 def test_an_embedding_layout_may_be_any_collection_of_names():
     grid = EmbeddingGrid(np.zeros((2, 2, 4)), (name for name in ("a", "b")))
     assert grid.layout == ("a", "b") and grid.dim == 4
+
+
+class TestEmbeddingDtype:
+    """An embedding holds float32 data as float32, so the CLI's float32 tensors are not widened; any other
+    dtype becomes float64."""
+
+    def test_a_callers_float32_data_is_held_as_a_float32_copy(self):
+        data = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(np.float32)
+        grid = EmbeddingGrid(data, ("a", "b"))
+        assert grid.data.dtype == np.float32 and grid.data.tobytes() == data.tobytes()
+        assert not np.shares_memory(grid.data, data)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.uint8, np.float64])
+    def test_other_data_becomes_float64(self, dtype):
+        data = np.arange(24).reshape(2, 3, 4).astype(dtype)
+        grid = EmbeddingGrid(data, ("a", "b"))
+        assert grid.data.dtype == np.float64
+        np.testing.assert_array_equal(grid.data, data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adopted_data_is_not_copied(self, dtype):
+        data = np.zeros((2, 3, 4), dtype)
+        grid = _adopt(EmbeddingGrid, data, ("a", "b"), {})
+        assert grid.data is data and not data.flags.writeable
 
 
 class TestAdoptedArrays:
