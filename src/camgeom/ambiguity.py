@@ -30,7 +30,7 @@ from .boxes import OrientedBox3
 from .camera import Intrinsics, projected_height, projected_width, ray_components
 from .depthmap import aware_depth_estimate, biased_depth_estimate
 from .errors import BelowMinimum, CamGeomError, IntrinsicsError, NonPositiveFactor, NonPositiveScale
-from .errors import _count, _entries, _factors, _number, _positive
+from .errors import _choice, _count, _entries, _factors, _number, _positive
 from .evaluation import DEFAULT_IOU_THRESHOLD, ClassScore, Detection, match_and_score
 from .transforms import scale
 
@@ -53,7 +53,15 @@ __all__ = [
 ]
 
 DEFAULT_OBJECTS_PER_SCENE = 5
-DEFAULT_F_MODE = "mean"  # how fit_canonical_focal pools the training focals: "mean" or "median"
+DEFAULT_F_MODE = "mean"  # how fit_canonical_focal pools the training focals: a key of _F_MODES
+_F_MODES = {"mean": statistics.fmean, "median": statistics.median}
+_ESTIMATORS = ("agnostic", "aware")  # a canonical focal baked in from the training pool, or the true one
+# witness kind -> its factor as (alpha, beta) of the one law; a one-factor kind's other factor is 1.0, an exact product
+_KINDS = {
+    "focal_depth": lambda lam: (_positive("lambda", lam, NonPositiveFactor), 1.0),
+    "size_depth": lambda lam: (1.0, _positive("lambda", lam, NonPositiveFactor)),
+    "coupled": lambda factor: _factors("factor", factor, ("alpha", "beta"), NonPositiveFactor),
+}
 _DEPTH_RANGE = (1.5, 8.0)  # meters: generate_scenes draws each object depth uniformly from this range
 MECHANISM_CAVEAT = (
     "Synthetic desk-scale experiment: reproduces the direction and law of the "
@@ -97,17 +105,8 @@ def make_witness(
     variant's height equal to 1e-9 relative; NonPositiveFactor otherwise.
     """
     f, height, depth = _factors("base", base, ("f", "H", "Z"), NonPositiveFactor)
-    if kind == "focal_depth":
-        lam = _positive("lambda", factor, NonPositiveFactor)
-        variant = (lam * f, height, lam * depth)
-    elif kind == "size_depth":
-        lam = _positive("lambda", factor, NonPositiveFactor)
-        variant = (f, lam * height, lam * depth)
-    elif kind == "coupled":
-        alpha, beta = _factors("factor", factor, ("alpha", "beta"), NonPositiveFactor)
-        variant = (alpha * f, beta * height, alpha * beta * depth)
-    else:
-        raise CamGeomError(f"kind must be focal_depth, size_depth or coupled, got {kind!r}")
+    alpha, beta = _KINDS[_choice("kind", kind, _KINDS, CamGeomError)](factor)
+    variant = (alpha * f, beta * height, alpha * beta * depth)
     h_base, h_variant = f * height / depth, variant[0] * variant[1] / variant[2]
     names = ("variant f", "variant H", "variant Z", "f*H", "variant f*H", "projected height f*H/Z")
     for name, value in zip(names, (*variant, f * height, variant[0] * variant[1], h_base)):
@@ -229,21 +228,13 @@ def fit_canonical_focal(scenes: Iterable[SyntheticScene], mode: str = DEFAULT_F_
     scenes = _entries("scenes", scenes, CamGeomError, SyntheticScene)
     if not scenes:
         raise BelowMinimum("scenes must be non-empty")
-    focals = [scene.camera.fy for scene in scenes]
-    if mode == "mean":
-        return statistics.fmean(focals)
-    if mode == "median":
-        return statistics.median(focals)
-    raise CamGeomError(f"mode must be 'mean' or 'median', got {mode!r}")
+    return _F_MODES[_choice("mode", mode, _F_MODES, CamGeomError)]([scene.camera.fy for scene in scenes])
 
 
 def _estimators(names: Iterable[str]) -> Sequence[str]:
-    """``names``, a collection (:func:`~camgeom.errors._entries`) of 'agnostic' or 'aware'; CamGeomError otherwise."""
+    """``names``, a collection (:func:`~camgeom.errors._entries`) of ``_ESTIMATORS``; CamGeomError otherwise."""
     names = _entries("estimators", names, CamGeomError)
-    for name in names:
-        if name not in ("agnostic", "aware"):
-            raise CamGeomError(f"estimator must be 'agnostic' or 'aware', got {name!r}")
-    return names
+    return [_choice("estimator", name, _ESTIMATORS, CamGeomError) for name in names]
 
 
 def _estimate(obj: SceneObject, k: Intrinsics, estimator: str, f_assumed: float) -> tuple[float, float, float, float]:
@@ -331,7 +322,7 @@ class ClusterRow:
 
 def run_mixed_pool_experiment(
     scenes: Iterable[SyntheticScene],
-    estimators: Iterable[str] = ("agnostic", "aware"),
+    estimators: Iterable[str] = _ESTIMATORS,
     f_mode: str = DEFAULT_F_MODE,
 ) -> tuple[float, list[ClusterRow]]:
     """Per-cluster depth bias when the training pool mixes focal clusters.

@@ -29,7 +29,8 @@ import numpy as np
 
 from .camera import Intrinsics
 from .depthmap import DepthMap, _check_extent
-from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, InvalidValue, _count, _factors, _number
+from .errors import BadDimension, BelowMinimum, CamGeomError, CropOutOfBounds, InvalidValue, _choice, _count, _factors
+from .errors import _number
 from .rays import TokenGridSpec, _adopt, _held, _hold, _pixel_index, token_centers
 from .transforms import PixelTransform, apply_transform
 
@@ -112,8 +113,7 @@ class AugmentationPolicy:
         if not (0.0 <= frac <= 0.5):
             raise CamGeomError(f"shift_fraction must be in [0, 0.5], got {frac}")
         object.__setattr__(self, "shift_fraction", frac)
-        if self.mode not in ("pad", "crop"):
-            raise CamGeomError(f"mode must be 'pad' or 'crop', got {self.mode!r}")
+        _choice("mode", self.mode, _MODES, CamGeomError)
         if not isinstance(self.seed, int) or _count("seed", self.seed, CamGeomError, minimum=0) >= 2**64:
             raise CamGeomError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -151,6 +151,7 @@ class AugmentedSample:
     boxes: object = None
 
 
+_MODES = ("pad", "crop")  # how a resample treats the source's edge: zeros past it, or a window kept inside it
 _BAND_ROWS = 16  # output rows per band buffer of resample: 16 flattened float64 rows of a 640 x 3 frame are 240 KiB
 
 
@@ -186,9 +187,7 @@ def resample(image: RasterImage, t: PixelTransform, mode: str = "pad") -> Raster
     output window must lie inside the scaled source (CropOutOfBounds
     otherwise) and edge samples clamp instead of padding.
     """
-    if mode not in ("pad", "crop"):
-        raise CamGeomError(f"mode must be 'pad' or 'crop', got {mode!r}")
-    if mode == "crop":
+    if _choice("mode", mode, _MODES, CamGeomError) == "crop":
         # window [du, du + out_w] x [dv, dv + out_h] in post-scale coordinates
         if (
             t.du < -1e-9

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CamGeomError, DegenerateBox, _entries, _number, _positive
+from .errors import CamGeomError, DegenerateBox, _choice, _entries, _factors, _number
 
 __all__ = [
     "OrientedBox3",
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_ROTATION_ORDER = "zyx"
+_ORDERS = ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")  # the rotation orders: each permutation of the three axes
 # corner sign pattern (---, --+, -+-, ... +++): corner i has signs of the bits of i
 _SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
 # corners of the faces +x, -x, +y, -y, +z, -z, each wound CCW as seen from outside
@@ -64,13 +65,9 @@ class OrientedBox3:
     roll: float
 
     def __post_init__(self):
-        try:
-            center = tuple(_number("box center", c, DegenerateBox) for c in self.center)
-            size = tuple(_positive("box size", s, DegenerateBox) for s in self.size)
-        except TypeError:  # a center or size that is not iterable, such as a scalar or None
-            center = size = ()
-        if len(center) != 3 or len(size) != 3:
-            raise DegenerateBox(f"center and size must have 3 components each, got {self.center!r}, {self.size!r}")
+        center = _entries("box center", self.center, DegenerateBox, n=3)
+        center = tuple(_number("box center", c, DegenerateBox) for c in center)
+        size = _factors("box size", self.size, ("box size",) * 3, DegenerateBox)
         if not 0.0 < size[0] * size[1] * size[2] < math.inf:
             raise DegenerateBox(f"box sizes must be > 0 with a finite, non-zero volume, got {size}")
         object.__setattr__(self, "center", center)
@@ -80,7 +77,7 @@ class OrientedBox3:
 
     @classmethod
     def from_list(cls, values: Iterable[float]) -> "OrientedBox3":
-        values = _entries("box list", values, DegenerateBox, n=9)
+        values = _entries("box list arity", values, DegenerateBox, n=9)
         return cls(values[0:3], values[3:6], *values[6:])
 
     def to_list(self) -> list[float]:
@@ -93,15 +90,10 @@ class OrientedBox3:
         return rotation_matrix(self.yaw, self.pitch, self.roll, order=order)
 
 
-def _check_order(order: str) -> None:
-    if not isinstance(order, str) or order not in {"xyz", "xzy", "yxz", "yzx", "zxy", "zyx"}:
-        raise CamGeomError(f"rotation order must be a permutation of 'xyz', got {order!r}")
-
-
 def rotation_matrix(yaw, pitch, roll, order: str = DEFAULT_ROTATION_ORDER) -> np.ndarray:
     """Compose single-axis rotations in the named order (left to right): three floats give (3, 3), three
     arrays of shape (n,) give (n, 3, 3), each row bit for bit its floats' (3, 3); zero angles give np.eye(3)."""
-    _check_order(order)
+    _choice("rotation order", order, _ORDERS, CamGeomError)
     if not isinstance(yaw, np.ndarray) and yaw == 0.0 and pitch == 0.0 and roll == 0.0:
         return np.eye(3)
     angles = np.array([yaw, pitch, roll], dtype=np.float64)

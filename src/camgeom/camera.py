@@ -19,7 +19,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import CamGeomError, IntrinsicsError, NonPositiveDepth, NonPositiveSize, _count, _json, _number, _positive
+from .errors import BadDimension, CamGeomError, IntrinsicsError, NonPositiveDepth, NonPositiveSize, _count, _json
+from .errors import _number, _positive
 
 __all__ = [
     "Intrinsics",
@@ -132,8 +133,6 @@ def project(point: Point3, k: Intrinsics) -> Pixel:
     The result may lie outside the image extent; no clamping is applied.
     Raises NonPositiveDepth for points on or behind the image plane.
     """
-    if point.z <= 0:
-        raise NonPositiveDepth(f"cannot project point with Z = {point.z} <= 0")
     u, v = project_array(point.as_array(), k)
     return Pixel(float(u), float(v))
 
@@ -184,17 +183,27 @@ def ray_directions(u: np.ndarray, v: np.ndarray, k: Intrinsics) -> np.ndarray:
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
+def _float_dtype(dtype):
+    """``dtype`` if numpy reads it as float32 or float64; BadDimension otherwise, also for one numpy cannot parse."""
+    try:
+        if np.dtype(dtype) in (np.float32, np.float64):
+            return dtype
+    except (TypeError, ValueError):  # not a dtype numpy can parse
+        pass
+    raise BadDimension(f"dtype: must be float32 or float64, got {dtype!r}")
+
+
 def unproject_array(u: np.ndarray, v: np.ndarray, z: np.ndarray, k: Intrinsics, dtype=np.float64) -> np.ndarray:
     """Camera-frame points ray x depth, ((u-cx)/fx*Z, (v-cy)/fy*Z, Z), shape (..., 3).
 
     The inverse of :func:`project_array`; ``u``, ``v`` and ``z`` broadcast
     together.  Depth is not checked, so NaN marks an invalid point.  Computed
     in float64 and filled in ``dtype``: at float32 each value is rounded once,
-    the bits of the float64 points' ``astype``.
+    the bits of the float64 points' ``astype``; BadDimension for another ``dtype``.
     """
     rx, ry = ray_components(u, v, k)
     z = np.asarray(z, dtype=np.float64)
-    points = np.empty(np.broadcast_shapes(rx.shape, ry.shape, z.shape) + (3,), dtype=dtype)
+    points = np.empty(np.broadcast_shapes(rx.shape, ry.shape, z.shape) + (3,), dtype=_float_dtype(dtype))
     np.multiply(rx, z, out=points[..., 0])
     np.multiply(ry, z, out=points[..., 1])
     points[..., 2] = z

@@ -28,16 +28,17 @@ from .ambiguity import (
     DEFAULT_OBJECTS_PER_SCENE,
     DEFAULT_SIZE_PRIORS,
     MECHANISM_CAVEAT,
+    _ESTIMATORS,
     SizePrior,
     generate_scenes,
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
-from .augment import AugmentationPolicy, AugmentedSample, RasterImage, Sample, _finite, batch_augment
+from .augment import _MODES, AugmentationPolicy, AugmentedSample, RasterImage, Sample, _finite, batch_augment
 from .boxes import DEFAULT_ROTATION_ORDER
 from .camera import Intrinsics
 from .depthmap import DEFAULT_GEO_DIM, DEFAULT_GEO_PERIOD, embed_points, token_point_grid, unproject
-from .errors import BelowMinimum, CamGeomError, InvalidValue, MalformedFile, _count, _json, _number
+from .errors import BelowMinimum, CamGeomError, InvalidValue, MalformedFile, _choice, _count, _json, _number
 from .evaluation import DEFAULT_IOU_THRESHOLD, match_and_score, parse_detections
 from .fileio import (
     _open_atomic,
@@ -55,8 +56,10 @@ from .fileio import (
     write_ppm,
     write_sidecar,
 )
-from .rays import DEFAULT_BASE_PERIOD, DEFAULT_DIM, DEFAULT_FOCAL_REFERENCE, TokenGridSpec, _adopt, embed, ray_grid
+from .rays import DEFAULT_BASE_PERIOD, DEFAULT_DIM, DEFAULT_FOCAL_REFERENCE, _ORIGINS, TokenGridSpec, _adopt, embed
+from .rays import ray_grid
 
+_ESTIMATOR_CHOICES = [*_ESTIMATORS, "both"]  # "both" runs each estimator
 # a setting the library declares a default for reads that declaration; the rest are the CLI's own
 DEFAULTS: dict = {
     "seed": 0,
@@ -366,11 +369,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_unproject(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     depth, sidecar_k = read_depth(args.depth)
-    if args.intrinsics:
-        k = load_intrinsics(args.intrinsics)
-    elif sidecar_k is not None:
-        k = sidecar_k
-    else:
+    k = load_intrinsics(args.intrinsics) if args.intrinsics else sidecar_k  # the flag overrides the sidecar
+    if k is None:
         raise CamGeomError(f"{args.depth}: no intrinsics sidecar; pass --intrinsics")
     out_path = Path(args.out)
     try:
@@ -433,8 +433,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ambiguity(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     amb = config["ambiguity"]
-    if amb["estimator"] not in ("agnostic", "aware", "both"):
-        raise CamGeomError(f"ambiguity.estimator must be agnostic|aware|both, got {amb['estimator']!r}")
+    _choice("ambiguity.estimator", amb["estimator"], _ESTIMATOR_CHOICES, CamGeomError)
     pool = [
         _camera_from_pool_entry(entry, where=f"ambiguity.camera_pool[{i}]")
         for i, entry in enumerate(amb["camera_pool"])
@@ -448,7 +447,7 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
         seed=int(config["seed"]),
         objects_per_scene=int(amb["objects_per_scene"]),
     )
-    estimators = ["agnostic", "aware"] if amb["estimator"] == "both" else [amb["estimator"]]
+    estimators = _ESTIMATORS if amb["estimator"] == "both" else [amb["estimator"]]
 
     # The resize sweep mirrors the single-source setting (train on one
     # camera, evaluate resized), so it runs on the first cluster's scenes;
@@ -512,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-min", type=float, dest="augment.scale_min")
     p.add_argument("--scale-max", type=float, dest="augment.scale_max")
     p.add_argument("--shift", type=float, dest="augment.shift_fraction", help="max principal-point shift fraction")
-    p.add_argument("--mode", choices=["pad", "crop"], dest="augment.mode")
+    p.add_argument("--mode", choices=_MODES, dest="augment.mode")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("embed", help="export camera ray embedding (or E_geo with --depth)")
@@ -525,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, dest="embed.dim")
     p.add_argument("--base-period", type=float, dest="embed.base_period")
     p.add_argument("--focal-reference", type=float, dest="embed.focal_reference")
-    p.add_argument("--origin", choices=["center", "corner"], dest="embed.origin")
+    p.add_argument("--origin", choices=_ORIGINS, dest="embed.origin")
     p.add_argument("--depth", type=_path, help="depth CGEM; switches output to the geometric embedding")
     p.add_argument("--geo-dim", type=int, dest="geo.dim")
     p.add_argument("--geo-period", type=float, dest="geo.base_period")
@@ -555,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-scenes", type=int, dest="ambiguity.n_scenes")
     p.add_argument("--factors", type=_factor_list, dest="ambiguity.resize_factors",
                    help="comma-separated resize factors")
-    p.add_argument("--estimator", choices=["agnostic", "aware", "both"], dest="ambiguity.estimator")
+    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, dest="ambiguity.estimator")
     p.add_argument("--prior-spread", type=float, dest="ambiguity.prior_spread")
     p.set_defaults(func=cmd_ambiguity)
 

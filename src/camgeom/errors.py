@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its one rule each for numbers, collections and JSON.
+"""Exception types shared across the toolkit, and its one rule each for numbers, collections, names and JSON.
 
 Everything derives from :class:`CamGeomError` (a ``ValueError``) so callers
 can catch toolkit validation failures with a single except clause.
@@ -6,11 +6,11 @@ can catch toolkit validation failures with a single except clause.
 A number taken from a caller is an int or a float (``np.float64`` is one),
 never a bool or text, and finite: NaN, +-inf and ints too large for a float
 are not.  A count is an int or an integral float; a collection, any iterable
-but ``str`` or ``bytes``, read once.  :func:`_number`, :func:`_positive`,
-:func:`_factors`, :func:`_count` and :func:`_entries` apply these rules,
-raising the error class their caller names.  JSON from outside is decoded
-by :func:`_json` alone: text that is not JSON, nests too deep or holds an
-over-long integer raises its reader's class.
+but ``str`` or ``bytes``, read once; a name, a ``str`` in its owner's table.
+:func:`_number`, :func:`_positive`, :func:`_factors`, :func:`_count`, :func:`_entries`
+and :func:`_choice` apply these rules, raising the error class their caller
+names.  JSON from outside is decoded by :func:`_json` alone: text that is not
+JSON, nests too deep or holds an over-long integer raises its reader's class.
 """
 
 import json
@@ -68,6 +68,13 @@ def _entries(what: str, values, error: type, kind: type = object, n: int | None 
         if not isinstance(value, kind):
             raise error(f"{what}: must hold only {kind.__name__} entries, got {value!r}")
     return values
+
+
+def _choice(what: str, value, names, error: type) -> str:
+    """``value`` if it is a ``str`` among ``names`` (a tuple, or a mapping's keys); ``error`` listing them otherwise."""
+    if isinstance(value, str) and value in names:  # a str first: an unhashable value never meets a mapping
+        return value
+    raise error(f"{what}: must be one of {', '.join(names)}, got {value!r}")
 
 
 def _json(what: str, text: str, error: type):

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .boxes import DEFAULT_ROTATION_ORDER, OrientedBox3, _check_order, _screen_pairs, aabb_iou, iou3d
-from .errors import BadThreshold, DegenerateBox, InvalidValue, NoParsableJson, _entries, _json, _positive
+from .boxes import DEFAULT_ROTATION_ORDER, _ORDERS, OrientedBox3, _screen_pairs, aabb_iou, iou3d
+from .errors import BadThreshold, CamGeomError, DegenerateBox, InvalidValue, NoParsableJson, _choice, _entries, _json
+from .errors import _positive
 
 __all__ = [
     "Detection",
@@ -134,9 +135,6 @@ def parse_detections(text: str) -> list[Detection]:
             logger.warning("skipping entry without usable label: %r", entry)
             continue
         values = next((entry[key] for key in _BOX_KEYS if key in entry), None)
-        if not isinstance(values, list) or len(values) != 9:
-            logger.warning("skipping entry with bad box arity for %r: %r", label, values)
-            continue
         try:
             detections.append(Detection(label, OrientedBox3.from_list(values)))
         except DegenerateBox as exc:
@@ -217,7 +215,7 @@ def match_and_score(
     truths = _entries("truths", truths, InvalidValue, Detection)
     if _positive("IoU threshold", threshold, BadThreshold) > 1.0:
         raise BadThreshold(f"IoU threshold must be in (0, 1], got {threshold}")
-    _check_order(rotation_order)  # also when no pair reaches rotation_matrix
+    _choice("rotation order", rotation_order, _ORDERS, CamGeomError)  # also when no pair reaches rotation_matrix
     class_filter = None if classes is None else {normalize_label(c) for c in _entries("classes", classes, InvalidValue)}
     iou = aabb_iou if axis_aligned else functools.partial(iou3d, order=rotation_order)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .camera import Intrinsics, ray_components
+from .camera import Intrinsics, _float_dtype, ray_components
 from .errors import BadDimension, BelowMinimum, CamGeomError, GridExceedsImage, InvalidValue
-from .errors import _count, _entries, _number, _positive
+from .errors import _choice, _count, _entries, _number, _positive
 
 __all__ = [
     "TokenGridSpec",
@@ -42,6 +42,7 @@ DEFAULT_BASE_PERIOD = 10000.0  # standard transformer sinusoid constant
 DEFAULT_FOCAL_REFERENCE = 1000.0  # pixels; keeps ln(f/f0) O(1) for real cameras
 
 CAMERA_CHANNEL_LAYOUT = ("rx", "ry", "log_fx", "log_fy")
+_ORIGINS = {"center": 0.5, "corner": 0.0}  # token origin -> its offset into the patch, in patches
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,7 @@ def token_centers(grid: TokenGridSpec, origin: str = "center") -> tuple[np.ndarr
     ``origin="center"`` (default) places tokens at patch centers; "corner"
     uses the patch top-left, kept for ablations.
     """
-    if origin == "center":
-        offset = 0.5
-    elif origin == "corner":
-        offset = 0.0
-    else:
-        raise CamGeomError(f"origin must be 'center' or 'corner', got {origin!r}")
+    offset = _ORIGINS[_choice("origin", origin, _ORIGINS, CamGeomError)]
     u = (np.arange(grid.cols, dtype=np.float64) + offset) * grid.patch
     v = (np.arange(grid.rows, dtype=np.float64) + offset) * grid.patch
     return u, v
@@ -181,14 +177,14 @@ def sinusoid_features(x: np.ndarray, dim: int, period: float, dtype=np.float64) 
     ``dim`` is the per-scalar feature width and must be even.  Output shape
     is ``x.shape + (dim,)`` with every value in [-1, 1].  Computed in float64
     and filled in ``dtype``: at float32 each value is rounded once, the bits
-    of the float64 features' ``astype``.
+    of the float64 features' ``astype``; BadDimension for another ``dtype``.
     """
     dim = _count("per-scalar feature width", dim, BadDimension, minimum=2, step=2)
     _positive("base period", period, CamGeomError)
     x = np.asarray(x, dtype=np.float64)
     m = np.arange(dim // 2, dtype=np.float64)
     angles = x[..., None] / period ** (2.0 * m / dim)
-    out = np.empty(x.shape + (dim,), dtype=dtype)
+    out = np.empty(x.shape + (dim,), dtype=_float_dtype(dtype))
     np.sin(angles, out=out[..., 0::2])
     np.cos(angles, out=out[..., 1::2])
     return out
@@ -210,13 +206,13 @@ def embed(
     (hundreds to thousands) would alias the sinusoids.  The result is a
     deterministic function of geometry only, independent of image content.
     Each column's rx and each row's ry are embedded once, in float64, and
-    held in ``dtype``: at float32 each value is rounded once.
+    held in ``dtype``, float32 or float64 (BadDimension otherwise): at float32 each value is rounded once.
     """
     dim = _count("camera embedding dim", dim, BadDimension, minimum=8, step=8)
     _positive("focal reference", focal_reference, CamGeomError)
     per_scalar = dim // 4
     log_focals = [math.log(f / focal_reference) for f in (k.fx, k.fy)]
-    data = np.empty((grid.rows, grid.cols, dim), dtype=dtype)
+    data = np.empty((grid.rows, grid.cols, dim), dtype=_float_dtype(dtype))
     blocks = data.reshape(grid.rows, grid.cols, 4, per_scalar)
     for c, values in enumerate((grid.rx[None, :], grid.ry[:, None], *log_focals)):
         blocks[:, :, c] = sinusoid_features(values, per_scalar, base_period, dtype)

@@ -81,6 +81,17 @@ class TestWitness:
             variant_h = w.variant[0] * w.variant[1] / w.variant[2]
             assert variant_h == pytest.approx(w.h_proj, rel=1e-9)
 
+    def test_variant_bits_are_pinned(self):
+        # 1,000 seeded draws of each kind, their variants' reprs hashed: each float's bits as they were made
+        rng = np.random.default_rng(33)
+        digest = hashlib.sha256()
+        for kind in ("focal_depth", "size_depth", "coupled"):
+            for _ in range(1000):
+                base = rng.lognormal(0.0, 3.0, 3).tolist()
+                factor = rng.lognormal(0.0, 2.0, 2).tolist() if kind == "coupled" else float(rng.lognormal(0.0, 2.0))
+                digest.update(repr(make_witness(base, kind, factor).variant).encode())
+        assert digest.hexdigest() == "d8b3cbff673af8da2439c378d0bf36dcdcb400b0ff54cdc5d8d196484bffc8ba"
+
     @pytest.mark.parametrize("make", ONE_SHOT)
     def test_base_and_factors_may_be_any_collection(self, make):
         for kind, factor in (("focal_depth", 1.7), ("coupled", (1.7, 0.4))):

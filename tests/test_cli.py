@@ -1,16 +1,22 @@
 """End-to-end CLI tests: every subcommand, exit codes, config resolution."""
 
+import argparse
 import csv
+import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from camgeom import cli
-from camgeom.ambiguity import MECHANISM_CAVEAT
+from camgeom.ambiguity import _ESTIMATORS, MECHANISM_CAVEAT
+from camgeom.augment import _MODES
 from camgeom.cli import main
-from camgeom.fileio import read_cgem, read_sidecar, sidecar_path, write_cgem, write_depth, write_ppm
+from camgeom.depthmap import unproject
+from camgeom.fileio import read_cgem, read_depth, read_sidecar, sidecar_path, write_cgem, write_depth, write_ppm
+from camgeom.rays import _ORIGINS
 from camgeom import DepthMap, Intrinsics
 from camgeom.fileio import save_intrinsics
 
@@ -42,6 +48,42 @@ class TestVersion:
     def test_prints_version(self, capsys):
         assert main(["version"]) == 0
         assert "camgeom" in capsys.readouterr().out
+
+
+# SHA-256 of `camgeom [<cmd>] --help` at COLUMNS=100; argparse lays help out differently from one Python to the next
+HELP_DIGESTS = {
+    (3, 11): {
+        "": "d63018d15b2f53246aa0cb3ca54ae98f2ec42b5ae4282e35c8d5382ffd23cfe0",
+        "augment": "1875304629fe06d4f16d928a2b641954f73a51e5912e024a8d3dd816e5d40a2b",
+        "embed": "05dfda62ac754b3dabea50cc411bf53496e379b08e4c6bc3e7163249d5bdab67",
+        "unproject": "6e0555c86d1f5040edfd6380fd80fde27cd9176325fa230ee2f4c1e4275d5846",
+        "eval": "b9248e3fcb6aa74d0d966fde09100721e468a2e185ea1af382916a26cc8d44d0",
+        "ambiguity": "c89e3d61efdfb2762ee95d43aebef054128165cb35a99fcd168d1d471e1793e9",
+        "version": "f35a3f1f61c24bd39d0ef25a4719ecd372a7e4fcf253fdd1c6b50692e8b6a1a3",
+    },
+}
+
+
+class TestHelpText:
+    """The parsers' help is pinned byte for byte, so a refactor of how flags are declared cannot drift it."""
+
+    @pytest.mark.parametrize("command", ["", "augment", "embed", "unproject", "eval", "ambiguity", "version"])
+    def test_help_is_pinned(self, monkeypatch, capsys, command):
+        if sys.version_info[:2] not in HELP_DIGESTS:
+            pytest.skip(f"help text pinned only under Python {', '.join(map(str, HELP_DIGESTS))}")
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == HELP_DIGESTS[sys.version_info[:2]][command]
+
+    def test_choices_are_the_library_tables(self):
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        choices = {flag: commands[command]._option_string_actions[flag].choices
+                   for command, flag in (("augment", "--mode"), ("embed", "--origin"), ("ambiguity", "--estimator"))}
+        assert choices["--mode"] is _MODES and choices["--origin"] is _ORIGINS
+        assert choices["--estimator"] == [*_ESTIMATORS, "both"]
 
 
 class TestAugmentCommand:
@@ -308,6 +350,14 @@ class TestManifestIds:
         records = [json.loads(line) for line in (out / "transforms.jsonl").read_text().splitlines()]
         assert [(r["id"], r["index"]) for r in records] == [("img0", 0), ("img1", 1), ("img2", 2)]
 
+    def test_image_in_another_format(self, workspace):
+        (workspace / "img0.png").write_bytes((workspace / "img0.ppm").read_bytes())
+        out, report = self._run(workspace, [{"id": "png", "image": "img0.png", "intrinsics": "k.json"}])
+        assert report["n_ok"] == 3
+        message = f"CamGeomError: {workspace / 'img0.png'}: unsupported image format (use .ppm or .cgem)"
+        assert report["load_failures"] == [[3, "png", message]]
+        assert not (out / "png.ppm").exists()
+
 
 class TestEmbedCommand:
     def test_principal_point_token_zero_pattern(self, tmp_path):
@@ -407,6 +457,27 @@ class TestUnprojectCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ") and err.count("\n") == 1, err
         assert not out.exists() and not sidecar_path(out).exists()
+
+    def test_intrinsics_flag_overrides_the_sidecar(self, workspace):
+        other = Intrinsics(250.0, 400.0, 30.0, 20.0, 64, 48)  # the sidecar camera's extent, another camera
+        save_intrinsics(workspace / "other.json", other)
+        out = workspace / "points.cgem"
+        assert main(["unproject", "--depth", str(workspace / "depth.cgem"),
+                     "--intrinsics", str(workspace / "other.json"), "--out", str(out)]) == 0
+        depth, sidecar_k = read_depth(workspace / "depth.cgem")
+        assert sidecar_k == K
+        points = read_cgem(out)
+        assert np.array_equal(points, unproject(depth, other, np.float32)[0])
+        assert not np.array_equal(points, unproject(depth, K, np.float32)[0])
+        assert read_sidecar(out)["intrinsics"] == other.to_dict()
+
+    def test_no_camera_exit_2_writing_nothing(self, tmp_path, capsys):
+        write_cgem(tmp_path / "bare.cgem", np.ones((4, 4)))  # a depth map with no sidecar
+        out = tmp_path / "run" / "points.cgem"
+        assert main(["unproject", "--depth", str(tmp_path / "bare.cgem"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'bare.cgem'}: ") and err.count("\n") == 1, err
+        assert not out.parent.exists()
 
 
 class TestTensorsAtFilePrecision:
@@ -649,6 +720,7 @@ CONFIG_CASES = {
     "ambiguity-factor-past-float": ("ambiguity", {"ambiguity": {"resize_factors": [-10**400]}},
                                     "ambiguity.resize_factors"),
     "key-with-a-line-break": ("augment", {"augment": {"shift\nfraction": 0.3}}, "augment.shift\\nfraction"),
+    "ambiguity-estimator-list": ("ambiguity", {"ambiguity": {"estimator": ["aware"]}}, "ambiguity.estimator"),
 }
 COMMAND_ARGS = {
     "augment": ["--manifest", "{ws}/manifest.jsonl", "--out", "{ws}/run"],
@@ -678,7 +750,8 @@ class TestConfigValidation:
                                                ({"objects_per_scene": -2}, "objects_per_scene"),
                                                ({"f_mode": "x"}, "mode"),
                                                ({"prior_spread": 2409}, "spread 2409.0 is too wide"),
-                                               ({"resize_factors": [0.0]}, "scale factor")])
+                                               ({"resize_factors": [0.0]}, "scale factor"),
+                                               ({"camera_pool": []}, "camera_pool")])
     def test_bad_ambiguity_value_exit_2(self, workspace, capsys, values, named):
         assert self._run(workspace, "ambiguity", {"ambiguity": {"n_scenes": 4, **values}}) == 2
         err = capsys.readouterr().err
@@ -759,7 +832,12 @@ def _depth_with_sidecar(ws, text):
     return str(ws / "bad.cgem")
 
 
-# argv reaching a validation error; True where the error is a CamGeomError
+def _manifest_without_intrinsics(ws):
+    (ws / "m.jsonl").write_text((ws / "manifest.jsonl").read_text() + json.dumps({"id": "x", "image": "img0.ppm"}))
+    return ["augment", "--manifest", str(ws / "m.jsonl"), "--out", str(ws / "o")]
+
+
+# argv reaching a validation error; True where the error is a CamGeomError, and then what its line starts with if set
 VALIDATION_CASES = {
     "cgem-bad-magic": (_bad_magic, True),
     "embed-rows-0": (lambda ws: ["embed", "--intrinsics", str(ws / "k.json"), "--out", str(ws / "e.cgem"),
@@ -793,6 +871,7 @@ VALIDATION_CASES = {
                                                      "--truths", str(ws / "gt.json"), "--out", str(ws / "o"),
                                                      "--axis-aligned", "--rotation-order", "bogus"], True),
     "eval-deeply-nested-transcript": (_deeply_nested_transcript, True),
+    "manifest-without-intrinsics": (_manifest_without_intrinsics, True, "error: {ws}/m.jsonl:4: "),
     "ambiguity-prior-spread-nan": (lambda ws: ["ambiguity", "--out", str(ws / "a"), "--prior-spread", "nan"], True),
     "ambiguity-prior-spread-negative": (lambda ws: ["ambiguity", "--out", str(ws / "a"),
                                                     "--prior-spread", "-1"], True),
@@ -847,7 +926,7 @@ VALIDATION_CASES = {
 class TestValidationExits:
     @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
     def test_exit_2_without_traceback(self, workspace, capsys, case):
-        build, camgeom_error = VALIDATION_CASES[case]
+        build, camgeom_error, *start = VALIDATION_CASES[case]
         (workspace / "gt.json").write_text(GT.replace("0, 0, 0]", "0.3, 0, 0]"))  # rotated: needs the order
         try:
             code = main(build(workspace))
@@ -858,6 +937,7 @@ class TestValidationExits:
         assert "Traceback" not in err
         if camgeom_error:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(err.startswith(text.format(ws=workspace)) for text in start), err
 
 
     @pytest.mark.parametrize("argv, flag", [

@@ -23,9 +23,9 @@ from camgeom.ambiguity import (
     run_bias_experiment,
     run_mixed_pool_experiment,
 )
-from camgeom.augment import AugmentationPolicy, RasterImage, Sample, augment, batch_augment
-from camgeom.boxes import OrientedBox3
-from camgeom.camera import Intrinsics, Pixel, Point3, projected_height, projected_width
+from camgeom.augment import AugmentationPolicy, RasterImage, Sample, augment, batch_augment, resample
+from camgeom.boxes import OrientedBox3, rotation_matrix
+from camgeom.camera import Intrinsics, Pixel, Point3, project_array, projected_height, projected_width, unproject_array
 from camgeom.depthmap import (
     DepthMap,
     PointGrid,
@@ -43,6 +43,7 @@ from camgeom.errors import (
     DegenerateBox,
     IntrinsicsError,
     InvalidValue,
+    MalformedFile,
     NonPositiveDepth,
     NonPositiveFactor,
     NonPositiveInput,
@@ -50,7 +51,9 @@ from camgeom.errors import (
     NonPositiveSize,
 )
 from camgeom.evaluation import Detection, match_and_score
+from camgeom.fileio import write_cgem
 from camgeom.rays import EmbeddingGrid, RayGrid, TokenGridSpec, _adopt, embed, ray_grid, sinusoid_features
+from camgeom.rays import token_centers
 from camgeom.transforms import PixelTransform, ray_preservation_check
 
 SETTINGS = settings()  # the loaded profile: derandomized unless --hypothesis-profile=sweep (conftest.py)
@@ -61,6 +64,15 @@ RAYS = ray_grid(K, GRID)
 POINTS = token_point_grid(DepthMap.from_array(np.full((48, 64), 2.0)), K, GRID)
 SAMPLE = Sample("s", RasterImage(np.zeros((6, 8, 3), np.uint8)), Intrinsics(10.0, 10.0, 4.0, 3.0, 8, 6))
 POLICY = AugmentationPolicy(seed=3)
+SCENES = generate_scenes(2, [K])
+# each function that fills an array in a caller's dtype, called with one
+DTYPE_SITES = {
+    "unproject-array": lambda dtype: unproject_array(np.zeros(2), np.zeros(2), 1.0, K, dtype),
+    "unproject": lambda dtype: unproject(DepthMap(np.ones((48, 64))), K, dtype),
+    "sinusoid-features": lambda dtype: sinusoid_features(np.zeros(3), 4, 100.0, dtype),
+    "embed": lambda dtype: embed(RAYS, K, 16, dtype=dtype),
+    "embed-points": lambda dtype: embed_points(POINTS, 12, dtype=dtype),
+}
 
 NUMBER, POSITIVE, COUNT = "number", "positive", "count"
 
@@ -258,6 +270,34 @@ REJECTED = {
     "adopted-points-minus-inf": (lambda: _adopt(PointGrid, np.array([[[0.0, -np.inf, 1.0]]])), InvalidValue),
     "adopted-embedding-dim": (lambda: _adopt(EmbeddingGrid, np.zeros((2, 2, 4)), ("a", "b", "c"), {}),
                               BadDimension),
+    "witness-unknown-kind": (lambda: make_witness((500.0, 2.0, 4.0), "focal", 2.0), CamGeomError),
+    "scenes-empty-pool": (lambda: generate_scenes(1, []), BelowMinimum),
+    "policy-reversed-scale-range": (lambda: AugmentationPolicy(scale_range=(1.2, 0.8)), CamGeomError),
+    "policy-unknown-mode": (lambda: AugmentationPolicy(mode="reflect"), CamGeomError),
+    "resample-unknown-mode": (lambda: resample(SAMPLE.image, PixelTransform.identity(8, 6), mode="reflect"),
+                              CamGeomError),
+    "token-centers-unknown-origin": (lambda: token_centers(GRID, origin="edge"), CamGeomError),
+    "project-array-behind": (lambda: project_array(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), K),
+                             NonPositiveDepth),
+    # checked before the path is opened: its directory does not exist
+    "cgem-1d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros(3)), MalformedFile),
+    "cgem-4d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros((2, 2, 2, 2))), MalformedFile),
+    # a name from a closed set given as a list: the set's own class, never a TypeError from hashing it
+    "rotation-order-list": (lambda: rotation_matrix(0.0, 0.0, 0.0, order=["zyx"]), CamGeomError),
+    "match-rotation-order-list": (lambda: match_and_score([], [], rotation_order=["zyx"]), CamGeomError),
+    "policy-mode-list": (lambda: AugmentationPolicy(mode=["pad"]), CamGeomError),
+    "resample-mode-list": (lambda: resample(SAMPLE.image, PixelTransform.identity(8, 6), mode=["pad"]),
+                           CamGeomError),
+    "token-centers-origin-list": (lambda: token_centers(GRID, origin=["center"]), CamGeomError),
+    "canonical-focal-mode-list": (lambda: fit_canonical_focal(SCENES, mode=["mean"]), CamGeomError),
+    "bias-estimator-list": (lambda: run_bias_experiment(SCENES, [1.0], estimator=["aware"]), CamGeomError),
+    "mixed-pool-estimator-list": (lambda: run_mixed_pool_experiment(SCENES, [["aware"]]), CamGeomError),
+    "witness-kind-list": (lambda: make_witness((500.0, 2.0, 4.0), ["coupled"], (1.0, 1.0)), CamGeomError),
+    # a dtype numpy does not read as float32 or float64, or cannot read at all
+    **{f"{site}-dtype-{name}": (lambda call=call, dtype=dtype: call(dtype), BadDimension)
+       for site, call in DTYPE_SITES.items()
+       for name, dtype in (("int32", np.int32), ("float16", np.float16), ("complex128", np.complex128),
+                           ("text", "nope"))},
 }
 
 
