@@ -108,6 +108,37 @@ class TestParse:
         assert any("box size" in record.message for record in caplog.records)
 
 
+def _entry(label: str) -> str:
+    return '{"label": "%s", "bbox_3d": [0,0,0,1,1,1,0,0,0]}' % label
+
+
+# transcripts whose JSON does not decode as a whole -> (labels salvaged, warnings logged)
+SALVAGE = {
+    "brace-in-string": ("[" + _entry("cup}") + ", " + _entry("{mug") + ",", ["cup}", "{mug"], 0),
+    "escaped-quote-before-brace": ("[" + _entry('say \\"}\\" now') + ", " + _entry("mug") + ", ...",
+                                   ['say "}" now', "mug"], 0),
+    "unclosed-string": ("[" + _entry("cup") + ', {"label": "mu}g', ["cup"], 0),
+    "backslash-last": ("[" + _entry("cup") + ', {"label": "mug\\', ["cup"], 0),
+    "truncated-last-object": ("[" + _entry("cup") + ', {"label": "mug", "bbox_3d": [0, 0', ["cup"], 0),
+    # the outer span fails as a whole: the entry nested in it is not salvaged on its own
+    "object-in-a-broken-object": ('[{"label": "a", "meta": ' + _entry("b") + ', "bbox_3d": [1, 2}, ' + _entry("c")
+                                  + ", ...]", ["c"], 1),
+    "stray-close-before-first-open": ("} " + _entry("cup") + " ] }", ["cup"], 0),
+    # only the fenced block is salvaged: the prose's braces would log a warning each
+    "prose-braces-beside-a-fence": ('see {this} and {"x": 1}\n```json\n[' + _entry("cup") + ",\n...]\n```\nthen {that}",
+                                    ["cup"], 0),
+    "paper-style-fenced-list": (EXAMPLE_TRANSCRIPT, ["curtain", "bathtub"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SALVAGE))
+def test_salvage(case, caplog):
+    text, labels, warnings = SALVAGE[case]
+    with caplog.at_level(logging.WARNING, logger="camgeom.evaluation"):
+        assert [d.label for d in parse_detections(text)] == labels
+    assert len(caplog.records) == warnings, [record.message for record in caplog.records]
+
+
 class TestF1:
     def test_reference_row_identity(self):
         # 2 * 47.5 * 44.2 / 91.7 = 45.79..., printed as 45.7 at one decimal

@@ -39,7 +39,7 @@ from camgeom.camera import Intrinsics, project_array, unproject_array
 from camgeom.cli import DEFAULTS, main
 from camgeom.depthmap import DEFAULT_GEO_PERIOD, DepthMap, PointGrid, embed_points, unproject
 from camgeom.errors import BadDimension, CamGeomError, InvalidValue, NonPositiveDepth
-from camgeom.evaluation import parse_detections
+from camgeom.evaluation import _balanced_objects, parse_detections
 from camgeom.fileio import read_cgem, read_ppm, save_intrinsics, write_cgem, write_depth, write_ppm
 from camgeom.rays import DEFAULT_BASE_PERIOD, DEFAULT_FOCAL_REFERENCE, RayGrid, embed, sinusoid_features
 from camgeom.transforms import PixelTransform, apply_transform, ray_preservation_check, scale
@@ -729,6 +729,24 @@ def test_parse_detections_parses_or_raises_camgeom_error(text):
         parse_detections(text)
     except CamGeomError:
         pass
+
+
+# JSON objects whose strings hold braces, quotes and backslashes, between filler holding no brace or quote
+_SPAN_TEXT = st.text('{}"\\ab:\n', max_size=6)
+_SPAN_OBJECT = st.dictionaries(_SPAN_TEXT, st.recursive(
+    _SPAN_TEXT, lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_SPAN_TEXT, inner, max_size=3)),
+    max_leaves=6), max_size=3)
+_FILLER = st.text("ab \n:,[]\\", max_size=4)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(_FILLER, _SPAN_OBJECT), max_size=4), _FILLER)
+@example([("", {"label": "a}b{"})], "")  # a brace in a string
+@example([("[", {"label": 'say "}" now'}), (", ", {"label": "b"})], "\\")  # an escaped quote before a brace
+def test_balanced_objects_are_the_written_objects(parts, tail):
+    spans = [json.dumps(obj) for _, obj in parts]
+    text = "".join(filler + span for (filler, _), span in zip(parts, spans)) + tail
+    assert _balanced_objects(text) == spans
 
 
 _INTRINSICS_KEYS = ["fx", "fy", "cx", "cy", "width", "height"]
