@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_IOU_THRESHOLD = 0.25
 _BOX_KEYS = ("bbox_3d", "box_3d")
 _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_+-]*)(?:\r\n|\r|\n)(.*?)```", re.DOTALL)
+_LEXEME_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|[{}]', re.DOTALL)  # a JSON string (unclosed: to the end), a brace
 
 
 @dataclass(frozen=True)
@@ -63,70 +64,44 @@ def normalize_label(label: str) -> str:
 
 
 def _balanced_objects(text: str) -> list[str]:
-    """Extract top-level balanced {...} spans (salvage path for broken JSON)."""
+    """Top-level balanced {...} spans, a brace in a JSON string being text."""
     spans = []
     depth = 0
-    start = None
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
+    for lexeme in _LEXEME_RE.finditer(text):
+        if lexeme.group() == "{":
             if depth == 0:
-                start = i
+                start = lexeme.start()
             depth += 1
-        elif ch == "}" and depth > 0:
+        elif lexeme.group() == "}" and depth > 0:
             depth -= 1
             if depth == 0:
-                spans.append(text[start : i + 1])
+                spans.append(text[start : lexeme.end()])
     return spans
-
-
-def _decode_candidates(text: str) -> tuple[list, bool]:
-    """All JSON entries recoverable from a transcript, plus whether anything parsed."""
-    candidates = [m.group(1) for m in _FENCE_RE.finditer(text)] or [text]
-    entries: list = []
-    parsed_any = False
-    for chunk in candidates:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            value = _json("transcript", chunk, NoParsableJson)
-        except NoParsableJson:
-            for span in _balanced_objects(chunk):
-                try:
-                    entries.append(_json("transcript", span, NoParsableJson))
-                    parsed_any = True
-                except NoParsableJson:
-                    logger.warning("skipping unparsable object: %.80s", span)
-            continue
-        parsed_any = True
-        entries.extend(value if isinstance(value, list) else [value])
-    return entries, parsed_any
 
 
 def parse_detections(text: str) -> list[Detection]:
     """Recover detections from raw model output text.
 
-    Tolerates a fenced ```json block or bare JSON; skips malformed entries
-    with warnings and keeps well-formed siblings.  Raises NoParsableJson
-    when no JSON value can be decoded anywhere in the text.
+    Reads each fenced ```json block, or else the whole text, as one JSON value; a block that does not decode is
+    salvaged as its top-level balanced {...} spans, a brace inside a JSON string being text.  Malformed entries are
+    skipped with warnings and well-formed siblings kept.  Raises NoParsableJson when no JSON value can be decoded
+    anywhere in the text.
     """
-    entries, parsed_any = _decode_candidates(text)
-    if not parsed_any:
+    values = []  # each block's JSON value, or else each {...} span's salvaged from it
+    for chunk in [m.group(1) for m in _FENCE_RE.finditer(text)] or [text]:
+        chunk = chunk.strip()
+        try:
+            values.append(_json("transcript", chunk, NoParsableJson))
+        except NoParsableJson:
+            for span in _balanced_objects(chunk):
+                try:
+                    values.append(_json("transcript", span, NoParsableJson))
+                except NoParsableJson:
+                    logger.warning("skipping unparsable object: %.80s", span)
+    if not values:
         raise NoParsableJson("no JSON payload found in transcript")
     detections = []
-    for entry in entries:
+    for entry in (entry for value in values for entry in (value if isinstance(value, list) else [value])):
         if not isinstance(entry, dict):
             logger.warning("skipping non-object entry: %r", entry)
             continue
