@@ -64,7 +64,7 @@ def normalize_label(label: str) -> str:
 
 
 def _balanced_objects(text: str) -> list[str]:
-    """Top-level balanced {...} spans, a brace in a JSON string being text."""
+    """Top-level balanced {...} spans, a brace in a JSON string being text; an unclosed last span runs to the end."""
     spans = []
     depth = 0
     for lexeme in _LEXEME_RE.finditer(text):
@@ -76,16 +76,16 @@ def _balanced_objects(text: str) -> list[str]:
             depth -= 1
             if depth == 0:
                 spans.append(text[start : lexeme.end()])
-    return spans
+    return spans + [text[start:]] if depth > 0 else spans
 
 
 def parse_detections(text: str) -> list[Detection]:
     """Recover detections from raw model output text.
 
     Reads each fenced ```json block, or else the whole text, as one JSON value; a block that does not decode is
-    salvaged as its top-level balanced {...} spans, a brace inside a JSON string being text.  Malformed entries are
-    skipped with warnings and well-formed siblings kept.  Raises NoParsableJson when no JSON value can be decoded
-    anywhere in the text.
+    salvaged as its top-level balanced {...} spans, a brace inside a JSON string being text and an unclosed last span
+    skipped with a warning.  Malformed entries are skipped with warnings and well-formed siblings kept.  Raises
+    NoParsableJson when no JSON value can be decoded anywhere in the text.
     """
     values = []  # each block's JSON value, or else each {...} span's salvaged from it
     for chunk in [m.group(1) for m in _FENCE_RE.finditer(text)] or [text]:

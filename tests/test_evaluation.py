@@ -117,9 +117,10 @@ SALVAGE = {
     "brace-in-string": ("[" + _entry("cup}") + ", " + _entry("{mug") + ",", ["cup}", "{mug"], 0),
     "escaped-quote-before-brace": ("[" + _entry('say \\"}\\" now') + ", " + _entry("mug") + ", ...",
                                    ['say "}" now', "mug"], 0),
-    "unclosed-string": ("[" + _entry("cup") + ', {"label": "mu}g', ["cup"], 0),
-    "backslash-last": ("[" + _entry("cup") + ', {"label": "mug\\', ["cup"], 0),
-    "truncated-last-object": ("[" + _entry("cup") + ', {"label": "mug", "bbox_3d": [0, 0', ["cup"], 0),
+    # an unclosed last span is salvaged to the end of the text, and fails with a warning
+    "unclosed-string": ("[" + _entry("cup") + ', {"label": "mu}g', ["cup"], 1),
+    "backslash-last": ("[" + _entry("cup") + ', {"label": "mug\\', ["cup"], 1),
+    "truncated-last-object": ("[" + _entry("cup") + ', {"label": "mug", "bbox_3d": [0, 0', ["cup"], 1),
     # the outer span fails as a whole: the entry nested in it is not salvaged on its own
     "object-in-a-broken-object": ('[{"label": "a", "meta": ' + _entry("b") + ', "bbox_3d": [1, 2}, ' + _entry("c")
                                   + ", ...]", ["c"], 1),
