@@ -6,14 +6,16 @@ can catch toolkit validation failures with a single except clause.
 A number taken from a caller is an int or a float (``np.float64`` is one),
 never a bool or text, and finite: NaN, +-inf and ints too large for a float
 are not.  A count is an int or an integral float; a collection, any iterable
-but ``str`` or ``bytes``, read once; a name, a ``str`` in its owner's table.
-:func:`_number`, :func:`_positive`, :func:`_factors`, :func:`_count`, :func:`_entries`
-and :func:`_choice` apply these rules, raising the error class their caller
-names.  JSON from outside is decoded by :func:`_json` alone: text that is not
-JSON, nests too deep or holds an over-long integer raises its reader's class.
+that is not text (``str`` or ``bytes``) or a mapping, read once; a name, a
+``str`` in its owner's table.  :func:`_number`, :func:`_positive`, :func:`_factors`,
+:func:`_count`, :func:`_entries` and :func:`_choice` apply these rules, raising
+the error class their caller names.  JSON from outside is decoded by
+:func:`_json` alone: text that is not JSON, nests too deep or holds an
+over-long integer raises its reader's class.
 """
 
 import json
+from collections.abc import Mapping
 
 _LARGEST = 1.7976931348623157e308
 
@@ -53,13 +55,13 @@ def _count(what: str, value, error: type, minimum: int = 1, step: int = 1) -> in
 
 
 def _entries(what: str, values, error: type, kind: type = object, n: int | None = None) -> list | tuple:
-    """``values``, a list or tuple, or another non-text iterable read once into a tuple, of ``n`` (if set) ``kind``."""
+    """``values``, a list or tuple or an iterable (not text or a mapping) read into a tuple; ``n`` (if set) ``kind``."""
     if not isinstance(values, (list, tuple)):
         try:
             entries = iter(values)
         except TypeError:  # not iterable: a number, None, a 0-d array
             entries = None
-        if entries is None or isinstance(values, (str, bytes)):
+        if entries is None or isinstance(values, (str, bytes, Mapping)):
             raise error(f"{what}: must be a collection, got {values!r}")
         values = tuple(entries)
     if n is not None and len(values) != n:

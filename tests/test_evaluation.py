@@ -107,6 +107,13 @@ class TestParse:
             assert [d.label for d in parse_detections(text)] == ["b"]
         assert any("box size" in record.message for record in caplog.records)
 
+    def test_an_object_given_as_a_box_skipped_naming_it(self, caplog):
+        text = '[{"label": "a", "box_3d": {"x": 1}}, {"label": "b", "bbox_3d": [0,0,0,1,1,1,0,0,0]}]'
+        with caplog.at_level(logging.WARNING, logger="camgeom.evaluation"):
+            assert [d.label for d in parse_detections(text)] == ["b"]
+        assert [record.message for record in caplog.records] == [
+            "skipping degenerate box for 'a': box list arity: must be a collection, got {'x': 1}"]
+
 
 def _entry(label: str) -> str:
     return '{"label": "%s", "bbox_3d": [0,0,0,1,1,1,0,0,0]}' % label

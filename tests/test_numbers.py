@@ -293,6 +293,12 @@ REJECTED = {
     "bias-estimator-list": (lambda: run_bias_experiment(SCENES, [1.0], estimator=["aware"]), CamGeomError),
     "mixed-pool-estimator-list": (lambda: run_mixed_pool_experiment(SCENES, [["aware"]]), CamGeomError),
     "witness-kind-list": (lambda: make_witness((500.0, 2.0, 4.0), ["coupled"], (1.0, 1.0)), CamGeomError),
+    # a mapping is not a collection of its keys
+    "box-list-mapping": (lambda: OrientedBox3.from_list(dict.fromkeys(range(1, 10), "x")), DegenerateBox),
+    "match-classes-mapping": (lambda: match_and_score([], [], classes={"chair": 1}), InvalidValue),
+    "mixed-pool-estimators-mapping": (lambda: run_mixed_pool_experiment(SCENES, {"aware": 1}), CamGeomError),
+    "bias-factors-mapping": (lambda: run_bias_experiment(SCENES, {1.0: "one"}), NonPositiveScale),
+    "witness-mapping-base": (lambda: make_witness({500.0: 0, 2.0: 1, 4.0: 2}, "focal_depth", 2.0), NonPositiveFactor),
     # a dtype numpy does not read as float32 or float64, or cannot read at all
     **{f"{site}-dtype-{name}": (lambda call=call, dtype=dtype: call(dtype), BadDimension)
        for site, call in DTYPE_SITES.items()
