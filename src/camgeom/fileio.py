@@ -77,7 +77,7 @@ def write_cgem(path: str | Path, data: np.ndarray) -> None:
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
-        raise MalformedFile(f"CGEM tensors are rows x cols x dim, got shape {data.shape}")
+        raise MalformedFile(f"{path}: CGEM tensors are rows x cols x dim, got shape {data.shape}")
     rows, cols, dim = data.shape
     try:
         with np.errstate(over="raise"):
@@ -172,7 +172,7 @@ def write_ppm(path: str | Path, data: np.ndarray) -> None:
     """Binary PPM (P6) for 8-bit 3-channel images, shape (H, W, 3)."""
     data = np.asarray(data)
     if data.ndim != 3 or data.shape[2] != 3 or data.dtype != np.uint8:
-        raise MalformedFile(f"PPM needs uint8 H x W x 3 data, got {data.dtype} {data.shape}")
+        raise MalformedFile(f"{path}: PPM needs uint8 H x W x 3 data, got {data.dtype} {data.shape}")
     height, width = data.shape[:2]
     with _open_atomic(path) as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))

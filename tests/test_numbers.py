@@ -51,7 +51,7 @@ from camgeom.errors import (
     NonPositiveSize,
 )
 from camgeom.evaluation import Detection, match_and_score
-from camgeom.fileio import write_cgem
+from camgeom.fileio import write_cgem, write_ppm
 from camgeom.rays import EmbeddingGrid, RayGrid, TokenGridSpec, _adopt, embed, ray_grid, sinusoid_features
 from camgeom.rays import token_centers
 from camgeom.transforms import PixelTransform, ray_preservation_check
@@ -279,9 +279,13 @@ REJECTED = {
     "token-centers-unknown-origin": (lambda: token_centers(GRID, origin="edge"), CamGeomError),
     "project-array-behind": (lambda: project_array(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), K),
                              NonPositiveDepth),
-    # checked before the path is opened: its directory does not exist
-    "cgem-1d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros(3)), MalformedFile),
-    "cgem-4d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros((2, 2, 2, 2))), MalformedFile),
+    # checked before the path is opened: its directory does not exist; the message starts with the path
+    "cgem-1d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros(3)), MalformedFile,
+                "missing-dir/never-written.cgem: "),
+    "cgem-4d": (lambda: write_cgem("missing-dir/never-written.cgem", np.zeros((2, 2, 2, 2))), MalformedFile,
+                "missing-dir/never-written.cgem: "),
+    "ppm-one-channel": (lambda: write_ppm("missing-dir/never-written.ppm", np.zeros((2, 2, 1), np.uint8)),
+                        MalformedFile, "missing-dir/never-written.ppm: "),
     # a name from a closed set given as a list: the set's own class, never a TypeError from hashing it
     "rotation-order-list": (lambda: rotation_matrix(0.0, 0.0, 0.0, order=["zyx"]), CamGeomError),
     "match-rotation-order-list": (lambda: match_and_score([], [], rotation_order=["zyx"]), CamGeomError),
@@ -309,10 +313,11 @@ REJECTED = {
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_rejected_input(case):
-    call, error = REJECTED[case]
+    call, error, *start = REJECTED[case]  # an optional third entry: the start the message must have
     with pytest.raises(CamGeomError) as info:
         call()
     assert type(info.value) is error, info.value
+    assert str(info.value).startswith("".join(start)), info.value
 
 
 # value type -> (build from one float field, read that field back, valid values of the field)
