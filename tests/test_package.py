@@ -1,4 +1,5 @@
-"""The package surface: ``camgeom.__all__`` is its modules' ``__all__``, and the CLI reads the library's defaults."""
+"""The package surface: ``camgeom.__all__`` is its modules' ``__all__``, the CLI reads the library's defaults, and
+the source fits in 120 columns."""
 
 import inspect
 import json
@@ -117,3 +118,10 @@ def test_every_signature_reads_the_named_default():
             assert default is declared, (home, function, parameter)
     rotation = inspect.signature(camgeom.OrientedBox3.rotation).parameters["order"]
     assert rotation.default is camgeom.DEFAULT_ROTATION_ORDER
+
+
+def test_source_lines_fit_in_120_columns():
+    long = [f"{path.relative_to(ROOT)}:{number}: {len(line)} columns"
+            for path in sorted((ROOT / "src" / "camgeom").glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120]
+    assert not long, "\n".join(long)
