@@ -3,8 +3,10 @@
 The transcript format is a JSON list of ``{"label": ..., "bbox_3d": [9 floats]}``
 objects, typically inside a fenced ```json block.  Both ``bbox_3d`` and
 ``box_3d`` are accepted as the box key (real transcripts use either).
-Malformed entries are skipped with a warning; only a transcript with no
-recoverable JSON at all raises :class:`NoParsableJson`.
+JSON that does not decode is salvaged as its top-level balanced ``{...}``
+spans, a brace inside a JSON string being text and an unclosed last span
+skipped with a warning.  Malformed entries are skipped with a warning; only
+a transcript with no recoverable JSON at all raises :class:`NoParsableJson`.
 
 Matching is class-wise greedy by descending IoU (ties broken by lower pred
 index, then lower truth index), each prediction and truth matched at most
