@@ -103,7 +103,7 @@ def parse_detections(text: str) -> list[Detection]:
     if not values:
         raise NoParsableJson("no JSON payload found in transcript")
     detections = []
-    for entry in (entry for value in values for entry in (value if isinstance(value, list) else [value])):
+    for entry in (item for value in values for item in (value if isinstance(value, list) else [value])):
         if not isinstance(entry, dict):
             logger.warning("skipping non-object entry: %r", entry)
             continue
